@@ -12,10 +12,11 @@ ADDR   ?= :8080
 # code in internal/server, the chunked-parallel objective paths, the
 # checkpoint/resume machinery, the admission/load-shedding path, the
 # scale-out routing tier and the canary guard are checked routinely.
-# bench-compare and bench-fit-compare are soft gates (leading -): a noisy
-# box must not fail the build, but allocation and training-loss
-# regressions get printed.
-all: build vet test race test-workers test-faults test-overload test-router test-rollout test-ingest
+# examples runs the five example programs end to end (go test only
+# compiles them). bench-compare and bench-fit-compare are soft gates
+# (leading -): a noisy box must not fail the build, but allocation and
+# training-loss regressions get printed.
+all: build vet test race test-workers test-faults test-overload test-router test-rollout test-ingest examples
 	-$(MAKE) bench-compare
 	-$(MAKE) bench-fit-compare
 

@@ -519,7 +519,9 @@ func BenchmarkTransform(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Transform(x)
+		if _, err := model.TransformChecked(x); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

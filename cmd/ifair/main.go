@@ -275,7 +275,11 @@ func run() error {
 		defer f.Close()
 		w = f
 	}
-	return writeCSV(w, header, model.Transform(x))
+	xt, err := model.TransformChecked(x)
+	if err != nil {
+		return err
+	}
+	return writeCSV(w, header, xt)
 }
 
 // progressTrace prints restart and iteration events as human-readable

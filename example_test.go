@@ -25,7 +25,10 @@ func ExampleFit() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fair := model.Transform(x)
+	fair, err := repro.Transform(model, x)
+	if err != nil {
+		log.Fatal(err)
+	}
 	rows, cols := fair.Dims()
 	fmt.Printf("transformed %d records with %d attributes using %d prototypes\n",
 		rows, cols, model.K())

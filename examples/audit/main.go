@@ -44,9 +44,17 @@ func main() {
 		a := repro.LipschitzAudit(reference, transformed, nil)
 		fmt.Printf("%-10s %8.3f %8.3f %8.3f %10.3f\n", name, a.MeanViolation, a.P50, a.P99, a.MaxViolation)
 	}
+	fairX, err := repro.Transform(ifairModel, ds.X)
+	if err != nil {
+		log.Fatal(err)
+	}
+	censoredX := repro.NewMatrix(ds.Rows(), ds.Cols())
+	if err := censored.TransformInto(censoredX, ds.X, 1); err != nil {
+		log.Fatal(err)
+	}
 	report("masked", ds.MaskedX())
-	report("iFair-b", ifairModel.Transform(ds.X))
-	report("censored", censored.Transform(ds.X))
+	report("iFair-b", fairX)
+	report("censored", censoredX)
 
 	fmt.Println("\nlearned iFair attribute weights (top 5 and bottom 3):")
 	ws := ifairModel.AttributeWeights(ds.FeatureNames)

@@ -62,7 +62,15 @@ func main() {
 
 	report("full", train.X, test.X)
 	report("masked", train.MaskedX(), test.MaskedX())
-	report("iFair-b", model.Transform(train.X), model.Transform(test.X))
+	fairTrain, err := repro.Transform(model, train.X)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fairTest, err := repro.Transform(model, test.X)
+	if err != nil {
+		log.Fatal(err)
+	}
+	report("iFair-b", fairTrain, fairTest)
 
 	fmt.Println("\niFair trades a little utility for markedly better consistency,")
 	fmt.Println("and improves group fairness without ever optimising for it.")

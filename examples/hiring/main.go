@@ -53,12 +53,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fairReg, err := repro.FitLinear(model.Transform(train.X), train.Score, 0.01)
+	fairTrain, err := repro.Transform(model, train.X)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fairReg, err := repro.FitLinear(fairTrain, train.Score, 0.01)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fairAll, err := repro.Transform(model, ds.X)
 	if err != nil {
 		log.Fatal(err)
 	}
 	rawScores := rawReg.Predict(ds.X)
-	fairScores := fairReg.Predict(model.Transform(ds.X))
+	fairScores := fairReg.Predict(fairAll)
 
 	q := ds.Queries[qsplit.Test[0]]
 	fmt.Printf("held-out query %q: top 10 by raw score vs by iFair score\n", q.Name)

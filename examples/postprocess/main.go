@@ -28,7 +28,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fairX := model.Transform(ds.X)
+	fairX, err := repro.Transform(model, ds.X)
+	if err != nil {
+		log.Fatal(err)
+	}
 	reg, err := repro.FitLinear(fairX, ds.Score, 0.01)
 	if err != nil {
 		log.Fatal(err)

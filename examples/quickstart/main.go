@@ -40,7 +40,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	xt := model.Transform(x)
+	xt, err := repro.Transform(model, x)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("original -> fair representation")
 	for i := 0; i < x.Rows(); i++ {
 		fmt.Printf("  %v -> %.3f\n", x.Row(i), xt.Row(i))

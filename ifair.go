@@ -129,23 +129,20 @@ var ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 // training.
 func OpenCheckpoint(cfg CheckpointConfig) (*CheckpointManager, error) { return checkpoint.Open(cfg) }
 
-// ---- checked transforms ----
+// ---- transforms ----
 //
-// Model's method set offers both panicking (Transform, TransformRow,
-// Probabilities) and error-returning (TransformChecked, ...) variants; the
-// package-level functions below are the error-returning surface under the
-// plain names, for callers that handle malformed input gracefully.
+// The functions below are one-off transforms: each compiles the model
+// into a float64 kernel and reports an invalid model or input of the
+// wrong width as an error.
 
-// Transform maps every row of x to its fair representation, returning an
-// error instead of panicking on dimension mismatch or non-finite input.
+// Transform maps every row of x to its fair representation.
 func Transform(m *Model, x *Matrix) (*Matrix, error) { return m.TransformChecked(x) }
 
-// TransformRow maps one record to its fair representation, returning an
-// error instead of panicking on malformed input.
+// TransformRow maps one record to its fair representation.
 func TransformRow(m *Model, x []float64) ([]float64, error) { return m.TransformRowChecked(x) }
 
 // Probabilities returns the prototype-membership distribution u for one
-// record, returning an error instead of panicking on malformed input.
+// record.
 func Probabilities(m *Model, x []float64) ([]float64, error) { return m.ProbabilitiesChecked(x) }
 
 // ---- serving kernels ----
@@ -154,10 +151,8 @@ func Probabilities(m *Model, x []float64) ([]float64, error) { return m.Probabil
 // the fitted model once into an immutable CompiledKernel and call its
 // destination-passing methods: the per-row fused transform touches one
 // contiguous parameter block, draws scratch from an internal pool and
-// performs zero heap allocations. The deprecated panicking Model methods
-// (Transform, TransformRow, Probabilities) remain as thin wrappers; new
-// code migrates to CompileKernel + TransformRowInto/TransformInto, or to
-// the checked package-level functions above for one-off calls.
+// performs zero heap allocations. The kernel is the only transform
+// implementation, so both routes give bit-identical results.
 
 // CompiledKernel is an immutable, concurrency-safe serving kernel
 // compiled from a fitted model: contiguous parameters, precomputed
@@ -168,7 +163,7 @@ type CompiledKernel = kernel.CompiledKernel
 type DType = kernel.DType
 
 const (
-	// Float64 reproduces the model's own transform bit for bit.
+	// Float64 reproduces the training forward pass bit for bit.
 	Float64 = kernel.Float64
 	// Float32 halves parameter bandwidth within a documented (~2e-3)
 	// tolerance of the float64 path — the serving tier's -float32 flag.

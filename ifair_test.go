@@ -26,7 +26,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xt := model.Transform(ds.X)
+	xt, err := Transform(model, ds.X)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r, c := xt.Dims(); r != ds.Rows() || c != ds.Cols() {
 		t.Fatalf("transform dims %d×%d", r, c)
 	}
@@ -152,8 +155,8 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := lfrModel.Transform(ds.X).Rows(); got != 200 {
-		t.Fatalf("LFR transform rows = %d", got)
+	if err := lfrModel.TransformInto(NewMatrix(200, ds.Cols()), ds.X, 1); err != nil {
+		t.Fatalf("LFR transform: %v", err)
 	}
 
 	rr, err := FairReRank([]float64{0.9, 0.4, 0.7}, []bool{false, true, false}, 0, 0.5, 0.1)
@@ -205,8 +208,14 @@ func TestFacadeSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := model.TransformRow(ds.X.Row(0))
-	b := loaded.TransformRow(ds.X.Row(0))
+	a, err := TransformRow(model, ds.X.Row(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := TransformRow(loaded, ds.X.Row(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("loaded model transforms differently")

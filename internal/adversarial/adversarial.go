@@ -72,7 +72,7 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// Model is a fitted censoring projection: Transform maps X to X·P where P
+// Model is a fitted censoring projection: TransformInto maps X to X·P where P
 // projects onto the subspace from which no linear probe recovered the
 // protected attribute.
 type Model struct {
@@ -233,22 +233,12 @@ func (md *Model) Compile() (*kernel.Projection, error) {
 
 // TransformInto maps every row of x into the matching row of dst (which
 // must be x.Rows()×P.Cols(), must not share backing storage with x, and
-// is fully overwritten) using up to workers goroutines — bit-identical
-// to Transform for every worker count.
+// is fully overwritten) using up to workers goroutines, bit-identical to
+// mat.Mul(x, P) for every worker count.
 func (md *Model) TransformInto(dst, x *mat.Dense, workers int) error {
 	proj, err := md.Compile()
 	if err != nil {
 		return err
 	}
 	return proj.TransformInto(dst, x, workers)
-}
-
-// Transform maps records through the censoring projection, keeping the
-// original dimensionality like every other representation method.
-func (md *Model) Transform(x *mat.Dense) *mat.Dense {
-	out := mat.NewDense(x.Rows(), md.P.Cols())
-	if err := md.TransformInto(out, x, 1); err != nil {
-		panic(err.Error())
-	}
-	return out
 }

@@ -29,6 +29,17 @@ func leakyData(rng *rand.Rand, m int) (*mat.Dense, []bool) {
 	return x, prot
 }
 
+// project maps x through the model's compiled projection, failing the
+// test on error.
+func project(t *testing.T, model *Model, x *mat.Dense) *mat.Dense {
+	t.Helper()
+	out := mat.NewDense(x.Rows(), model.P.Cols())
+	if err := model.TransformInto(out, x, 1); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestFitDefeatsFreshAdversary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, prot := leakyData(rng, 300)
@@ -47,7 +58,7 @@ func TestFitDefeatsFreshAdversary(t *testing.T) {
 		t.Fatalf("setup broken: raw adversary accuracy %v should be high", rawAcc)
 	}
 
-	censored := model.Transform(x)
+	censored := project(t, model, x)
 	cenAdv, err := linmodel.FitLogistic(censored, prot, 1e-3)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +80,7 @@ func TestFitKeepsNonLeakyStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	censored := model.Transform(x)
+	censored := project(t, model, x)
 	// The projection removes few directions, so the non-leaky features
 	// (columns 2 and 3) must remain strongly correlated with their
 	// originals.
@@ -95,8 +106,8 @@ func TestFitProjectionIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	once := model.Transform(x)
-	twice := model.Transform(once)
+	once := project(t, model, x)
+	twice := project(t, model, once)
 	if !mat.Equalish(once, twice, 1e-8) {
 		t.Fatal("projection must be idempotent")
 	}
@@ -113,7 +124,7 @@ func TestFitSingleClassIsIdentity(t *testing.T) {
 	if model.Rounds != 0 {
 		t.Fatalf("rounds = %d, want 0", model.Rounds)
 	}
-	if !mat.Equalish(model.Transform(x), x, 1e-12) {
+	if !mat.Equalish(project(t, model, x), x, 1e-12) {
 		t.Fatal("single-class censoring must be the identity")
 	}
 }

@@ -128,15 +128,15 @@ func TestMaskedInitSuppressesProtectedInfluence(t *testing.T) {
 	var protShift, qualShift float64
 	for i := 0; i < m; i++ {
 		base := append([]float64(nil), x.Row(i)...)
-		tb := model.TransformRow(base)
+		tb := mustTransformRow(t, model, base)
 
 		flipProt := append([]float64(nil), base...)
 		flipProt[2] = 1 - flipProt[2]
-		tp := model.TransformRow(flipProt)
+		tp := mustTransformRow(t, model, flipProt)
 
 		flipQual := append([]float64(nil), base...)
 		flipQual[0] += 1
-		tq := model.TransformRow(flipQual)
+		tq := mustTransformRow(t, model, flipQual)
 
 		protShift += math.Sqrt(mat.SqDist(tb, tp))
 		qualShift += math.Sqrt(mat.SqDist(tb, tq))
@@ -182,8 +182,14 @@ func TestFairnessTermImprovesDistancePreservation(t *testing.T) {
 
 	evalOpts := base
 	evalOpts.Mu = 1
-	_, fair0 := Losses(mu0, x, evalOpts)
-	_, fair1 := Losses(mu1, x, evalOpts)
+	_, fair0, err := Losses(mu0, x, evalOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fair1, err := Losses(mu1, x, evalOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if fair1 >= fair0 {
 		t.Fatalf("fairness loss with µ=1 (%v) not below µ=0 (%v)", fair1, fair0)
 	}
@@ -191,8 +197,11 @@ func TestFairnessTermImprovesDistancePreservation(t *testing.T) {
 
 func TestLossesUtilityMatchesManual(t *testing.T) {
 	model, x := fittedModel(t, 12)
-	util, _ := Losses(model, x, Options{K: model.K(), Lambda: 1, Mu: 0})
-	xt := model.Transform(x)
+	util, _, err := Losses(model, x, Options{K: model.K(), Lambda: 1, Mu: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xt := mustTransform(t, model, x)
 	var want float64
 	for i := 0; i < x.Rows(); i++ {
 		want += mat.SqDist(x.Row(i), xt.Row(i))

@@ -36,26 +36,6 @@ func (m *Model) K() int { return m.Prototypes.Rows() }
 // Dims returns the attribute dimensionality N.
 func (m *Model) Dims() int { return m.Prototypes.Cols() }
 
-// kernelDistance computes the (optionally rooted) weighted Minkowski
-// distance of Def. 7 between a record and a prototype row.
-func kernelDistance(x, v, alpha []float64, p float64, takeRoot bool) float64 {
-	var s float64
-	if p == 2 {
-		for n := range x {
-			d := x[n] - v[n]
-			s += alpha[n] * d * d
-		}
-	} else {
-		for n := range x {
-			s += alpha[n] * math.Pow(math.Abs(x[n]-v[n]), p)
-		}
-	}
-	if takeRoot {
-		return math.Pow(s, 1/p)
-	}
-	return s
-}
-
 // Validate checks the internal consistency of a model — dimensions agree,
 // weights are non-negative and finite, the Minkowski exponent and kernel
 // are supported. Hand-built or deserialised models should be validated
@@ -96,8 +76,8 @@ func (m *Model) Validate() error {
 // Compile compiles the model into an immutable serving kernel (see
 // internal/kernel): parameters laid out contiguously, prototype norms
 // precomputed, scratch pooled, so the per-row transform allocates
-// nothing. The Float64 dtype is bit-identical to the model's own
-// Transform; Float32 halves parameter bandwidth within the tolerance
+// nothing. The Float64 dtype reproduces the training forward pass bit
+// for bit; Float32 halves parameter bandwidth within the tolerance
 // documented in the kernel package. Compile validates the model first.
 // Serving paths should compile once per model version and reuse the
 // kernel, as the registry in internal/server does.
@@ -118,208 +98,64 @@ func (m *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
 	}, dtype)
 }
 
-// checkRecord verifies that a record matches the model's dimensionality.
-func (m *Model) checkRecord(x []float64) error {
-	if len(x) != m.Dims() {
-		return fmt.Errorf("ifair: record has %d attributes, model expects %d", len(x), m.Dims())
-	}
-	return nil
-}
-
-// probabilitiesInto computes the membership distribution of x into u,
-// which must have length K. The caller guarantees len(x) == Dims().
-func (m *Model) probabilitiesInto(x, u []float64) {
-	k := m.K()
-	switch m.Kernel {
-	case InverseKernel:
-		var sum float64
-		for j := 0; j < k; j++ {
-			d := kernelDistance(x, m.Prototypes.Row(j), m.Alpha, m.P, m.TakeRoot)
-			u[j] = 1 / (1 + d)
-			sum += u[j]
-		}
-		for j := range u {
-			u[j] /= sum
-		}
-	default: // ExpKernel
-		maxZ := math.Inf(-1)
-		for j := 0; j < k; j++ {
-			z := -kernelDistance(x, m.Prototypes.Row(j), m.Alpha, m.P, m.TakeRoot)
-			u[j] = z
-			if z > maxZ {
-				maxZ = z
-			}
-		}
-		var sum float64
-		for j := range u {
-			u[j] = math.Exp(u[j] - maxZ)
-			sum += u[j]
-		}
-		for j := range u {
-			u[j] /= sum
-		}
-	}
-}
-
-// transformRowInto writes x̃ = Σ_k u_k·v_k into out (length N), using u
-// (length K) as scratch for the membership weights.
-func (m *Model) transformRowInto(x, u, out []float64) {
-	m.probabilitiesInto(x, u)
-	for j := range out {
-		out[j] = 0
-	}
-	for k, uk := range u {
-		mat.AddScaled(out, uk, m.Prototypes.Row(k))
-	}
-}
-
-// ProbabilitiesChecked is Probabilities with an error instead of a panic
-// on dimension mismatch — the variant servers should call so malformed
-// client records surface as 4xx responses, not crashes.
+// ProbabilitiesChecked returns the cluster-membership distribution u of
+// one record. Under the default ExpKernel this is Def. 8:
+// u_k = softmax_k(−d(x, v_k)); under InverseKernel the weights are
+// 1/(1 + d), normalised. An invalid model or a record of the wrong width
+// is reported as an error. It compiles a float64 kernel per call; paths
+// that evaluate many records should Compile once and call
+// CompiledKernel.ProbabilitiesInto.
 func (m *Model) ProbabilitiesChecked(x []float64) ([]float64, error) {
-	if err := m.checkRecord(x); err != nil {
+	kern, err := m.Compile(kernel.Float64)
+	if err != nil {
 		return nil, err
 	}
-	u := make([]float64, m.K())
-	m.probabilitiesInto(x, u)
+	u := make([]float64, kern.K())
+	if err := kern.ProbabilitiesInto(u, x); err != nil {
+		return nil, err
+	}
 	return u, nil
 }
 
-// Probabilities returns the cluster-membership distribution u_i for a
-// single record. Under the default ExpKernel this is Def. 8:
-// u_ik = softmax_k(−d(x_i, v_k)); under InverseKernel the weights are
-// 1/(1 + d), normalised.
-//
-// Deprecated: thin panicking wrapper kept for source compatibility. Use
-// ProbabilitiesChecked for an error on malformed input, or compile the
-// model (Compile) and call CompiledKernel.ProbabilitiesInto for the
-// allocation-free serving path.
-func (m *Model) Probabilities(x []float64) []float64 {
-	u, err := m.ProbabilitiesChecked(x)
-	if err != nil {
-		panic(err.Error())
-	}
-	return u
-}
-
-// TransformRowChecked is TransformRow with an error instead of a panic on
-// dimension mismatch.
+// TransformRowChecked maps one record to its fair representation
+// x̃ = Σ_k u_k·v_k (Def. 3), reporting an invalid model or a record of
+// the wrong width as an error. It compiles a float64 kernel per call;
+// paths that transform many records should Compile once and call
+// CompiledKernel.TransformRowInto.
 func (m *Model) TransformRowChecked(x []float64) ([]float64, error) {
-	if err := m.checkRecord(x); err != nil {
+	kern, err := m.Compile(kernel.Float64)
+	if err != nil {
 		return nil, err
 	}
-	u := make([]float64, m.K())
-	out := make([]float64, m.Dims())
-	m.transformRowInto(x, u, out)
+	out := make([]float64, kern.OutDims())
+	if err := kern.TransformRowInto(out, x); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// TransformRow maps one record to its fair representation
-// x̃ = Σ_k u_k·v_k (Def. 3).
-//
-// Deprecated: thin panicking wrapper kept for source compatibility. Use
-// TransformRowChecked for an error on malformed input, or compile the
-// model (Compile) and call CompiledKernel.TransformRowInto for the
-// allocation-free serving path.
-func (m *Model) TransformRow(x []float64) []float64 {
-	out, err := m.TransformRowChecked(x)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// TransformChecked is Transform with an error instead of a panic on
-// dimension mismatch.
+// TransformChecked maps every row of x to its fair representation,
+// returning the M×N matrix X̃ = U·Vᵀ of Def. 2, or an error for an
+// invalid model or data of the wrong width.
 func (m *Model) TransformChecked(x *mat.Dense) (*mat.Dense, error) {
-	return m.TransformParallelChecked(x, 1)
-}
-
-// Transform maps every row of x to its fair representation, returning the
-// M×N matrix X̃ = U·Vᵀ of Def. 2.
-//
-// Deprecated: thin panicking wrapper kept for source compatibility. Use
-// TransformChecked for an error on malformed input, or TransformInto /
-// a compiled kernel to supply the destination and avoid the per-call
-// allocation.
-func (m *Model) Transform(x *mat.Dense) *mat.Dense {
-	out, err := m.TransformChecked(x)
-	if err != nil {
-		panic(err.Error())
+	out := mat.NewDense(x.Rows(), x.Cols())
+	if err := m.TransformInto(out, x, 1); err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
 // TransformInto transforms every row of x into the matching row of dst
 // (which must be x.Rows()×Dims, must not share backing storage with x,
 // and is fully overwritten, never retained) using up to workers
 // goroutines. It compiles a float64 kernel per call — validating the
-// model in the process — so the result is bit-identical to Transform
-// for any worker count; serving paths that transform repeatedly should
-// Compile once and call the kernel directly.
+// model in the process — and the result is bit-identical for any worker
+// count; paths that transform repeatedly should Compile once and call
+// the kernel directly.
 func (m *Model) TransformInto(dst, x *mat.Dense, workers int) error {
-	if cols := x.Cols(); cols != m.Dims() {
-		return fmt.Errorf("ifair: data has %d attributes, model expects %d", cols, m.Dims())
-	}
 	kern, err := m.Compile(kernel.Float64)
 	if err != nil {
 		return err
 	}
 	return kern.TransformInto(dst, x, workers)
-}
-
-// TransformParallelChecked transforms every row of x using up to workers
-// goroutines through a compiled float64 kernel. Row chunking only
-// changes which goroutine computes a row, never its value, so the
-// result is bit-identical to Transform for any worker count. workers ≤ 1
-// runs inline.
-func (m *Model) TransformParallelChecked(x *mat.Dense, workers int) (*mat.Dense, error) {
-	rows, cols := x.Dims()
-	if cols != m.Dims() {
-		return nil, fmt.Errorf("ifair: data has %d attributes, model expects %d", cols, m.Dims())
-	}
-	out := mat.NewDense(rows, cols)
-	if err := m.TransformInto(out, x, workers); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TransformParallel is TransformParallelChecked with the panicking
-// contract of Transform.
-func (m *Model) TransformParallel(x *mat.Dense, workers int) *mat.Dense {
-	out, err := m.TransformParallelChecked(x, workers)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// MembershipsInto writes the membership distribution of every row of x
-// into the matching row of dst, which must be x.Rows()×K, must not
-// share backing storage with x, and is fully overwritten (never
-// retained). No allocation is performed.
-func (m *Model) MembershipsInto(dst, x *mat.Dense) error {
-	rows, cols := x.Dims()
-	if cols != m.Dims() {
-		return fmt.Errorf("ifair: data has %d attributes, model expects %d", cols, m.Dims())
-	}
-	if dr, dc := dst.Dims(); dr != rows || dc != m.K() {
-		return fmt.Errorf("ifair: membership destination is %d×%d, want %d×%d", dr, dc, rows, m.K())
-	}
-	for i := 0; i < rows; i++ {
-		m.probabilitiesInto(x.Row(i), dst.Row(i))
-	}
-	return nil
-}
-
-// Memberships returns the full M×K probability matrix U for the rows of
-// x, panicking on dimension mismatch; MembershipsInto is the checked,
-// non-allocating variant.
-func (m *Model) Memberships(x *mat.Dense) *mat.Dense {
-	out := mat.NewDense(x.Rows(), m.K())
-	if err := m.MembershipsInto(out, x); err != nil {
-		panic(err.Error())
-	}
-	return out
 }

@@ -20,10 +20,39 @@ func fittedModel(t *testing.T, seed int64) (*Model, *mat.Dense) {
 	return model, x
 }
 
+// mustProbabilities, mustTransformRow and mustTransform call the checked
+// model methods and fail the test on error.
+func mustProbabilities(t *testing.T, m *Model, x []float64) []float64 {
+	t.Helper()
+	u, err := m.ProbabilitiesChecked(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+func mustTransformRow(t *testing.T, m *Model, x []float64) []float64 {
+	t.Helper()
+	out, err := m.TransformRowChecked(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func mustTransform(t *testing.T, m *Model, x *mat.Dense) *mat.Dense {
+	t.Helper()
+	out, err := m.TransformChecked(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestProbabilitiesSumToOne(t *testing.T) {
 	model, x := fittedModel(t, 1)
 	for i := 0; i < x.Rows(); i++ {
-		u := model.Probabilities(x.Row(i))
+		u := mustProbabilities(t, model, x.Row(i))
 		var sum float64
 		for _, p := range u {
 			if p < 0 || p > 1 {
@@ -43,7 +72,7 @@ func TestTransformInConvexHull(t *testing.T) {
 	model, x := fittedModel(t, 2)
 	k, n := model.K(), model.Dims()
 	for i := 0; i < x.Rows(); i++ {
-		xt := model.TransformRow(x.Row(i))
+		xt := mustTransformRow(t, model, x.Row(i))
 		for j := 0; j < n; j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for kk := 0; kk < k; kk++ {
@@ -60,27 +89,19 @@ func TestTransformInConvexHull(t *testing.T) {
 
 func TestTransformMatchesTransformRow(t *testing.T) {
 	model, x := fittedModel(t, 3)
-	xt := model.Transform(x)
+	xt := mustTransform(t, model, x)
 	for i := 0; i < x.Rows(); i++ {
-		row := model.TransformRow(x.Row(i))
+		row := mustTransformRow(t, model, x.Row(i))
 		for j := range row {
 			if xt.At(i, j) != row[j] {
-				t.Fatal("Transform disagrees with TransformRow")
+				t.Fatal("TransformChecked disagrees with TransformRowChecked")
 			}
 		}
 	}
 }
 
-func TestMembershipsShape(t *testing.T) {
-	model, x := fittedModel(t, 4)
-	u := model.Memberships(x)
-	if r, c := u.Dims(); r != x.Rows() || c != model.K() {
-		t.Fatalf("Memberships dims = %d×%d, want %d×%d", r, c, x.Rows(), model.K())
-	}
-}
-
 func TestCheckedVariantsReportDimensionMismatch(t *testing.T) {
-	model, x := fittedModel(t, 11)
+	model, _ := fittedModel(t, 11)
 	bad := make([]float64, model.Dims()+3)
 	if _, err := model.ProbabilitiesChecked(bad); err == nil {
 		t.Fatal("ProbabilitiesChecked: expected error for wrong width")
@@ -91,27 +112,26 @@ func TestCheckedVariantsReportDimensionMismatch(t *testing.T) {
 	if _, err := model.TransformChecked(mat.NewDense(2, model.Dims()-1)); err == nil {
 		t.Fatal("TransformChecked: expected error for wrong width")
 	}
-	if _, err := model.TransformParallelChecked(mat.NewDense(2, model.Dims()+1), 4); err == nil {
-		t.Fatal("TransformParallelChecked: expected error for wrong width")
+	if err := model.TransformInto(mat.NewDense(2, model.Dims()), mat.NewDense(2, model.Dims()+1), 4); err == nil {
+		t.Fatal("TransformInto: expected error for wrong width")
 	}
-	// The checked variants agree with the panicking ones on valid input.
-	got, err := model.TransformRowChecked(x.Row(0))
-	if err != nil {
-		t.Fatal(err)
+	if err := model.TransformInto(mat.NewDense(3, model.Dims()), mat.NewDense(2, model.Dims()), 4); err == nil {
+		t.Fatal("TransformInto: expected error for a mis-sized destination")
 	}
-	want := model.TransformRow(x.Row(0))
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatal("TransformRowChecked disagrees with TransformRow")
-		}
+	invalid := &Model{Prototypes: model.Prototypes, Alpha: model.Alpha[:1], P: 2}
+	if _, err := invalid.TransformRowChecked(bad[:model.Dims()]); err == nil {
+		t.Fatal("TransformRowChecked: expected error for an invalid model")
 	}
 }
 
 func TestTransformParallelMatchesSerial(t *testing.T) {
 	model, x := fittedModel(t, 12)
-	want := model.Transform(x)
+	want := mustTransform(t, model, x)
 	for _, workers := range []int{1, 2, 3, 8} {
-		got := model.TransformParallel(x, workers)
+		got := mat.NewDense(x.Rows(), model.Dims())
+		if err := model.TransformInto(got, x, workers); err != nil {
+			t.Fatal(err)
+		}
 		if !mat.Equalish(got, want, 0) {
 			t.Fatalf("workers=%d: parallel transform differs from serial", workers)
 		}
@@ -150,26 +170,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestTransformWrongWidthPanics(t *testing.T) {
-	model, _ := fittedModel(t, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	model.Transform(mat.NewDense(2, model.Dims()+1))
-}
-
-func TestProbabilitiesWrongWidthPanics(t *testing.T) {
-	model, _ := fittedModel(t, 6)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	model.Probabilities(make([]float64, model.Dims()+2))
-}
-
 // Property: a record coincident with one prototype and far from the others
 // gets nearly all probability mass on that prototype.
 func TestProbabilitiesConcentrateOnNearestPrototype(t *testing.T) {
@@ -178,7 +178,7 @@ func TestProbabilitiesConcentrateOnNearestPrototype(t *testing.T) {
 		{10, 10},
 	})
 	model := &Model{Prototypes: protos, Alpha: []float64{1, 1}, P: 2}
-	u := model.Probabilities([]float64{0, 0})
+	u := mustProbabilities(t, model, []float64{0, 0})
 	if u[0] < 0.999 {
 		t.Fatalf("u = %v, want mass on prototype 0", u)
 	}
@@ -195,8 +195,8 @@ func TestZeroWeightCoordinateInvariance(t *testing.T) {
 		a := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		b := append([]float64(nil), a...)
 		b[2] = rng.NormFloat64() * 100 // change only the zero-weight coordinate
-		ta := model.TransformRow(a)
-		tb := model.TransformRow(b)
+		ta := mustTransformRow(t, model, a)
+		tb := mustTransformRow(t, model, b)
 		for j := range ta {
 			if math.Abs(ta[j]-tb[j]) > 1e-12 {
 				return false
@@ -209,17 +209,20 @@ func TestZeroWeightCoordinateInvariance(t *testing.T) {
 	}
 }
 
+// TestKernelDistanceGeneralP pins the Def. 7 distance of the training
+// forward pass: rawDistance is the rootless sum, and TakeRoot applies
+// the 1/p root on top of it.
 func TestKernelDistanceGeneralP(t *testing.T) {
 	x := []float64{0, 0}
 	v := []float64{3, 4}
 	w := []float64{1, 1}
-	if got := kernelDistance(x, v, w, 2, false); got != 25 {
+	if got := rawDistance(x, v, w, 2); got != 25 {
 		t.Fatalf("squared p=2 distance = %v, want 25", got)
 	}
-	if got := kernelDistance(x, v, w, 2, true); math.Abs(got-5) > 1e-12 {
+	if got := math.Pow(rawDistance(x, v, w, 2), 1.0/2); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("rooted p=2 distance = %v, want 5", got)
 	}
-	if got := kernelDistance(x, v, w, 1, true); math.Abs(got-7) > 1e-12 {
+	if got := math.Pow(rawDistance(x, v, w, 1), 1.0/1); math.Abs(got-7) > 1e-12 {
 		t.Fatalf("p=1 distance = %v, want 7", got)
 	}
 }

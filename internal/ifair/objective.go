@@ -635,9 +635,13 @@ func (o *objective) backwardRecord(alpha, protos, q, gradV, gradA, xi, ui, ri, g
 // Losses evaluates the two loss components (unweighted by λ and µ) of a
 // fitted model on data x, for reporting and tests: the reconstruction loss
 // of Def. 4 and the fairness loss of Def. 5 over the objective's pair set.
-func Losses(m *Model, x *mat.Dense, opts Options) (util, fair float64) {
+// An invalid model or data of the wrong width is reported as an error.
+func Losses(m *Model, x *mat.Dense, opts Options) (util, fair float64, err error) {
 	rows, _ := x.Dims()
-	xt := m.Transform(x)
+	xt, err := m.TransformChecked(x)
+	if err != nil {
+		return 0, 0, err
+	}
 	for i := 0; i < rows; i++ {
 		util += mat.SqDist(x.Row(i), xt.Row(i))
 	}
@@ -650,5 +654,5 @@ func Losses(m *Model, x *mat.Dense, opts Options) (util, fair float64) {
 		e := d - t
 		fair += e * e
 	}
-	return util, fair
+	return util, fair, nil
 }

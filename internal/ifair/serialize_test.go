@@ -39,8 +39,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		for j := range rec {
 			rec[j] = rng.NormFloat64()
 		}
-		a := model.TransformRow(rec)
-		b := got.TransformRow(rec)
+		a := mustTransformRow(t, model, rec)
+		b := mustTransformRow(t, got, rec)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatal("decoded model transforms differently")

@@ -213,9 +213,12 @@ func TestTransformParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := model.Transform(x)
+	want := mustTransform(t, model, x)
 	for _, w := range testWorkerSweep() {
-		got := model.TransformParallel(x, w)
+		got := mat.NewDense(x.Rows(), x.Cols())
+		if err := model.TransformInto(got, x, w); err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range want.Data() {
 			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
 				t.Fatalf("workers=%d: element %d = %v != %v", w, i, got.Data()[i], v)

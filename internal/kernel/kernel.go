@@ -12,9 +12,11 @@
 //
 //   - Float64 (the default) reproduces the training-side arithmetic
 //     bit-for-bit: distances, memberships and prototype mixes are
-//     computed in exactly the operation order of ifair.Model /
-//     lfr.Model, so a compiled kernel's output is bit-identical to the
-//     model's own Transform for every worker count.
+//     computed in exactly the operation order of the iFair and LFR
+//     training forward passes, so a compiled kernel's output is
+//     bit-identical to what training optimised, for every worker count.
+//     This package is the only inference implementation of that map;
+//     the ifair and lfr tests pin it to the forward passes.
 //   - Float32 is an opt-in serving representation that halves the
 //     parameter and scratch bandwidth. For the common p=2, non-rooted
 //     distance it uses the fused norm form
@@ -49,7 +51,7 @@ type DType uint8
 
 const (
 	// Float64 keeps the training-side float64 arithmetic (bit-identical
-	// to the model's own transform).
+	// to the training forward pass).
 	Float64 DType = iota
 	// Float32 narrows parameters and scratch to float32 for ~2× memory
 	// bandwidth, within the documented tolerance of the Float64 path.
@@ -94,17 +96,6 @@ type Kernel interface {
 	// the result is bit-identical for every worker count. dst must be
 	// x.Rows()×OutDims and must not share backing storage with x.
 	TransformInto(dst, x *mat.Dense, workers int) error
-}
-
-// PrototypeKernel is implemented by prototype-mixture kernels that also
-// expose per-row membership distributions.
-type PrototypeKernel interface {
-	Kernel
-	// K returns the number of prototypes.
-	K() int
-	// ProbabilitiesInto writes the membership distribution of x into
-	// dst, which must have length K and must not alias x.
-	ProbabilitiesInto(dst, x []float64) error
 }
 
 // Spec describes a prototype-mixture kernel to compile: K prototype
@@ -274,8 +265,8 @@ func (ck *CompiledKernel) checkRow(x []float64) error {
 }
 
 // dist64 is the weighted Minkowski distance in the exact operation
-// order of the training-side model (ifair.kernelDistance; a nil alpha
-// matches LFR's unweighted mat.SqDist).
+// order of the iFair training forward pass (rawDistance, then the
+// optional 1/p root); a nil alpha matches LFR's unweighted mat.SqDist.
 func (ck *CompiledKernel) dist64(x, v []float64) float64 {
 	var s float64
 	if ck.p == 2 {
@@ -308,8 +299,8 @@ func (ck *CompiledKernel) dist64(x, v []float64) float64 {
 }
 
 // probabilitiesInto64 writes the float64 membership distribution of x
-// into u (length k), mirroring ifair.Model.probabilitiesInto bit for
-// bit.
+// into u (length k), mirroring the memberships of the iFair and LFR
+// training forward passes bit for bit.
 func (ck *CompiledKernel) probabilitiesInto64(u, x []float64) {
 	switch ck.membership {
 	case Inverse:

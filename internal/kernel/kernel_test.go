@@ -32,48 +32,64 @@ func randomRow(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
-// TestFloat64BitIdentity sweeps kernels, Minkowski exponents and rooting
-// against the model's own (training-side) per-row arithmetic: the
-// compiled Float64 kernel must agree bit for bit, for probabilities and
-// transforms alike.
+// TestFloat64BitIdentity sweeps kernels, Minkowski exponents and rooting.
+// For each configuration the Float64 fused row transform must equal,
+// bit for bit, the prototype mix Σ_k u_k·v_k of the Float64 memberships,
+// and the Float32 dtype must stay within the documented tolerance of the
+// Float64 memberships and transforms. The Float64 path itself is pinned
+// to the training forward passes by the ifair and lfr package tests.
 func TestFloat64BitIdentity(t *testing.T) {
+	const k, n, tol = 5, 9, 2e-3
 	rng := rand.New(rand.NewSource(7))
 	for _, membership := range []ifair.Kernel{ifair.ExpKernel, ifair.InverseKernel} {
 		for _, p := range []float64{2, 1.5, 3} {
 			for _, takeRoot := range []bool{false, true} {
-				m := randomModel(rng, 5, 9, p, takeRoot, membership)
-				ck, err := m.Compile(kernel.Float64)
+				m := randomModel(rng, k, n, p, takeRoot, membership)
+				k64, err := m.Compile(kernel.Float64)
 				if err != nil {
-					t.Fatalf("Compile: %v", err)
+					t.Fatalf("Compile(Float64): %v", err)
 				}
+				k32, err := m.Compile(kernel.Float32)
+				if err != nil {
+					t.Fatalf("Compile(Float32): %v", err)
+				}
+				u64, u32 := make([]float64, k), make([]float64, k)
+				x64, x32, mix := make([]float64, n), make([]float64, n), make([]float64, n)
 				for trial := 0; trial < 20; trial++ {
-					x := randomRow(rng, 9)
-					wantU, err := m.ProbabilitiesChecked(x)
-					if err != nil {
-						t.Fatalf("ProbabilitiesChecked: %v", err)
-					}
-					gotU := make([]float64, 5)
-					if err := ck.ProbabilitiesInto(gotU, x); err != nil {
-						t.Fatalf("ProbabilitiesInto: %v", err)
-					}
-					for j := range wantU {
-						if gotU[j] != wantU[j] {
-							t.Fatalf("kernel=%v p=%v root=%v: u[%d] = %v, model says %v",
-								membership, p, takeRoot, j, gotU[j], wantU[j])
+					x := randomRow(rng, n)
+					for _, c := range []struct {
+						kern *kernel.CompiledKernel
+						u, x []float64
+					}{{k64, u64, x64}, {k32, u32, x32}} {
+						if err := c.kern.ProbabilitiesInto(c.u, x); err != nil {
+							t.Fatalf("%v ProbabilitiesInto: %v", c.kern.DType(), err)
+						}
+						if err := c.kern.TransformRowInto(c.x, x); err != nil {
+							t.Fatalf("%v TransformRowInto: %v", c.kern.DType(), err)
 						}
 					}
-					wantX, err := m.TransformRowChecked(x)
-					if err != nil {
-						t.Fatalf("TransformRowChecked: %v", err)
+					for j := range mix {
+						mix[j] = 0
 					}
-					gotX := make([]float64, 9)
-					if err := ck.TransformRowInto(gotX, x); err != nil {
-						t.Fatalf("TransformRowInto: %v", err)
+					for i, ui := range u64 {
+						for j, v := range m.Prototypes.Row(i) {
+							mix[j] += ui * v
+						}
 					}
-					for j := range wantX {
-						if gotX[j] != wantX[j] {
-							t.Fatalf("kernel=%v p=%v root=%v: x̃[%d] = %v, model says %v",
-								membership, p, takeRoot, j, gotX[j], wantX[j])
+					for j := range mix {
+						if x64[j] != mix[j] {
+							t.Fatalf("kernel=%v p=%v root=%v: x̃[%d] = %v, Σ u_k·v_k = %v",
+								membership, p, takeRoot, j, x64[j], mix[j])
+						}
+						if d := math.Abs(x32[j] - x64[j]); d > tol {
+							t.Fatalf("kernel=%v p=%v root=%v: |x̃32[%d]−x̃64[%d]| = %v, want ≤ %v",
+								membership, p, takeRoot, j, j, d, tol)
+						}
+					}
+					for j := range u64 {
+						if d := math.Abs(u32[j] - u64[j]); d > tol {
+							t.Fatalf("kernel=%v p=%v root=%v: |u32[%d]−u64[%d]| = %v, want ≤ %v",
+								membership, p, takeRoot, j, j, d, tol)
 						}
 					}
 				}
@@ -117,7 +133,8 @@ func TestTransformIntoWorkerDeterminism(t *testing.T) {
 
 // TestFloat64WorkerIdentityVsModel pins the end-to-end serving guarantee:
 // for every worker count the compiled Float64 kernel's batched output is
-// bit-identical to the pre-compilation Model.Transform.
+// bit-identical to the model's checked transform and to the kernel's own
+// per-row transform.
 func TestFloat64WorkerIdentityVsModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, membership := range []ifair.Kernel{ifair.ExpKernel, ifair.InverseKernel} {
@@ -126,10 +143,24 @@ func TestFloat64WorkerIdentityVsModel(t *testing.T) {
 		for i := range x.Data() {
 			x.Data()[i] = rng.NormFloat64()
 		}
-		want := m.Transform(x)
+		want, err := m.TransformChecked(x)
+		if err != nil {
+			t.Fatalf("TransformChecked: %v", err)
+		}
 		ck, err := m.Compile(kernel.Float64)
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
+		}
+		row := make([]float64, 7)
+		for i := 0; i < x.Rows(); i++ {
+			if err := ck.TransformRowInto(row, x.Row(i)); err != nil {
+				t.Fatalf("TransformRowInto: %v", err)
+			}
+			for j, v := range row {
+				if v != want.At(i, j) {
+					t.Fatalf("kernel=%v: row %d cell %d differs from Model.TransformChecked", membership, i, j)
+				}
+			}
 		}
 		for workers := 1; workers <= 5; workers++ {
 			got := mat.NewDense(23, 7)
@@ -138,7 +169,7 @@ func TestFloat64WorkerIdentityVsModel(t *testing.T) {
 			}
 			for i, v := range got.Data() {
 				if v != want.Data()[i] {
-					t.Fatalf("kernel=%v workers=%d: cell %d differs from Model.Transform", membership, workers, i)
+					t.Fatalf("kernel=%v workers=%d: cell %d differs from Model.TransformChecked", membership, workers, i)
 				}
 			}
 		}

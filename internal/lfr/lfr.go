@@ -149,43 +149,11 @@ func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Opt
 	return models[best], nil
 }
 
-// Probabilities returns the membership distribution of one record.
-func (md *Model) Probabilities(x []float64) []float64 {
-	k := md.Prototypes.Rows()
-	u := make([]float64, k)
-	maxZ := math.Inf(-1)
-	for j := 0; j < k; j++ {
-		z := -mat.SqDist(x, md.Prototypes.Row(j))
-		u[j] = z
-		if z > maxZ {
-			maxZ = z
-		}
-	}
-	var sum float64
-	for j := range u {
-		u[j] = math.Exp(u[j] - maxZ)
-		sum += u[j]
-	}
-	for j := range u {
-		u[j] /= sum
-	}
-	return u
-}
-
-// TransformRow maps one record to its LFR representation x̂ = Σ_k u_k·v_k.
-func (md *Model) TransformRow(x []float64) []float64 {
-	u := md.Probabilities(x)
-	out := make([]float64, md.Prototypes.Cols())
-	for k, uk := range u {
-		mat.AddScaled(out, uk, md.Prototypes.Row(k))
-	}
-	return out
-}
-
 // Compile compiles the fitted model into an immutable serving kernel
 // (see internal/kernel): unweighted squared-Euclidean distances with
-// softmax memberships. The Float64 dtype is bit-identical to
-// TransformRow; Float32 is the documented-tolerance bandwidth option.
+// softmax memberships. The Float64 dtype is bit-identical to the
+// memberships and reconstructions of LFR's training forward pass;
+// Float32 is the documented-tolerance bandwidth option.
 func (md *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
 	return kernel.Compile(kernel.Spec{
 		Prototypes: md.Prototypes,
@@ -197,7 +165,7 @@ func (md *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
 // TransformInto maps every row of x into the matching row of dst (which
 // must be x.Rows()×Cols, must not share backing storage with x, and is
 // fully overwritten) using up to workers goroutines, through a compiled
-// float64 kernel — bit-identical to Transform for every worker count.
+// float64 kernel, bit-identical for every worker count.
 func (md *Model) TransformInto(dst, x *mat.Dense, workers int) error {
 	kern, err := md.Compile(kernel.Float64)
 	if err != nil {
@@ -206,22 +174,20 @@ func (md *Model) TransformInto(dst, x *mat.Dense, workers int) error {
 	return kern.TransformInto(dst, x, workers)
 }
 
-// Transform maps every row of x.
-func (md *Model) Transform(x *mat.Dense) *mat.Dense {
-	rows, cols := x.Dims()
-	out := mat.NewDense(rows, cols)
-	if err := md.TransformInto(out, x, 1); err != nil {
+// PredictProba returns LFR's own label predictions ŷ_i = Σ_k u_ik·w_k,
+// with the memberships u_i from one compiled float64 kernel. Like the
+// linmodel classifiers it panics if x does not have the model's width.
+func (md *Model) PredictProba(x *mat.Dense) []float64 {
+	kern, err := md.Compile(kernel.Float64)
+	if err != nil {
 		panic(err.Error())
 	}
-	return out
-}
-
-// PredictProba returns LFR's own label predictions ŷ_i = Σ_k u_ik·w_k.
-func (md *Model) PredictProba(x *mat.Dense) []float64 {
-	rows, _ := x.Dims()
-	out := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		u := md.Probabilities(x.Row(i))
+	out := make([]float64, x.Rows())
+	u := make([]float64, kern.K())
+	for i := range out {
+		if err := kern.ProbabilitiesInto(u, x.Row(i)); err != nil {
+			panic(err.Error())
+		}
 		var p float64
 		for k, uk := range u {
 			p += uk * md.W[k]

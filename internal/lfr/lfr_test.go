@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/optimize"
@@ -154,9 +155,17 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		kern, err := model.Compile(kernel.Float64)
+		if err != nil {
+			return false
+		}
+		probs := make([]float64, kern.K())
 		for i := 0; i < 15; i++ {
+			if err := kern.ProbabilitiesInto(probs, x.Row(i)); err != nil {
+				return false
+			}
 			var sum float64
-			for _, u := range model.Probabilities(x.Row(i)) {
+			for _, u := range probs {
 				if u < 0 {
 					return false
 				}
@@ -180,9 +189,57 @@ func TestTransformShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xt := model.Transform(x)
-	if r, c := xt.Dims(); r != 30 || c != 3 {
-		t.Fatalf("Transform dims = %d×%d, want 30×3", r, c)
+	xt := mat.NewDense(30, 3)
+	if err := model.TransformInto(xt, x, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := model.TransformInto(mat.NewDense(30, 2), x, 1); err == nil {
+		t.Fatal("TransformInto accepted a mis-sized destination")
+	}
+}
+
+// TestCompileMatchesObjectiveForward pins lfr.Compile(Float64) — the
+// only inference implementation of LFR's memberships and prototype mix
+// — to the training forward pass, bit for bit: the memberships and
+// reconstructions Eval computes at a parameter point equal the compiled
+// kernel's ProbabilitiesInto and TransformRowInto for the model decoded
+// from the same point.
+func TestCompileMatchesObjectiveForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	x, y, prot := labelledData(rng, 25)
+	opts := Options{K: 4, Ax: 1, Ay: 1, Az: 1}
+	if err := opts.fill(); err != nil {
+		t.Fatal(err)
+	}
+	obj := newObjective(x, y, prot, opts)
+	theta := obj.initialTheta(rng)
+	for j := range theta {
+		theta[j] += 0.3 * rng.NormFloat64()
+	}
+	obj.Eval(theta, make([]float64, len(theta)))
+	kern, err := obj.modelFromTheta(theta).Compile(kernel.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := make([]float64, opts.K)
+	xh := make([]float64, x.Cols())
+	for i := 0; i < x.Rows(); i++ {
+		if err := kern.ProbabilitiesInto(u, x.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := kern.TransformRowInto(xh, x.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range obj.u.Row(i) {
+			if math.Float64bits(u[k]) != math.Float64bits(v) {
+				t.Fatalf("record %d: u[%d] = %v, forward pass says %v", i, k, u[k], v)
+			}
+		}
+		for j, v := range obj.xh.Row(i) {
+			if math.Float64bits(xh[j]) != math.Float64bits(v) {
+				t.Fatalf("record %d: x̂[%d] = %v, forward pass says %v", i, j, xh[j], v)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/adversarial"
 	"repro/internal/dataset"
 	"repro/internal/ifair"
+	"repro/internal/kernel"
 	"repro/internal/lfr"
 	"repro/internal/mat"
 	"repro/internal/svd"
@@ -23,11 +24,23 @@ import (
 // honouring ctx for cancellation so whole study grids are abortable;
 // Transform then maps any feature matrix with the same schema into the
 // representation space (always of the original dimensionality N, so that
-// downstream models and yNN remain comparable).
+// downstream models and yNN remain comparable). Transform has no error
+// path: it panics on a matrix of the wrong width.
 type Representation interface {
 	Name() string
 	Fit(ctx context.Context, train *dataset.Dataset) error
 	Transform(x *mat.Dense) *mat.Dense
+}
+
+// transformWith implements Representation.Transform for the learned
+// methods: their models are compiled into a kernel once at Fit time, and
+// every Transform fills a fresh x.Rows()×OutDims() matrix from it.
+func transformWith(k kernel.Kernel, x *mat.Dense) *mat.Dense {
+	out := mat.NewDense(x.Rows(), k.OutDims())
+	if err := k.TransformInto(out, x, 1); err != nil {
+		panic(err.Error())
+	}
+	return out
 }
 
 // FullData is the identity baseline: the original data, protected
@@ -121,6 +134,7 @@ type LFRRep struct {
 	Opts lfr.Options
 
 	model *lfr.Model
+	kern  kernel.Kernel
 }
 
 // Name implements Representation.
@@ -136,12 +150,16 @@ func (l *LFRRep) Fit(ctx context.Context, train *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	l.model = model
+	kern, err := model.Compile(kernel.Float64)
+	if err != nil {
+		return err
+	}
+	l.model, l.kern = model, kern
 	return nil
 }
 
 // Transform implements Representation.
-func (l *LFRRep) Transform(x *mat.Dense) *mat.Dense { return l.model.Transform(x) }
+func (l *LFRRep) Transform(x *mat.Dense) *mat.Dense { return transformWith(l.kern, x) }
 
 // Model exposes the fitted LFR model (for its internal classifier).
 func (l *LFRRep) Model() *lfr.Model { return l.model }
@@ -154,6 +172,7 @@ type IFairRep struct {
 	Opts ifair.Options
 
 	model *ifair.Model
+	kern  kernel.Kernel
 }
 
 // Name implements Representation.
@@ -167,12 +186,16 @@ func (f *IFairRep) Fit(ctx context.Context, train *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	f.model = model
+	kern, err := model.Compile(kernel.Float64)
+	if err != nil {
+		return err
+	}
+	f.model, f.kern = model, kern
 	return nil
 }
 
 // Transform implements Representation.
-func (f *IFairRep) Transform(x *mat.Dense) *mat.Dense { return f.model.Transform(x) }
+func (f *IFairRep) Transform(x *mat.Dense) *mat.Dense { return transformWith(f.kern, x) }
 
 // Model exposes the fitted iFair model.
 func (f *IFairRep) Model() *ifair.Model { return f.model }
@@ -184,7 +207,7 @@ func (f *IFairRep) Model() *ifair.Model { return f.model }
 type CensoredRep struct {
 	Opts adversarial.Options
 
-	model *adversarial.Model
+	kern kernel.Kernel
 }
 
 // Name implements Representation.
@@ -196,9 +219,13 @@ func (c *CensoredRep) Fit(ctx context.Context, train *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	c.model = model
+	kern, err := model.Compile()
+	if err != nil {
+		return err
+	}
+	c.kern = kern
 	return nil
 }
 
 // Transform implements Representation.
-func (c *CensoredRep) Transform(x *mat.Dense) *mat.Dense { return c.model.Transform(x) }
+func (c *CensoredRep) Transform(x *mat.Dense) *mat.Dense { return transformWith(c.kern, x) }

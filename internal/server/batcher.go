@@ -114,8 +114,9 @@ func (c *BatcherConfig) fillDefaults() {
 }
 
 // Batcher coalesces concurrent single-row transform requests into one
-// batched Model.Transform call per model, dispatched through the
-// internal/par chunk plan (TransformParallel). A batch is flushed when it
+// batched call per model to the entry's compiled kernel
+// (CompiledKernel.TransformInto, chunked by internal/par across Workers
+// goroutines). A batch is flushed when it
 // reaches MaxBatch rows or when the oldest row has waited MaxWait,
 // whichever comes first. Under low concurrency this adds at most MaxWait
 // of latency; under high concurrency batches fill instantly and the

@@ -15,6 +15,18 @@ import (
 	"repro/internal/mat"
 )
 
+// wantRow is the reference transform of row through the model's checked
+// per-row API. A failure is reported with t.Errorf, which is safe from
+// any goroutine, and yields nil.
+func wantRow(t testing.TB, m *ifair.Model, row []float64) []float64 {
+	t.Helper()
+	out, err := m.TransformRowChecked(row)
+	if err != nil {
+		t.Errorf("reference transform: %v", err)
+	}
+	return out
+}
+
 func testEntry(k, n int) *Entry {
 	return &Entry{Name: "m", Version: 1, Model: testModel(k, n)}
 }
@@ -34,7 +46,7 @@ func TestBatcherMatchesDirectTransform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := entry.Model.TransformRow(row)
+		want := wantRow(t, entry.Model, row)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("batched row differs from direct transform: %v vs %v", got, want)
@@ -62,7 +74,7 @@ func TestBatcherCoalescesConcurrentRows(t *testing.T) {
 				errs <- err
 				return
 			}
-			want := entry.Model.TransformRow(row)
+			want := wantRow(t, entry.Model, row)
 			for j := range want {
 				if math.Abs(got[j]-want[j]) > 0 {
 					errs <- errRowMismatch
@@ -156,7 +168,7 @@ func TestBatcherBypassWithoutCoalescing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := entry.Model.TransformRow([]float64{1, 2})
+		want := wantRow(t, entry.Model, []float64{1, 2})
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatal("bypass path differs from direct transform")
@@ -186,8 +198,8 @@ func TestBatcherSeparatesModelInstances(t *testing.T) {
 		results[1], _ = b.TransformRow(context.Background(), newEntry, []float64{1, 2})
 	}()
 	wg.Wait()
-	wantOld := oldEntry.Model.TransformRow([]float64{1, 2})
-	wantNew := newEntry.Model.TransformRow([]float64{1, 2})
+	wantOld := wantRow(t, oldEntry.Model, []float64{1, 2})
+	wantNew := wantRow(t, newEntry.Model, []float64{1, 2})
 	for j := range wantOld {
 		if results[0][j] != wantOld[j] {
 			t.Fatal("old-instance row transformed by wrong model")
@@ -254,7 +266,7 @@ func TestBatcherFlushPanicDeliversError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batcher dead after panic: %v", err)
 	}
-	want := entry.Model.TransformRow([]float64{1, 2})
+	want := wantRow(t, entry.Model, []float64{1, 2})
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatal("post-panic transform differs from direct transform")
@@ -377,7 +389,7 @@ func TestBatcherHotReloadHammer(t *testing.T) {
 					t.Errorf("worker %d iter %d: %v", w, i, err)
 					return
 				}
-				want := e.Model.TransformRow(row)
+				want := wantRow(t, e.Model, row)
 				for j := range want {
 					if got[j] != want[j] {
 						t.Errorf("worker %d iter %d: row transformed by a different model instance: got %v want %v", w, i, got, want)

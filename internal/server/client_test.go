@@ -20,7 +20,7 @@ func TestClientTransformRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mustEntry(t, s, "credit").Model.TransformRow(row)
+	want := wantRow(t, mustEntry(t, s, "credit").Model, row)
 	if len(got) != len(want) {
 		t.Fatalf("row length %d, want %d", len(got), len(want))
 	}

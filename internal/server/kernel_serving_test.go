@@ -80,8 +80,8 @@ func TestPooledScratchIsolationAcrossModelVersions(t *testing.T) {
 		for j := range rows[i] {
 			rows[i][j] = float64(i)*0.3 + float64(j)*0.7
 		}
-		want1[i] = v1.Model.TransformRow(rows[i])
-		want2[i] = v2.Model.TransformRow(rows[i])
+		want1[i] = wantRow(t, v1.Model, rows[i])
+		want2[i] = wantRow(t, v2.Model, rows[i])
 	}
 
 	const goroutines = 8

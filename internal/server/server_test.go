@@ -87,12 +87,12 @@ func TestTransformRoundTripMatchesModel(t *testing.T) {
 	if tr.Model != "credit" || tr.Version != 2 {
 		t.Fatalf("resolved %s@v%d, want credit latest (v2)", tr.Model, tr.Version)
 	}
-	// The acceptance bar: served rows identical to Model.Transform output.
+	// The acceptance bar: served rows identical to the model's checked transform.
 	for i, row := range rows {
-		want := entry.Model.TransformRow(row)
+		want := wantRow(t, entry.Model, row)
 		for j := range want {
 			if tr.Rows[i][j] != want[j] {
-				t.Fatalf("row %d differs from Model.Transform: %v vs %v", i, tr.Rows[i], want)
+				t.Fatalf("row %d differs from Model.TransformRowChecked: %v vs %v", i, tr.Rows[i], want)
 			}
 		}
 	}
@@ -113,7 +113,7 @@ func TestTransformVersionSelection(t *testing.T) {
 	if tr.Version != 1 {
 		t.Fatalf("version = %d, want 1", tr.Version)
 	}
-	want := v1.Model.TransformRow([]float64{1, 2, 3})
+	want := wantRow(t, v1.Model, []float64{1, 2, 3})
 	for j := range want {
 		if tr.Rows[0][j] != want[j] {
 			t.Fatal("versioned transform differs from the v1 model")

@@ -97,12 +97,16 @@ race:
 # Fuzz the internal/par chunk planner (partition cover/disjointness),
 # the checkpoint decoder and the ingest shard decoder (arbitrary bytes
 # never panic, corruption is always reported as ErrCorrupt, accepted
-# frames re-encode canonically).
+# frames re-encode canonically), plus the CSV row validator and the
+# in-memory CSV loader built on it (never panic, accepted rows are
+# full-width and finite, loaded datasets are consistent).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkCover -fuzztime=$(FUZZTIME) ./internal/par/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 
 cover:
 	$(GO) test -cover ./...

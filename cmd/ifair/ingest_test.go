@@ -88,6 +88,48 @@ func diffStores(t *testing.T, want, got map[string][]byte) {
 	}
 }
 
+// TestInputAcceptsDatagenCSV: -input reads a CSV shaped like a
+// cmd/datagen export — boolean label and group cells, padded header names
+// — and writes the same output header as -input -ingest, because both
+// validate rows with the same internal/ingest validator.
+func TestInputAcceptsDatagenCSV(t *testing.T) {
+	dir := t.TempDir()
+	input := filepath.Join(dir, "syn.csv")
+	rng := rand.New(rand.NewSource(3))
+	var sb strings.Builder
+	sb.WriteString(" x1 ,x2,prot,label, protected_group\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&sb, "%.6f,%.6f,%d,%t,%t\n",
+			rng.NormFloat64(), rng.NormFloat64(), i%2, rng.Intn(2) == 0, i%2 == 1)
+	}
+	if err := os.WriteFile(input, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	header := func(extra ...string) string {
+		t.Helper()
+		out := filepath.Join(dir, fmt.Sprintf("out%d.csv", len(extra)))
+		args := append([]string{"-input", input, "-protected", "2",
+			"-k", "2", "-restarts", "1", "-maxiter", "5", "-out", out}, extra...)
+		cmd, stderr := runCLI(t, args...)
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("ifair %v: %v\nstderr:\n%s", extra, err, stderr)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.SplitN(string(b), "\n", 2)[0]
+	}
+	plain := header()
+	if want := "x1,x2,prot,label,protected_group"; plain != want {
+		t.Fatalf("-input header = %q, want %q", plain, want)
+	}
+	if ingested := header("-ingest", filepath.Join(dir, "store")); ingested != plain {
+		t.Fatalf("-input -ingest header = %q, -input header = %q", ingested, plain)
+	}
+}
+
 // TestSIGTERMIngestResume is the end-to-end ingest chaos soak: a real
 // ifair process is SIGTERMed mid-ingest (after a chosen number of shard
 // seals), rerun with -resume-ingest, and the final shard store, trained

@@ -1,6 +1,6 @@
 // Command ifair trains an individually fair representation and writes the
-// transformed data as CSV. It accepts either a numeric CSV file or the
-// name of one of the built-in dataset simulators.
+// transformed data as CSV. It accepts either a CSV file or the name of
+// one of the built-in dataset simulators.
 //
 // Usage:
 //
@@ -17,8 +17,11 @@
 // and -batch (mini-batch SGD with dataset-size-independent memory); the
 // full-pair and full-batch defaults remain exact for small data.
 //
-// CSV input must have a header row and numeric cells; -protected lists
-// zero-based column indices of protected attributes.
+// CSV input must have a header row and numeric or boolean (true/false,
+// yes/no, 1/0) cells; -protected lists zero-based column indices of
+// protected attributes. Rows are validated by internal/ingest's row
+// validator with or without -ingest, so both accept the same rows; they
+// differ only in where the rows are stored.
 //
 // With -ingest, the input CSV is streamed through the robust ingestion
 // pipeline (internal/ingest) into a durable shard store: rows are
@@ -43,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -73,7 +75,7 @@ func main() {
 func run() error {
 	var (
 		dsName    = flag.String("dataset", "", "built-in dataset: compas, census, credit, xing, airbnb")
-		input     = flag.String("input", "", "numeric CSV file with a header row")
+		input     = flag.String("input", "", "CSV file with a header row and numeric or boolean cells")
 		protected = flag.String("protected", "", "comma-separated zero-based protected column indices (CSV input)")
 		out       = flag.String("out", "", "output CSV path (default stdout)")
 		k         = flag.Int("k", 10, "number of prototypes")
@@ -451,9 +453,14 @@ func parseProtectedIndices(protected string) ([]int, error) {
 	return idx, nil
 }
 
-// loadCSV reads a numeric CSV with a header row and standardises columns to
-// unit variance, matching the preprocessing of Sec. V-B.
+// loadCSV reads a CSV with a header row through the same row validator
+// as -ingest (internal/ingest's Layout.EncodeRow) and standardises
+// columns to unit variance, matching the preprocessing of Sec. V-B.
 func loadCSV(path, protected string) (*mat.Dense, []int, []string, error) {
+	protIdx, err := parseProtectedIndices(protected)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, nil, err
@@ -469,41 +476,19 @@ func loadCSV(path, protected string) (*mat.Dense, []int, []string, error) {
 	if len(rows) < 2 {
 		return nil, nil, nil, fmt.Errorf("%s: need a header row and at least one data row", path)
 	}
-	header := rows[0]
+	lay, err := (&ingest.Schema{ProtectedIndex: protIdx}).Resolve(rows[0])
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
 	data := make([][]float64, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != len(header) {
-			return nil, nil, nil, fmt.Errorf("%s: row %d has %d cells, header has %d", path, i+2, len(row), len(header))
-		}
-		data[i] = make([]float64, len(row))
-		for j, cell := range row {
-			v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%s: row %d column %q: %w", path, i+2, header[j], err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, nil, nil, fmt.Errorf("%s: row %d column %q: non-finite value %q", path, i+2, header[j], strings.TrimSpace(cell))
-			}
-			data[i][j] = v
+	for i, rec := range rows[1:] {
+		data[i] = make([]float64, lay.Cols())
+		if _, _, _, err := lay.EncodeRow(rec, data[i]); err != nil {
+			return nil, nil, nil, fmt.Errorf("%s: row %d: %w", path, i+2, err)
 		}
 	}
 	stats.Standardize(data)
-	x := mat.FromRows(data)
-
-	var protCols []int
-	if protected != "" {
-		for _, part := range strings.Split(protected, ",") {
-			idx, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("invalid protected index %q: %w", part, err)
-			}
-			if idx < 0 || idx >= len(header) {
-				return nil, nil, nil, fmt.Errorf("protected index %d out of range for %d columns", idx, len(header))
-			}
-			protCols = append(protCols, idx)
-		}
-	}
-	return x, protCols, header, nil
+	return mat.FromRows(data), lay.ProtectedCols(), lay.Names(), nil
 }
 
 func writeCSV(w io.Writer, header []string, x *mat.Dense) error {

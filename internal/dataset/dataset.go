@@ -1,8 +1,10 @@
 // Package dataset provides the data substrate of the reproduction: a
 // one-hot feature encoder with unit-variance normalisation (Sec. V-B), a
-// seeded three-way splitter, and seeded synthetic generators standing in
+// seeded three-way splitter, seeded synthetic generators standing in
 // for the five real-world datasets of Sec. V-A plus the Sec. IV synthetic
-// mixture study.
+// mixture study, and LoadCSV for user data. LoadCSV parses and validates
+// no cell itself: it collects rows through internal/ingest's row
+// validator, the same one the streaming ingest uses.
 //
 // The real datasets (ProPublica COMPAS, UCI Census/Adult, UCI German
 // Credit, InsideAirbnb, the Xing crawl) cannot be shipped; each generator

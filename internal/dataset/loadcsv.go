@@ -4,17 +4,17 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"strings"
 
+	"repro/internal/ingest"
 	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
 // CSVSchema describes how to interpret a user-supplied CSV file with a
-// header row. All feature columns must be numeric (one-hot encode
-// categoricals upstream, or use the Encoder API).
+// header row. All feature columns must be numeric or boolean cells
+// (one-hot encode categoricals upstream, or use the Encoder API), and
+// every named column must name exactly one header column.
 type CSVSchema struct {
 	// Task selects classification or ranking.
 	Task Task
@@ -31,15 +31,18 @@ type CSVSchema struct {
 	Name string
 }
 
-// LoadCSV reads a numeric CSV with a header row into a Dataset, applying
-// the same preprocessing as the built-in simulators: features are
-// standardised to zero mean and unit variance.
+// LoadCSV reads a CSV with a header row into a Dataset, applying the
+// same preprocessing as the built-in simulators: features are
+// standardised to zero mean and unit variance. Rows are validated and
+// encoded by internal/ingest's row validator, so numeric and boolean
+// cells parse exactly as in the streaming ingest; the first defect fails
+// the load with its 1-based CSV line.
 func LoadCSV(r io.Reader, schema CSVSchema) (*Dataset, error) {
 	if schema.Outcome == "" {
 		return nil, fmt.Errorf("dataset: CSVSchema.Outcome must name the outcome column")
 	}
 	cr := csv.NewReader(r)
-	// Arity is validated per row below, so ragged rows fail with a
+	// Arity is validated per row, so ragged rows fail with a
 	// row-numbered message instead of the csv package's ErrFieldCount.
 	cr.FieldsPerRecord = -1
 	records, err := cr.ReadAll()
@@ -50,116 +53,79 @@ func LoadCSV(r io.Reader, schema CSVSchema) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: need a header row and at least one data row")
 	}
 	header := records[0]
-	colIdx := make(map[string]int, len(header))
-	for i, h := range header {
-		colIdx[strings.TrimSpace(h)] = i
-	}
-
-	outcomeCol, ok := colIdx[schema.Outcome]
-	if !ok {
-		return nil, fmt.Errorf("dataset: outcome column %q not found", schema.Outcome)
-	}
-	queryCol := -1
-	if schema.Query != "" {
-		queryCol, ok = colIdx[schema.Query]
-		if !ok {
-			return nil, fmt.Errorf("dataset: query column %q not found", schema.Query)
-		}
-	}
-	protSet := make(map[int]bool, len(schema.Protected))
-	for _, p := range schema.Protected {
-		idx, ok := colIdx[p]
-		if !ok {
-			return nil, fmt.Errorf("dataset: protected column %q not found", p)
-		}
-		if idx == outcomeCol || idx == queryCol {
-			return nil, fmt.Errorf("dataset: protected column %q overlaps outcome/query", p)
-		}
-		protSet[idx] = true
-	}
 
 	// Feature columns: everything except outcome and query, in header
 	// order (protected features stay in, as in the paper's Full Data).
-	var featureCols []int
-	var featureNames []string
-	for i, h := range header {
-		if i == outcomeCol || i == queryCol {
-			continue
-		}
-		featureCols = append(featureCols, i)
-		featureNames = append(featureNames, strings.TrimSpace(h))
+	prot := make(map[string]bool, len(schema.Protected)) // name → seen as a feature
+	for _, p := range schema.Protected {
+		prot[p] = false
 	}
-	if len(featureCols) == 0 {
-		return nil, fmt.Errorf("dataset: no feature columns remain")
+	spec := ingest.Schema{
+		Features:     []ingest.Column{}, // non-nil: explicit mode, never inferred
+		Outcome:      schema.Outcome,
+		OutcomeScore: schema.Task != Classification,
+	}
+	queryCol := -1
+	for i, h := range header {
+		name := strings.TrimSpace(h)
+		switch {
+		case schema.Query != "" && name == schema.Query:
+			if queryCol >= 0 {
+				return nil, fmt.Errorf("dataset: query column %q is ambiguous: it names more than one header column", name)
+			}
+			queryCol = i
+		case name == schema.Outcome:
+		default:
+			_, isProt := prot[name]
+			if isProt {
+				prot[name] = true
+			}
+			spec.Features = append(spec.Features, ingest.Column{Name: name, Protected: isProt})
+		}
+	}
+	if schema.Query != "" && queryCol < 0 {
+		return nil, fmt.Errorf("dataset: query column %q not found", schema.Query)
+	}
+	for _, p := range schema.Protected {
+		if !prot[p] {
+			return nil, fmt.Errorf("dataset: protected column %q is not a feature column", p)
+		}
+	}
+	lay, err := spec.Resolve(header)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
 	}
 
 	m := len(records) - 1
-	rows := make([][]float64, m)
-	protected := make([]bool, m)
-	var labels []bool
-	var scores []float64
-	if schema.Task == Classification {
-		labels = make([]bool, m)
-	} else {
-		scores = make([]float64, m)
+	ds := &Dataset{
+		Name:          schema.Name,
+		Task:          schema.Task,
+		Protected:     make([]bool, m),
+		ProtectedCols: lay.ProtectedCols(),
+		FeatureNames:  lay.Names(),
 	}
+	if ds.Name == "" {
+		ds.Name = "csv"
+	}
+	if schema.Task == Classification {
+		ds.Label = make([]bool, m)
+	} else {
+		ds.Score = make([]float64, m)
+	}
+	rows := make([][]float64, m)
 	queryRows := map[string][]int{}
 	var queryOrder []string
-
-	firstProt := -1
-	for j, c := range featureCols {
-		if protSet[c] {
-			firstProt = j
-			break
-		}
-	}
-
 	for i, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("dataset: row %d has %d cells, header has %d", i+2, len(rec), len(header))
+		rows[i] = make([]float64, lay.Cols())
+		label, score, protected, err := lay.EncodeRow(rec, rows[i])
+		if err != nil {
+			return nil, fmt.Errorf("dataset: row %d: %w", i+2, err)
 		}
-		row := make([]float64, len(featureCols))
-		for j, c := range featureCols {
-			cell := strings.TrimSpace(rec[c])
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				// Accept boolean-looking cells as 0/1 so files exported
-				// by cmd/datagen load back without edits.
-				b, berr := parseBoolish(cell)
-				if berr != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", i+2, header[c], err)
-				}
-				if b {
-					v = 1
-				}
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				// ParseFloat accepts "NaN" and "±Inf"; they would poison
-				// standardisation and every downstream distance, so they
-				// are rejected here with the row that carried them.
-				return nil, fmt.Errorf("dataset: row %d column %q: non-finite value %q", i+2, header[c], cell)
-			}
-			row[j] = v
-		}
-		rows[i] = row
-		if firstProt >= 0 {
-			protected[i] = row[firstProt] >= 0.5
-		}
-		if schema.Task == Classification {
-			b, err := parseBoolish(rec[outcomeCol])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: row %d outcome: %w", i+2, err)
-			}
-			labels[i] = b
+		ds.Protected[i] = protected
+		if ds.Label != nil {
+			ds.Label[i] = label
 		} else {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[outcomeCol]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: row %d outcome: %w", i+2, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("dataset: row %d outcome: non-finite score %q", i+2, strings.TrimSpace(rec[outcomeCol]))
-			}
-			scores[i] = v
+			ds.Score[i] = score
 		}
 		if queryCol >= 0 {
 			q := strings.TrimSpace(rec[queryCol])
@@ -169,40 +135,10 @@ func LoadCSV(r io.Reader, schema CSVSchema) (*Dataset, error) {
 			queryRows[q] = append(queryRows[q], i)
 		}
 	}
-
 	stats.Standardize(rows)
-
-	ds := &Dataset{
-		Name:         schema.Name,
-		Task:         schema.Task,
-		X:            mat.FromRows(rows),
-		Label:        labels,
-		Score:        scores,
-		Protected:    protected,
-		FeatureNames: featureNames,
-	}
-	if ds.Name == "" {
-		ds.Name = "csv"
-	}
-	for j, c := range featureCols {
-		if protSet[c] {
-			ds.ProtectedCols = append(ds.ProtectedCols, j)
-		}
-	}
+	ds.X = mat.FromRows(rows)
 	for _, q := range queryOrder {
 		ds.Queries = append(ds.Queries, Query{Name: q, Rows: queryRows[q]})
 	}
 	return ds, nil
-}
-
-// parseBoolish accepts true/false, t/f, 1/0 and yes/no (case-insensitive).
-func parseBoolish(s string) (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "true", "t", "1", "yes", "y":
-		return true, nil
-	case "false", "f", "0", "no", "n":
-		return false, nil
-	default:
-		return false, fmt.Errorf("cannot parse %q as a boolean label", s)
-	}
 }

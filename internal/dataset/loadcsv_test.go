@@ -122,6 +122,10 @@ func TestLoadCSVErrors(t *testing.T) {
 		{"NaN score outcome", "a,s\n1,NaN\n", CSVSchema{Task: Ranking, Outcome: "s"}},
 		{"ragged short row", "a,b,l\n1,2,true\n1,true\n", CSVSchema{Task: Classification, Outcome: "l"}},
 		{"ragged long row", "a,b,l\n1,2,true\n1,2,3,true\n", CSVSchema{Task: Classification, Outcome: "l"}},
+		{"ambiguous protected", "a,a,l\n1,0,true\n", CSVSchema{Task: Classification, Outcome: "l", Protected: []string{"a"}}},
+		{"ambiguous outcome", "a,l,l\n1,true,false\n", CSVSchema{Task: Classification, Outcome: "l"}},
+		{"ambiguous query", "a,s,q,q\n1,0.5,x,y\n", CSVSchema{Task: Ranking, Outcome: "s", Query: "q"}},
+		{"ambiguous feature", "a,a,l\n1,0,true\n", CSVSchema{Task: Classification, Outcome: "l"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,24 +159,6 @@ func TestLoadCSVErrorsCarryRowNumbers(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestParseBoolish(t *testing.T) {
-	trues := []string{"true", "T", "1", "yes", "Y", " True "}
-	falses := []string{"false", "F", "0", "no", "N"}
-	for _, s := range trues {
-		if v, err := parseBoolish(s); err != nil || !v {
-			t.Fatalf("parseBoolish(%q) = %v, %v", s, v, err)
-		}
-	}
-	for _, s := range falses {
-		if v, err := parseBoolish(s); err != nil || v {
-			t.Fatalf("parseBoolish(%q) = %v, %v", s, v, err)
-		}
-	}
-	if _, err := parseBoolish("2"); err == nil {
-		t.Fatal("expected error for unparseable label")
 	}
 }
 

@@ -2,6 +2,8 @@ package ingest_test
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -57,6 +59,66 @@ func FuzzShardDecode(f *testing.F) {
 		}
 		if string(data) != string(data2) {
 			t.Fatalf("accepted frame is not canonical: re-encode changed bytes")
+		}
+	})
+}
+
+// FuzzEncodeRow asserts the row validator's contract on arbitrary
+// headers and rows: Resolve and EncodeRow never panic, and a row that
+// EncodeRow accepts fills all Cols() encoded values with finite numbers
+// (and yields a finite score when the outcome is one).
+func FuzzEncodeRow(f *testing.F) {
+	f.Add("age,group,income,label", "41,A,50000,true", "label", true, false)
+	f.Add("age,group,income,label", "41,C,50000,true", "label", true, false)
+	f.Add("a,b,c", "1,yes,-2e3", "", false, false)
+	f.Add("a,b,s", "NaN,1,+Inf", "s", false, true)
+	f.Add("a,a,l", "1,2,maybe", "l", true, false)
+	f.Add("x", "", "", false, false)
+	f.Fuzz(func(t *testing.T, header, row, outcome string, explicit, score bool) {
+		hdr := strings.Split(header, ",")
+		s := ingest.Schema{ProtectedIndex: []int{0}, Outcome: outcome, OutcomeScore: score}
+		if explicit {
+			// Declare every non-outcome column; the first one is a
+			// protected categorical.
+			s.Features = []ingest.Column{}
+			for i, h := range hdr {
+				c := ingest.Column{Name: strings.TrimSpace(h)}
+				if c.Name == outcome {
+					continue
+				}
+				if i == 0 {
+					c.Levels, c.Protected = []string{"A", "B"}, true
+				}
+				s.Features = append(s.Features, c)
+			}
+		}
+		lay, err := s.Resolve(hdr)
+		if err != nil {
+			return
+		}
+		if len(lay.Names()) != lay.Cols() {
+			t.Fatalf("%d names for %d columns", len(lay.Names()), lay.Cols())
+		}
+		for _, c := range lay.ProtectedCols() {
+			if c < 0 || c >= lay.Cols() {
+				t.Fatalf("protected column %d out of range for %d columns", c, lay.Cols())
+			}
+		}
+		dst := make([]float64, lay.Cols())
+		for j := range dst {
+			dst[j] = math.NaN()
+		}
+		_, sc, _, err := lay.EncodeRow(strings.Split(row, ","), dst)
+		if err != nil {
+			return
+		}
+		for j, v := range dst {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted row encodes column %d as %v", j, v)
+			}
+		}
+		if math.IsNaN(sc) || math.IsInf(sc, 0) {
+			t.Fatalf("accepted row has score %v", sc)
 		}
 	})
 }

@@ -115,7 +115,7 @@ func (e *BudgetError) Error() string {
 type runState struct {
 	cfg  Config
 	fsys checkpoint.FS
-	lay  *layout
+	lay  *Layout
 
 	shardRows int
 	manifest  *Manifest
@@ -166,9 +166,9 @@ func Run(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: read header: %w", err)
 	}
-	lay, err := cfg.Schema.resolve(header)
+	lay, err := cfg.Schema.Resolve(header)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -180,18 +180,18 @@ func Run(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		fsys:      cfg.FS,
 		lay:       lay,
 		shardRows: cfg.ShardRows,
-		moments:   make([]stats.Welford, lay.cols()),
-		data:      make([]float64, 0, cfg.ShardRows*lay.cols()),
+		moments:   make([]stats.Welford, lay.Cols()),
+		data:      make([]float64, 0, cfg.ShardRows*lay.Cols()),
 		protected: make([]bool, 0, cfg.ShardRows),
 		manifest: &Manifest{
 			SchemaSum:     lay.fingerprint(),
-			Cols:          lay.cols(),
+			Cols:          lay.Cols(),
 			FeatureNames:  append([]string(nil), lay.names...),
 			ProtectedCols: append([]int(nil), lay.protCols...),
 			ShardRows:     cfg.ShardRows,
 			HasLabel:      lay.hasLabel,
 			HasScore:      lay.hasScore,
-			Moments:       make([]stats.Welford, lay.cols()),
+			Moments:       make([]stats.Welford, lay.Cols()),
 		},
 	}
 	if lay.hasLabel {
@@ -208,7 +208,7 @@ func Run(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Cols:         lay.cols(),
+		Cols:         lay.Cols(),
 		FeatureNames: st.manifest.FeatureNames,
 		Resumed:      skip > 0 || complete,
 		Skipped:      skip,
@@ -239,7 +239,7 @@ func Run(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		}
 	}
 
-	dst := make([]float64, lay.cols())
+	dst := make([]float64, lay.Cols())
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("ingest: %w", err)
@@ -265,7 +265,7 @@ func Run(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 			continue
 		}
 		st.inputRows++
-		label, score, prot, verr := lay.encodeRow(rec, dst)
+		label, score, prot, verr := lay.EncodeRow(rec, dst)
 		if verr != nil {
 			if err := st.quarantineRow(st.inputRows, verr.Error()); err != nil {
 				return nil, err
@@ -355,7 +355,7 @@ func (st *runState) seal() error {
 	idx := len(st.manifest.Shards)
 	sh := &Shard{
 		Index:     idx,
-		Cols:      st.lay.cols(),
+		Cols:      st.lay.Cols(),
 		Data:      st.data,
 		Protected: st.protected,
 		GoodRows:  st.goodRows,
@@ -603,7 +603,7 @@ func (st *runState) verifyShard(i int, wantCRC string) (*Shard, bool) {
 		st.cfg.Logf("ingest: shard %d corrupt: %v", i, err)
 		return nil, false
 	}
-	if sh.Index != i || sh.Cols != st.lay.cols() {
+	if sh.Index != i || sh.Cols != st.lay.Cols() {
 		st.cfg.Logf("ingest: shard %d has wrong identity (index %d, cols %d)", i, sh.Index, sh.Cols)
 		return nil, false
 	}

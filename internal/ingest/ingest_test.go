@@ -602,8 +602,10 @@ func TestIngestCorruptShardRecovery(t *testing.T) {
 
 func TestIngestRejectsHeaderProblems(t *testing.T) {
 	cases := map[string]string{
-		"missing feature": "age,income,label\n1,2,true\n",
-		"missing outcome": "age,group,income\n1,A,2\n",
+		"missing feature":  "age,income,label\n1,2,true\n",
+		"missing outcome":  "age,group,income\n1,A,2\n",
+		"repeated feature": "age,group,age,income,label\n1,A,1,2,true\n",
+		"repeated outcome": "age,group,income,label,label\n1,A,2,true,true\n",
 	}
 	for name, csv := range cases {
 		if _, err := runIngest(t, t.TempDir(), csv, Config{}); err == nil {

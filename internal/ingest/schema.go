@@ -3,16 +3,20 @@ package ingest
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Column declares one raw CSV attribute. Numeric attributes leave Levels
-// nil; categorical attributes list their admissible levels, which are
+// Column declares one raw CSV attribute by its header name, which must
+// name exactly one header column. Numeric attributes leave Levels nil;
+// categorical attributes list their admissible levels, which are
 // unfolded into one binary column per level (one-hot encoding, matching
 // internal/dataset's Encoder). A cell of a numeric column may also be a
-// boolean literal (true/false, yes/no, t/f, y/n, 1/0), encoded as 0/1,
-// so CSVs exported by cmd/datagen ingest without edits.
+// boolean literal (true/false, yes/no, t/f, y/n, 1/0), encoded as 0/1, so
+// CSVs exported by cmd/datagen load without edits — through the streaming
+// ingest and the in-memory loaders alike, since all of them validate rows
+// with Layout.EncodeRow.
 type Column struct {
 	Name      string
 	Levels    []string
@@ -21,8 +25,9 @@ type Column struct {
 
 // Schema describes the expected CSV layout. Two modes:
 //
-//   - Explicit: Features lists every expected column in header order.
-//     The header row must match the feature names exactly.
+//   - Explicit: Features lists the feature columns in header order. Each
+//     must name exactly one header column; undeclared columns count
+//     toward the row arity but are neither validated nor encoded.
 //   - Inferred: Features is nil. Every header column becomes a numeric
 //     feature (boolish cells accepted as 0/1); ProtectedIndex names
 //     protected columns by zero-based header position.
@@ -54,34 +59,58 @@ type colSrc struct {
 	prot  bool
 }
 
-// layout is a Schema resolved against a concrete header row: the encoded
-// column sources, the outcome position and the quarantine-facing arity.
-type layout struct {
+// catCol is one categorical source column and its admissible levels.
+type catCol struct {
+	col    int
+	levels []string
+}
+
+// Layout is a Schema resolved against a concrete header row: the encoded
+// column sources, the outcome position and the expected row arity. Its
+// EncodeRow is the module's one CSV cell parser and validator: the
+// streaming ingest and the in-memory loaders (dataset.LoadCSV, ifair
+// -input) all collect their rows through it.
+type Layout struct {
 	srcs       []colSrc
 	names      []string
-	protCols   []int // encoded protected column indices
-	outcomeCol int   // header position, -1 when absent
-	arity      int   // expected cells per row (the header width)
-	levels     map[int][]string
+	protCols   []int    // encoded protected column indices
+	outcomeCol int      // header position, -1 when absent
+	arity      int      // expected cells per row (the header width)
+	cats       []catCol // categorical sources, ascending header position
 	hasLabel   bool
 	hasScore   bool
 }
 
-// resolve binds the schema to a header row, validating that every
-// declared column exists (explicit mode) or indexing the header as
-// numeric features (inferred mode).
-func (s *Schema) resolve(header []string) (*layout, error) {
-	l := &layout{outcomeCol: -1, arity: len(header), levels: map[int][]string{}}
+// Resolve binds the schema to a header row (names compared
+// whitespace-trimmed), validating that the outcome and every declared
+// feature name exactly one header column (explicit mode) or indexing the
+// header as numeric features (inferred mode).
+func (s *Schema) Resolve(header []string) (*Layout, error) {
+	l := &Layout{outcomeCol: -1, arity: len(header)}
 	trimmed := make([]string, len(header))
-	idx := make(map[string]int, len(header))
+	idx := make(map[string]int, len(header)) // -1 marks a repeated name
 	for i, h := range header {
 		trimmed[i] = strings.TrimSpace(h)
-		idx[trimmed[i]] = i
+		if _, dup := idx[trimmed[i]]; dup {
+			idx[trimmed[i]] = -1
+		} else {
+			idx[trimmed[i]] = i
+		}
+	}
+	find := func(kind, name string) (int, error) {
+		c, ok := idx[name]
+		if !ok {
+			return 0, fmt.Errorf("%s column %q not found in header", kind, name)
+		}
+		if c < 0 {
+			return 0, fmt.Errorf("%s column %q is ambiguous: it names more than one header column", kind, name)
+		}
+		return c, nil
 	}
 	if s.Outcome != "" {
-		c, ok := idx[s.Outcome]
-		if !ok {
-			return nil, fmt.Errorf("ingest: outcome column %q not found in header", s.Outcome)
+		c, err := find("outcome", s.Outcome)
+		if err != nil {
+			return nil, err
 		}
 		l.outcomeCol = c
 		l.hasLabel = !s.OutcomeScore
@@ -93,10 +122,10 @@ func (s *Schema) resolve(header []string) (*layout, error) {
 		isProt := map[int]bool{}
 		for _, p := range s.ProtectedIndex {
 			if p < 0 || p >= len(header) {
-				return nil, fmt.Errorf("ingest: protected index %d out of range for %d columns", p, len(header))
+				return nil, fmt.Errorf("protected index %d out of range for %d columns", p, len(header))
 			}
 			if p == l.outcomeCol {
-				return nil, fmt.Errorf("ingest: protected index %d is the outcome column", p)
+				return nil, fmt.Errorf("protected index %d is the outcome column", p)
 			}
 			isProt[p] = true
 		}
@@ -111,19 +140,19 @@ func (s *Schema) resolve(header []string) (*layout, error) {
 			l.names = append(l.names, name)
 		}
 		if len(l.srcs) == 0 {
-			return nil, fmt.Errorf("ingest: no feature columns remain")
+			return nil, fmt.Errorf("no feature columns remain")
 		}
 		return l, nil
 	}
 
 	// Explicit mode: every declared feature must exist in the header.
 	for _, spec := range s.Features {
-		c, ok := idx[spec.Name]
-		if !ok {
-			return nil, fmt.Errorf("ingest: feature column %q not found in header", spec.Name)
+		c, err := find("feature", spec.Name)
+		if err != nil {
+			return nil, err
 		}
 		if c == l.outcomeCol {
-			return nil, fmt.Errorf("ingest: feature column %q is also the outcome", spec.Name)
+			return nil, fmt.Errorf("feature column %q is also the outcome", spec.Name)
 		}
 		if spec.Levels == nil {
 			if spec.Protected {
@@ -133,7 +162,7 @@ func (s *Schema) resolve(header []string) (*layout, error) {
 			l.names = append(l.names, spec.Name)
 			continue
 		}
-		l.levels[c] = spec.Levels
+		l.cats = append(l.cats, catCol{col: c, levels: spec.Levels})
 		for _, lvl := range spec.Levels {
 			if spec.Protected {
 				l.protCols = append(l.protCols, len(l.srcs))
@@ -143,27 +172,39 @@ func (s *Schema) resolve(header []string) (*layout, error) {
 		}
 	}
 	if len(l.srcs) == 0 {
-		return nil, fmt.Errorf("ingest: schema declares no feature columns")
+		return nil, fmt.Errorf("schema declares no feature columns")
 	}
+	// A row with several unknown levels reports the lowest column, so its
+	// quarantine reason depends on the row alone.
+	sort.Slice(l.cats, func(a, b int) bool { return l.cats[a].col < l.cats[b].col })
 	return l, nil
 }
 
-// cols returns the encoded output width.
-func (l *layout) cols() int { return len(l.srcs) }
+// Cols returns the encoded output width.
+func (l *Layout) Cols() int { return len(l.srcs) }
 
-// encodeRow validates one raw CSV record against the layout and encodes
-// it into dst (len == cols()). A non-nil error describes why the row must
-// be quarantined: wrong arity, an unparseable cell, a non-finite value or
-// an unknown categorical level. dst is only meaningful on success.
-func (l *layout) encodeRow(rec []string, dst []float64) (label bool, score float64, protected bool, err error) {
+// Names returns the encoded column names, name=level for categoricals.
+// The slice is shared and must not be modified.
+func (l *Layout) Names() []string { return l.names }
+
+// ProtectedCols returns the encoded protected column indices, ascending.
+// The slice is shared and must not be modified.
+func (l *Layout) ProtectedCols() []int { return l.protCols }
+
+// EncodeRow validates one raw CSV record against the layout and encodes
+// it into dst (len == Cols()). A non-nil error describes why the row must
+// be rejected: wrong arity, an unparseable cell, a non-finite value or
+// an unknown categorical level. protected reports whether the first
+// protected column is ≥ 0.5. dst is only meaningful on success.
+func (l *Layout) EncodeRow(rec []string, dst []float64) (label bool, score float64, protected bool, err error) {
 	if len(rec) != l.arity {
 		return false, 0, false, fmt.Errorf("has %d cells, header has %d", len(rec), l.arity)
 	}
 	// Validate categorical source cells once per column, not per level.
-	for c, levels := range l.levels {
-		cell := strings.TrimSpace(rec[c])
-		if !levelKnown(levels, cell) {
-			return false, 0, false, fmt.Errorf("column %d: unknown level %q", c, cell)
+	for _, c := range l.cats {
+		cell := strings.TrimSpace(rec[c.col])
+		if !levelKnown(c.levels, cell) {
+			return false, 0, false, fmt.Errorf("column %d: unknown level %q", c.col, cell)
 		}
 	}
 	for j, src := range l.srcs {
@@ -208,7 +249,7 @@ func (l *layout) encodeRow(rec []string, dst []float64) (label bool, score float
 }
 
 // firstProtected returns the first encoded protected column, -1 if none.
-func (l *layout) firstProtected() int {
+func (l *Layout) firstProtected() int {
 	if len(l.protCols) == 0 {
 		return -1
 	}
@@ -231,8 +272,7 @@ func parseCell(cell string) (float64, error) {
 	return 0, nil
 }
 
-// parseBoolish accepts true/false, t/f, 1/0 and yes/no (case-insensitive),
-// mirroring internal/dataset.
+// parseBoolish accepts true/false, t/f, 1/0 and yes/no (case-insensitive).
 func parseBoolish(s string) (bool, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "true", "t", "1", "yes", "y":
@@ -257,7 +297,7 @@ func levelKnown(levels []string, lvl string) bool {
 // outcome position. Two ingests may share a shard store only when their
 // layouts match, so a resume against a store written under a different
 // schema fails loudly instead of mixing encodings.
-func (l *layout) fingerprint() string {
+func (l *Layout) fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "arity=%d|outcome=%d|score=%t|", l.arity, l.outcomeCol, l.hasScore)
 	for _, src := range l.srcs {

@@ -4,7 +4,7 @@ GO ?= go
 MODELS ?= artifacts/models
 ADDR   ?= :8080
 
-.PHONY: all build test test-workers test-faults test-overload test-router test-rollout test-ingest loadgen loadgen-chaos race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments examples serve fmt vet clean
+.PHONY: all build bench-build test test-workers test-faults test-overload test-router test-rollout test-ingest loadgen loadgen-chaos race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments examples serve fmt vet clean
 
 # vet, race, the widened worker sweep, the crash-safety fault sweep, the
 # overload soak, the router replica-kill soak and the closed-loop rollout
@@ -13,15 +13,21 @@ ADDR   ?= :8080
 # checkpoint/resume machinery, the admission/load-shedding path, the
 # scale-out routing tier and the canary guard are checked routinely.
 # examples runs the five example programs end to end (go test only
-# compiles them). bench-compare and bench-fit-compare are soft gates
-# (leading -): a noisy box must not fail the build, but allocation and
-# training-loss regressions get printed.
-all: build vet test race test-workers test-faults test-overload test-router test-rollout test-ingest examples
+# compiles them). bench-build compiles and vets the perfbench module,
+# which go build ./... never reaches. bench-compare and
+# bench-fit-compare are soft gates (leading -): a noisy box must not fail
+# the build, but allocation and training-loss regressions get printed.
+all: build bench-build vet test race test-workers test-faults test-overload test-router test-rollout test-ingest examples
 	-$(MAKE) bench-compare
 	-$(MAKE) bench-fit-compare
 
 build:
 	$(GO) build ./...
+
+# perfbench is a separate module (replace repro => ../), so go build ./...
+# never compiles it; -o /dev/null keeps the binary out of its directory.
+bench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -122,9 +128,9 @@ bench-fit:
 	$(GO) test -run='^$$' -bench='FitParallelRestarts|FitLarge|Ingest' -benchmem -timeout 30m . \
 		| $(GO) run ./cmd/benchjson -out BENCH_fit.json
 
-# Serving-path benchmarks (fused compute kernel, float32 variant,
-# end-to-end HTTP transform, micro-batcher coalescing), archived as JSON
-# for cross-commit comparison.
+# Serving-path benchmarks (fused compute kernel, end-to-end HTTP
+# transform, micro-batcher coalescing), archived as JSON for
+# cross-commit comparison.
 bench-serve:
 	$(GO) test -run='^$$' -bench='ServerTransform|ServerHTTPTransform|MicroBatcher' -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
@@ -133,7 +139,7 @@ bench-serve:
 # benchmarks compared against the archived BENCH_serve.json baseline
 # (benchjson -compare exits 1 if allocs/op exceeds baseline + slack).
 bench-compare:
-	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerTransformFloat32$$|MicroBatcher$$' \
+	$(GO) test -run='^$$' -bench='ServerTransform$$|MicroBatcher$$' \
 		-benchtime=30x -benchmem . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_serve.json
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ifair"
 	"repro/internal/ingest"
-	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/pipeline"
 	"repro/internal/server"
@@ -573,39 +572,6 @@ func benchHTTPServer(b *testing.B, cfg server.Config) (*server.Server, *httptest
 // encode. The gate archived in BENCH_serve.json: 0 allocs/op.
 func BenchmarkServerTransform(b *testing.B) {
 	entry := &server.Entry{Name: "bench", Version: 1, Model: benchServingModel(10, 17)}
-	kern, err := entry.Kernel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const rows, dims = 64, 17
-	src := make([][]float64, rows)
-	for i := range src {
-		src[i] = make([]float64, dims)
-		for j := range src[i] {
-			src[i][j] = float64(i+j) * 0.01
-		}
-	}
-	backing := make([]float64, 2*rows*dims)
-	x := mat.NewDenseData(rows, dims, backing[:rows*dims])
-	xt := mat.NewDenseData(rows, dims, backing[rows*dims:])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := range src {
-			copy(x.Row(r), src[r])
-		}
-		if err := kern.TransformInto(xt, x, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkServerTransformFloat32 is BenchmarkServerTransform on the
-// opt-in float32 kernel (the -float32 serving flag): same staging, half
-// the parameter bandwidth.
-func BenchmarkServerTransformFloat32(b *testing.B) {
-	entry := &server.Entry{Name: "bench", Version: 1, Model: benchServingModel(10, 17), DType: kernel.Float32}
 	kern, err := entry.Kernel()
 	if err != nil {
 		b.Fatal(err)

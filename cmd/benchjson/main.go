@@ -151,12 +151,6 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 	return results, sc.Err()
 }
 
-// compareAllocs gates allocs/op only — the historical default, kept as
-// the single-metric form of compareMetrics.
-func compareAllocs(baselinePath string, fresh []Result, slackPct float64) ([]string, error) {
-	return compareMetrics(baselinePath, fresh, slackPct, []string{"allocs/op"})
-}
-
 // compareMetrics checks the named metrics of every fresh result that
 // also appears in the baseline file. For allocs/op the limit is
 // baseline + ceil(baseline × slackPct/100): proportional headroom

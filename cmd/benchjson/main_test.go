@@ -69,7 +69,7 @@ func TestCompareAllocs(t *testing.T) {
 	// Within slack: a zero baseline must stay exactly zero, a non-zero
 	// one gets proportional headroom (10 + ceil(10*25%) = 13).
 	ok := []Result{mk("BenchmarkServerTransform", 0), mk("BenchmarkMicroBatcher", 13)}
-	regs, err := compareAllocs(path, ok, 25)
+	regs, err := compareMetrics(path, ok, 25, []string{"allocs/op"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCompareAllocs(t *testing.T) {
 
 	// Over slack: both must be flagged.
 	bad := []Result{mk("BenchmarkServerTransform", 1), mk("BenchmarkMicroBatcher", 14)}
-	regs, err = compareAllocs(path, bad, 25)
+	regs, err = compareMetrics(path, bad, 25, []string{"allocs/op"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCompareAllocs(t *testing.T) {
 	}
 
 	// Benchmarks absent from the baseline are never gated.
-	regs, err = compareAllocs(path, []Result{mk("BenchmarkBrandNew", 999)}, 25)
+	regs, err = compareMetrics(path, []Result{mk("BenchmarkBrandNew", 999)}, 25, []string{"allocs/op"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,6 @@ func run() error {
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429/503) responses")
 		flushWorkers = flag.Int("flush-workers", 0, "batcher: flush goroutine pool size (0 = workers)")
 		maxPending   = flag.Int("max-pending", 0, "batcher: pending-row cap per model before shedding (0 = 16×max-batch, negative unlimited)")
-		float32Repr  = flag.Bool("float32", false, "compile serving kernels to float32 (half the parameter bandwidth, ~2e-3 output tolerance)")
 	)
 	flag.Parse()
 	if *models == "" {
@@ -116,7 +115,6 @@ func run() error {
 		RetryAfter:     *retryAfter,
 		FlushWorkers:   *flushWorkers,
 		MaxPending:     *maxPending,
-		Float32:        *float32Repr,
 		Rollout:        rolloutCfg,
 	})
 	if err != nil {

@@ -155,23 +155,13 @@ func Probabilities(m *Model, x []float64) ([]float64, error) { return m.Probabil
 // implementation, so both routes give bit-identical results.
 
 // CompiledKernel is an immutable, concurrency-safe serving kernel
-// compiled from a fitted model: contiguous parameters, precomputed
-// prototype norms, pooled scratch, allocation-free *Into transforms.
+// compiled from a fitted model: contiguous parameters, pooled scratch,
+// allocation-free *Into transforms that reproduce the training forward
+// pass bit for bit.
 type CompiledKernel = kernel.CompiledKernel
 
-// DType selects the numeric representation a kernel is compiled to.
-type DType = kernel.DType
-
-const (
-	// Float64 reproduces the training forward pass bit for bit.
-	Float64 = kernel.Float64
-	// Float32 halves parameter bandwidth within a documented (~2e-3)
-	// tolerance of the float64 path — the serving tier's -float32 flag.
-	Float32 = kernel.Float32
-)
-
 // CompileKernel validates m and compiles it into a serving kernel.
-func CompileKernel(m *Model, dtype DType) (*CompiledKernel, error) { return m.Compile(dtype) }
+func CompileKernel(m *Model) (*CompiledKernel, error) { return m.Compile(kernel.Float64) }
 
 // DecodeModel reads a model previously serialised with Model.Encode.
 var DecodeModel = ifair.DecodeModel

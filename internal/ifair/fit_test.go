@@ -30,6 +30,17 @@ func TestFitValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectNonFiniteP checks the exponent is validated up
+// front, not left to fail later as a non-finite objective.
+func TestOptionsRejectNonFiniteP(t *testing.T) {
+	for _, p := range []float64{math.NaN(), math.Inf(1)} {
+		opts := Options{K: 2, Lambda: 1, P: p}
+		if err := opts.fill(10, 3); err == nil {
+			t.Errorf("p=%v: options accepted a non-finite exponent", p)
+		}
+	}
+}
+
 func TestFitEmptyData(t *testing.T) {
 	if _, err := Fit(mat.NewDense(0, 0), Options{K: 2, Lambda: 1}); err != ErrNoData {
 		t.Fatalf("err = %v, want ErrNoData", err)

@@ -64,7 +64,7 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("ifair: non-finite prototype entry %d: %v", i, v)
 		}
 	}
-	if math.IsNaN(m.P) || m.P < 1 {
+	if math.IsNaN(m.P) || math.IsInf(m.P, 0) || m.P < 1 {
 		return fmt.Errorf("ifair: minkowski exponent p=%v, want p ≥ 1", m.P)
 	}
 	if m.Kernel < ExpKernel || m.Kernel > InverseKernel {
@@ -74,14 +74,16 @@ func (m *Model) Validate() error {
 }
 
 // Compile compiles the model into an immutable serving kernel (see
-// internal/kernel): parameters laid out contiguously, prototype norms
-// precomputed, scratch pooled, so the per-row transform allocates
-// nothing. The Float64 dtype reproduces the training forward pass bit
-// for bit; Float32 halves parameter bandwidth within the tolerance
-// documented in the kernel package. Compile validates the model first.
-// Serving paths should compile once per model version and reuse the
-// kernel, as the registry in internal/server does.
+// internal/kernel): parameters laid out contiguously, scratch pooled, so
+// the per-row transform allocates nothing, and the output reproduces the
+// training forward pass bit for bit. dtype must be kernel.Float64, the
+// only representation; any other value is an error. Compile validates
+// the model first. Serving paths should compile once per model version
+// and reuse the kernel, as the registry in internal/server does.
 func (m *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
+	if dtype != kernel.Float64 {
+		return nil, fmt.Errorf("ifair: unknown kernel dtype %d, want kernel.Float64", dtype)
+	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,7 +97,7 @@ func (m *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
 		P:          m.P,
 		TakeRoot:   m.TakeRoot,
 		Membership: membership,
-	}, dtype)
+	})
 }
 
 // ProbabilitiesChecked returns the cluster-membership distribution u of

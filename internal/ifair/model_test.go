@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
@@ -157,6 +158,7 @@ func TestValidate(t *testing.T) {
 		"inf prototype":    func(m *Model) { m.Prototypes.Set(0, 0, math.Inf(1)) },
 		"p below one":      func(m *Model) { m.P = 0.5 },
 		"nan p":            func(m *Model) { m.P = math.NaN() },
+		"inf p":            func(m *Model) { m.P = math.Inf(1) },
 		"unknown kernel":   func(m *Model) { m.Kernel = Kernel(9) },
 		"negative kernel":  func(m *Model) { m.Kernel = Kernel(-1) },
 		"empty prototypes": func(m *Model) { m.Prototypes = mat.NewDense(0, 0) },
@@ -166,6 +168,22 @@ func TestValidate(t *testing.T) {
 		corrupt(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", name)
+		}
+	}
+}
+
+// TestCompileRejectsUnknownDType checks Compile refuses any dtype but
+// kernel.Float64, DType(1) included.
+func TestCompileRejectsUnknownDType(t *testing.T) {
+	valid := func() *Model {
+		return &Model{Prototypes: mat.FromRows([][]float64{{0, 0}, {1, 1}}), Alpha: []float64{1, 1}, P: 2}
+	}
+	if _, err := valid().Compile(kernel.Float64); err != nil {
+		t.Fatalf("valid model rejected: %v", err)
+	}
+	for _, dt := range []kernel.DType{1, 9} {
+		if _, err := valid().Compile(dt); err == nil {
+			t.Errorf("dtype %d: Compile accepted an unknown dtype", dt)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package ifair
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/knn"
@@ -280,7 +281,7 @@ func (o *Options) fill(rows, cols int) error {
 	if o.P == 0 {
 		o.P = 2
 	}
-	if o.P < 1 {
+	if math.IsNaN(o.P) || math.IsInf(o.P, 0) || o.P < 1 {
 		return fmt.Errorf("ifair: Minkowski exponent p = %v is not a metric (need p ≥ 1)", o.P)
 	}
 	if o.Restarts <= 0 {

@@ -11,7 +11,7 @@ import (
 )
 
 // randomModel builds a valid fitted-looking model with standardised-scale
-// parameters (the regime the float32 tolerance is documented for).
+// parameters.
 func randomModel(rng *rand.Rand, k, n int, p float64, takeRoot bool, kern ifair.Kernel) *ifair.Model {
 	protos := mat.NewDense(k, n)
 	for i := range protos.Data() {
@@ -34,12 +34,11 @@ func randomRow(rng *rand.Rand, n int) []float64 {
 
 // TestFloat64BitIdentity sweeps kernels, Minkowski exponents and rooting.
 // For each configuration the Float64 fused row transform must equal,
-// bit for bit, the prototype mix Σ_k u_k·v_k of the Float64 memberships,
-// and the Float32 dtype must stay within the documented tolerance of the
-// Float64 memberships and transforms. The Float64 path itself is pinned
-// to the training forward passes by the ifair and lfr package tests.
+// bit for bit, the prototype mix Σ_k u_k·v_k of the Float64 memberships.
+// The Float64 path itself is pinned to the training forward passes by
+// the ifair and lfr package tests.
 func TestFloat64BitIdentity(t *testing.T) {
-	const k, n, tol = 5, 9, 2e-3
+	const k, n = 5, 9
 	rng := rand.New(rand.NewSource(7))
 	for _, membership := range []ifair.Kernel{ifair.ExpKernel, ifair.InverseKernel} {
 		for _, p := range []float64{2, 1.5, 3} {
@@ -49,24 +48,15 @@ func TestFloat64BitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Compile(Float64): %v", err)
 				}
-				k32, err := m.Compile(kernel.Float32)
-				if err != nil {
-					t.Fatalf("Compile(Float32): %v", err)
-				}
-				u64, u32 := make([]float64, k), make([]float64, k)
-				x64, x32, mix := make([]float64, n), make([]float64, n), make([]float64, n)
+				u64 := make([]float64, k)
+				x64, mix := make([]float64, n), make([]float64, n)
 				for trial := 0; trial < 20; trial++ {
 					x := randomRow(rng, n)
-					for _, c := range []struct {
-						kern *kernel.CompiledKernel
-						u, x []float64
-					}{{k64, u64, x64}, {k32, u32, x32}} {
-						if err := c.kern.ProbabilitiesInto(c.u, x); err != nil {
-							t.Fatalf("%v ProbabilitiesInto: %v", c.kern.DType(), err)
-						}
-						if err := c.kern.TransformRowInto(c.x, x); err != nil {
-							t.Fatalf("%v TransformRowInto: %v", c.kern.DType(), err)
-						}
+					if err := k64.ProbabilitiesInto(u64, x); err != nil {
+						t.Fatalf("ProbabilitiesInto: %v", err)
+					}
+					if err := k64.TransformRowInto(x64, x); err != nil {
+						t.Fatalf("TransformRowInto: %v", err)
 					}
 					for j := range mix {
 						mix[j] = 0
@@ -81,16 +71,6 @@ func TestFloat64BitIdentity(t *testing.T) {
 							t.Fatalf("kernel=%v p=%v root=%v: x̃[%d] = %v, Σ u_k·v_k = %v",
 								membership, p, takeRoot, j, x64[j], mix[j])
 						}
-						if d := math.Abs(x32[j] - x64[j]); d > tol {
-							t.Fatalf("kernel=%v p=%v root=%v: |x̃32[%d]−x̃64[%d]| = %v, want ≤ %v",
-								membership, p, takeRoot, j, j, d, tol)
-						}
-					}
-					for j := range u64 {
-						if d := math.Abs(u32[j] - u64[j]); d > tol {
-							t.Fatalf("kernel=%v p=%v root=%v: |u32[%d]−u64[%d]| = %v, want ≤ %v",
-								membership, p, takeRoot, j, j, d, tol)
-						}
 					}
 				}
 			}
@@ -99,8 +79,8 @@ func TestFloat64BitIdentity(t *testing.T) {
 }
 
 // TestTransformIntoWorkerDeterminism verifies the batched transform is
-// bit-identical for every worker count, for both dtypes — the
-// internal/par determinism contract extended to the serving kernel.
+// bit-identical for every worker count — the internal/par determinism
+// contract extended to the serving kernel.
 func TestTransformIntoWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := randomModel(rng, 6, 8, 2, false, ifair.ExpKernel)
@@ -108,24 +88,22 @@ func TestTransformIntoWorkerDeterminism(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = rng.NormFloat64()
 	}
-	for _, dtype := range []kernel.DType{kernel.Float64, kernel.Float32} {
-		ck, err := m.Compile(dtype)
-		if err != nil {
-			t.Fatalf("Compile(%v): %v", dtype, err)
+	ck, err := m.Compile(kernel.Float64)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	ref := mat.NewDense(37, 8)
+	if err := ck.TransformInto(ref, x, 1); err != nil {
+		t.Fatalf("TransformInto: %v", err)
+	}
+	for workers := 2; workers <= 5; workers++ {
+		got := mat.NewDense(37, 8)
+		if err := ck.TransformInto(got, x, workers); err != nil {
+			t.Fatalf("TransformInto(workers=%d): %v", workers, err)
 		}
-		ref := mat.NewDense(37, 8)
-		if err := ck.TransformInto(ref, x, 1); err != nil {
-			t.Fatalf("TransformInto: %v", err)
-		}
-		for workers := 2; workers <= 5; workers++ {
-			got := mat.NewDense(37, 8)
-			if err := ck.TransformInto(got, x, workers); err != nil {
-				t.Fatalf("TransformInto(workers=%d): %v", workers, err)
-			}
-			for i, v := range got.Data() {
-				if v != ref.Data()[i] {
-					t.Fatalf("dtype=%v workers=%d: cell %d = %v, want %v", dtype, workers, i, v, ref.Data()[i])
-				}
+		for i, v := range got.Data() {
+			if v != ref.Data()[i] {
+				t.Fatalf("workers=%d: cell %d = %v, want %v", workers, i, v, ref.Data()[i])
 			}
 		}
 	}
@@ -176,49 +154,9 @@ func TestFloat64WorkerIdentityVsModel(t *testing.T) {
 	}
 }
 
-// TestFloat32Parity asserts the documented tolerance of the float32
-// representation against the float64 path, across random models and
-// records — including the fused-norm fast path (p=2, no root) and the
-// general fallback.
-func TestFloat32Parity(t *testing.T) {
-	const tol = 2e-3
-	rng := rand.New(rand.NewSource(17))
-	for _, membership := range []ifair.Kernel{ifair.ExpKernel, ifair.InverseKernel} {
-		for _, p := range []float64{2, 3} {
-			for trial := 0; trial < 10; trial++ {
-				m := randomModel(rng, 6, 10, p, false, membership)
-				k64, err := m.Compile(kernel.Float64)
-				if err != nil {
-					t.Fatalf("Compile(Float64): %v", err)
-				}
-				k32, err := m.Compile(kernel.Float32)
-				if err != nil {
-					t.Fatalf("Compile(Float32): %v", err)
-				}
-				for r := 0; r < 10; r++ {
-					x := randomRow(rng, 10)
-					want := make([]float64, 10)
-					got := make([]float64, 10)
-					if err := k64.TransformRowInto(want, x); err != nil {
-						t.Fatalf("float64 TransformRowInto: %v", err)
-					}
-					if err := k32.TransformRowInto(got, x); err != nil {
-						t.Fatalf("float32 TransformRowInto: %v", err)
-					}
-					for j := range want {
-						if d := math.Abs(got[j] - want[j]); d > tol {
-							t.Fatalf("kernel=%v p=%v: |x̃32[%d]−x̃64[%d]| = %v, want ≤ %v", membership, p, j, j, d, tol)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestKernelZeroAlloc is the allocation regression test for the fused
 // serving path: per-row and single-worker batched transforms must not
-// touch the allocator in steady state, for either dtype.
+// touch the allocator in steady state.
 func TestKernelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -230,37 +168,35 @@ func TestKernelZeroAlloc(t *testing.T) {
 	for i := range xm.Data() {
 		xm.Data()[i] = rng.NormFloat64()
 	}
-	for _, dtype := range []kernel.DType{kernel.Float64, kernel.Float32} {
-		ck, err := m.Compile(dtype)
-		if err != nil {
-			t.Fatalf("Compile(%v): %v", dtype, err)
+	ck, err := m.Compile(kernel.Float64)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	dst := make([]float64, 12)
+	u := make([]float64, 8)
+	dstM := mat.NewDense(16, 12)
+	// Warm the scratch pool before measuring.
+	_ = ck.TransformRowInto(dst, x)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ck.TransformRowInto(dst, x); err != nil {
+			t.Fatal(err)
 		}
-		dst := make([]float64, 12)
-		u := make([]float64, 8)
-		dstM := mat.NewDense(16, 12)
-		// Warm the scratch pool before measuring.
-		_ = ck.TransformRowInto(dst, x)
-		if n := testing.AllocsPerRun(100, func() {
-			if err := ck.TransformRowInto(dst, x); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("dtype=%v: TransformRowInto allocates %v/op, want 0", dtype, n)
+	}); n != 0 {
+		t.Errorf("TransformRowInto allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ck.ProbabilitiesInto(u, x); err != nil {
+			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			if err := ck.ProbabilitiesInto(u, x); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("dtype=%v: ProbabilitiesInto allocates %v/op, want 0", dtype, n)
+	}); n != 0 {
+		t.Errorf("ProbabilitiesInto allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ck.TransformInto(dstM, xm, 1); err != nil {
+			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			if err := ck.TransformInto(dstM, xm, 1); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("dtype=%v: TransformInto(workers=1) allocates %v/op, want 0", dtype, n)
-		}
+	}); n != 0 {
+		t.Errorf("TransformInto(workers=1) allocates %v/op, want 0", n)
 	}
 }
 
@@ -304,27 +240,27 @@ func TestCompileRejectsInvalidSpecs(t *testing.T) {
 	cases := []struct {
 		name string
 		spec kernel.Spec
-		dt   kernel.DType
 	}{
-		{"nil prototypes", kernel.Spec{P: 2}, kernel.Float64},
-		{"alpha length", kernel.Spec{Prototypes: protos, Alpha: []float64{1}, P: 2}, kernel.Float64},
-		{"negative alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, -1, 1}, P: 2}, kernel.Float64},
-		{"nan alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, math.NaN(), 1}, P: 2}, kernel.Float64},
-		{"p below one", kernel.Spec{Prototypes: protos, P: 0.5}, kernel.Float64},
-		{"bad membership", kernel.Spec{Prototypes: protos, P: 2, Membership: 9}, kernel.Float64},
-		{"bad dtype", good, kernel.DType(9)},
+		{"nil prototypes", kernel.Spec{P: 2}},
+		{"alpha length", kernel.Spec{Prototypes: protos, Alpha: []float64{1}, P: 2}},
+		{"negative alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, -1, 1}, P: 2}},
+		{"nan alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, math.NaN(), 1}, P: 2}},
+		{"p below one", kernel.Spec{Prototypes: protos, P: 0.5}},
+		{"nan p", kernel.Spec{Prototypes: protos, P: math.NaN()}},
+		{"infinite p", kernel.Spec{Prototypes: protos, P: math.Inf(1)}},
+		{"bad membership", kernel.Spec{Prototypes: protos, P: 2, Membership: 9}},
 	}
 	for _, tc := range cases {
-		if _, err := kernel.Compile(tc.spec, tc.dt); err == nil {
+		if _, err := kernel.Compile(tc.spec); err == nil {
 			t.Errorf("%s: Compile accepted an invalid spec", tc.name)
 		}
 	}
-	if _, err := kernel.Compile(good, kernel.Float64); err != nil {
+	if _, err := kernel.Compile(good); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	nonFinite := mat.NewDense(2, 3)
 	nonFinite.Set(1, 2, math.Inf(1))
-	if _, err := kernel.Compile(kernel.Spec{Prototypes: nonFinite, P: 2}, kernel.Float64); err == nil {
+	if _, err := kernel.Compile(kernel.Spec{Prototypes: nonFinite, P: 2}); err == nil {
 		t.Error("Compile accepted non-finite prototypes")
 	}
 }

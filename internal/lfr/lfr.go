@@ -151,15 +151,14 @@ func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Opt
 
 // Compile compiles the fitted model into an immutable serving kernel
 // (see internal/kernel): unweighted squared-Euclidean distances with
-// softmax memberships. The Float64 dtype is bit-identical to the
-// memberships and reconstructions of LFR's training forward pass;
-// Float32 is the documented-tolerance bandwidth option.
-func (md *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
+// softmax memberships, bit-identical to the memberships and
+// reconstructions of LFR's training forward pass.
+func (md *Model) Compile() (*kernel.CompiledKernel, error) {
 	return kernel.Compile(kernel.Spec{
 		Prototypes: md.Prototypes,
 		P:          2,
 		Membership: kernel.Exp,
-	}, dtype)
+	})
 }
 
 // TransformInto maps every row of x into the matching row of dst (which
@@ -167,7 +166,7 @@ func (md *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
 // fully overwritten) using up to workers goroutines, through a compiled
 // float64 kernel, bit-identical for every worker count.
 func (md *Model) TransformInto(dst, x *mat.Dense, workers int) error {
-	kern, err := md.Compile(kernel.Float64)
+	kern, err := md.Compile()
 	if err != nil {
 		return err
 	}
@@ -178,7 +177,7 @@ func (md *Model) TransformInto(dst, x *mat.Dense, workers int) error {
 // with the memberships u_i from one compiled float64 kernel. Like the
 // linmodel classifiers it panics if x does not have the model's width.
 func (md *Model) PredictProba(x *mat.Dense) []float64 {
-	kern, err := md.Compile(kernel.Float64)
+	kern, err := md.Compile()
 	if err != nil {
 		panic(err.Error())
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/optimize"
@@ -155,7 +154,7 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		kern, err := model.Compile(kernel.Float64)
+		kern, err := model.Compile()
 		if err != nil {
 			return false
 		}
@@ -198,7 +197,7 @@ func TestTransformShape(t *testing.T) {
 	}
 }
 
-// TestCompileMatchesObjectiveForward pins lfr.Compile(Float64) — the
+// TestCompileMatchesObjectiveForward pins Model.Compile — the
 // only inference implementation of LFR's memberships and prototype mix
 // — to the training forward pass, bit for bit: the memberships and
 // reconstructions Eval computes at a parameter point equal the compiled
@@ -217,7 +216,7 @@ func TestCompileMatchesObjectiveForward(t *testing.T) {
 		theta[j] += 0.3 * rng.NormFloat64()
 	}
 	obj.Eval(theta, make([]float64, len(theta)))
-	kern, err := obj.modelFromTheta(theta).Compile(kernel.Float64)
+	kern, err := obj.modelFromTheta(theta).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func (l *LFRRep) Fit(ctx context.Context, train *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	kern, err := model.Compile(kernel.Float64)
+	kern, err := model.Compile()
 	if err != nil {
 		return err
 	}

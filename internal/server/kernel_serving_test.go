@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/kernel"
 )
 
 // TestBatcherStagingZeroAlloc is the allocation regression test for the
@@ -119,39 +117,6 @@ func TestPooledScratchIsolationAcrossModelVersions(t *testing.T) {
 	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestEntryKernelHonoursDType checks the registry-stamped dtype reaches
-// the compiled kernel and that Float32 outputs track the Float64 path
-// within the documented tolerance.
-func TestEntryKernelHonoursDType(t *testing.T) {
-	m := testModel(3, 4)
-	e64 := &Entry{Name: "m", Version: 1, Model: m}
-	e32 := &Entry{Name: "m", Version: 1, Model: m, DType: kernel.Float32}
-	k64, err := e64.Kernel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k32, err := e32.Kernel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k64.DType() != kernel.Float64 || k32.DType() != kernel.Float32 {
-		t.Fatalf("dtypes = %v, %v; want float64, float32", k64.DType(), k32.DType())
-	}
-	x := []float64{0.5, -1, 2, 0.25}
-	a, b := make([]float64, 4), make([]float64, 4)
-	if err := k64.TransformRowInto(a, x); err != nil {
-		t.Fatal(err)
-	}
-	if err := k32.TransformRowInto(b, x); err != nil {
-		t.Fatal(err)
-	}
-	for j := range a {
-		if d := a[j] - b[j]; d > 2e-3 || d < -2e-3 {
-			t.Fatalf("float32 kernel diverges at cell %d: %v vs %v", j, b[j], a[j])
 		}
 	}
 }

@@ -26,10 +26,6 @@ type Entry struct {
 	Model *ifair.Model
 	// Path is the file the entry was loaded from.
 	Path string
-	// DType selects the numeric representation Kernel compiles to
-	// (zero value: kernel.Float64). Set before the first Kernel call;
-	// the registry stamps it from its configured dtype.
-	DType kernel.DType
 
 	// modTime and size detect changed files across reloads.
 	modTime time.Time
@@ -45,12 +41,11 @@ type Entry struct {
 }
 
 // Kernel returns the entry's compiled serving kernel, compiling it from
-// the model on first use (with the entry's DType). The kernel is
-// immutable and safe for concurrent use; its per-call scratch never
-// outlives the entry, so a hot reload can never leak scratch across
-// model versions.
+// the model on first use. The kernel is immutable and safe for
+// concurrent use; its per-call scratch never outlives the entry, so a
+// hot reload can never leak scratch across model versions.
 func (e *Entry) Kernel() (*kernel.CompiledKernel, error) {
-	e.once.Do(func() { e.kern, e.kernErr = e.Model.Compile(e.DType) })
+	e.once.Do(func() { e.kern, e.kernErr = e.Model.Compile(kernel.Float64) })
 	return e.kern, e.kernErr
 }
 
@@ -76,10 +71,6 @@ type Info struct {
 // scan, not a re-decode of every model.
 type Registry struct {
 	dir string
-
-	// dtype is stamped onto new entries so their kernels compile to the
-	// configured representation; set once before the first Reload.
-	dtype kernel.DType
 
 	// failures counts model files that failed to (re)load; exported to
 	// /metrics as registry_reload_failures via SetFailureCounter.
@@ -112,11 +103,6 @@ func NewRegistry(dir string) *Registry {
 // SetFailureCounter redirects the reload-failure count to c (typically a
 // counter registered in a Metrics table). Call before the first Reload.
 func (r *Registry) SetFailureCounter(c *Counter) { r.failures = c }
-
-// SetDType selects the numeric representation new entries compile their
-// serving kernels to (default kernel.Float64). Call before the first
-// Reload; entries already loaded keep their dtype until replaced.
-func (r *Registry) SetDType(dt kernel.DType) { r.dtype = dt }
 
 // ReloadFailures returns how many file loads have failed across all
 // reloads so far.
@@ -208,7 +194,7 @@ func (r *Registry) Reload() (loaded, reused int, err error) {
 		}
 		next[name] = append(next[name], &Entry{
 			Name: name, Version: version, Model: model, Path: path,
-			DType: r.dtype, modTime: fi.ModTime(), size: fi.Size(),
+			modTime: fi.ModTime(), size: fi.Size(),
 		})
 		loaded++
 	}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/par"
 )
@@ -73,12 +72,6 @@ type Config struct {
 	// beyond it single-row requests are shed with 429 (default
 	// 16×MaxBatch; negative means unlimited).
 	MaxPending int
-
-	// Float32 compiles serving kernels to the float32 representation:
-	// half the parameter and scratch bandwidth, outputs within the
-	// tolerance documented in internal/kernel of the float64 path.
-	// Training-side APIs are unaffected.
-	Float32 bool
 
 	// Rollout enables closed-loop canary serving: transform traffic is
 	// split between a pinned stable version and a canary by a
@@ -160,9 +153,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		registry: NewRegistry(cfg.ModelDir),
 		metrics:  NewMetrics(),
-	}
-	if cfg.Float32 {
-		s.registry.SetDType(kernel.Float32)
 	}
 	RegisterProcessMetrics(s.metrics)
 	s.batcher = NewBatcher(BatcherConfig{

@@ -105,7 +105,9 @@ race:
 # never panic, corruption is always reported as ErrCorrupt, accepted
 # frames re-encode canonically), plus the CSV row validator and the
 # in-memory CSV loader built on it (never panic, accepted rows are
-# full-width and finite, loaded datasets are consistent).
+# full-width and finite, loaded datasets are consistent), and the serving
+# row decoder against encoding/json (same accept/reject decision, same
+# float64 bits on accept).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkCover -fuzztime=$(FUZZTIME) ./internal/par/
@@ -113,6 +115,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=$(FUZZTIME) ./internal/server/
 
 cover:
 	$(GO) test -cover ./...
@@ -135,11 +138,12 @@ bench-serve:
 	$(GO) test -run='^$$' -bench='ServerTransform|ServerHTTPTransform|MicroBatcher' -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
-# Allocation-regression gate: a short run of the zero-alloc serving
-# benchmarks compared against the archived BENCH_serve.json baseline
-# (benchjson -compare exits 1 if allocs/op exceeds baseline + slack).
+# Allocation-regression gate: a short run of the serving benchmarks (the
+# zero-alloc kernel and batcher paths plus the HTTP handler) compared
+# against the archived BENCH_serve.json baseline (benchjson -compare
+# exits 1 if allocs/op exceeds baseline + slack).
 bench-compare:
-	$(GO) test -run='^$$' -bench='ServerTransform$$|MicroBatcher$$' \
+	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerHTTPTransform$$|MicroBatcher$$' \
 		-benchtime=30x -benchmem . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_serve.json
 

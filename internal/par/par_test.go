@@ -196,23 +196,3 @@ func TestScalarsSizedExactlyToPlan(t *testing.T) {
 		t.Skip("totals chosen to differ in chunk count")
 	}
 }
-
-func TestArenaReusesCapacity(t *testing.T) {
-	var a Arena
-	s := a.Get(16)
-	if len(s) != 16 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for i := range s {
-		s[i] = float64(i)
-	}
-	a.Put(s)
-	r := a.Get(8)
-	if len(r) != 8 {
-		t.Fatalf("len = %d", len(r))
-	}
-	a.Put(r)
-	if big := a.Get(1024); len(big) != 1024 {
-		t.Fatalf("len = %d", len(big))
-	}
-}

@@ -1,7 +1,5 @@
 package par
 
-import "sync"
-
 // Scalars holds one partial scalar per chunk of a Plan — typically a
 // per-chunk loss. Cells are assigned (not accumulated) by chunk index,
 // and the slice has exactly NumChunks cells, so a cell can never carry
@@ -76,29 +74,4 @@ func (pt *Partials) ReduceInto(dst []float64) {
 			dst[i] += v
 		}
 	}
-}
-
-// Arena is a sync.Pool-backed recycler for float64 scratch slices,
-// for transform-style hot paths that need short-lived per-chunk
-// buffers (membership weights, batch staging) without a steady-state
-// allocation per call. Slices returned by Get have the requested
-// length but unspecified contents — callers must fully overwrite them.
-type Arena struct {
-	pool sync.Pool
-}
-
-// Get returns a scratch slice of length n, reusing pooled capacity
-// when possible. Contents are unspecified.
-func (a *Arena) Get(n int) []float64 {
-	if v, _ := a.pool.Get().(*[]float64); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]float64, n)
-}
-
-// Put recycles a slice previously obtained from Get. The caller must
-// not use s afterwards.
-func (a *Arena) Put(s []float64) {
-	s = s[:0]
-	a.pool.Put(&s)
 }

@@ -32,6 +32,26 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Status, e.Body)
 }
 
+// rowsRequest, transformResponse and probabilitiesResponse are the
+// client's view of the transform and probabilities bodies. The client
+// stays on encoding/json, so its tests check the server's hand-written
+// codec against an independent implementation.
+type rowsRequest struct {
+	Rows [][]float64 `json:"rows"`
+}
+
+type transformResponse struct {
+	Model   string      `json:"model"`
+	Version int         `json:"version"`
+	Rows    [][]float64 `json:"rows"`
+}
+
+type probabilitiesResponse struct {
+	Model         string      `json:"model"`
+	Version       int         `json:"version"`
+	Probabilities [][]float64 `json:"probabilities"`
+}
+
 // ClientStats counts what a Client did, for load reports.
 type ClientStats struct {
 	Requests int64 // HTTP round trips attempted

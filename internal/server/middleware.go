@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -87,6 +88,12 @@ func shedReason(err error) string {
 // /metrics pass admit=false so they are never queued behind traffic.
 func (s *Server) instrument(path string, admit bool, h http.HandlerFunc) http.Handler {
 	latency := s.metrics.Histogram("ifair_http_request_duration_seconds", latencyBuckets, "path="+path)
+	// The 200 counter is resolved once, on the first 200, so steady
+	// traffic skips the registry lookup; creating it lazily keeps a path
+	// that never answered 200 off /metrics, as before.
+	served := sync.OnceValue(func() *Counter {
+		return s.metrics.Counter("ifair_http_requests_total", "path="+path, "code=200")
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		timeout := s.cfg.RequestTimeout
 		if admit {
@@ -115,8 +122,12 @@ func (s *Server) instrument(path string, admit bool, h http.HandlerFunc) http.Ha
 			if status == 0 {
 				status = http.StatusOK
 			}
-			s.metrics.Counter("ifair_http_requests_total",
-				"path="+path, "code="+strconv.Itoa(status)).Inc()
+			if status == http.StatusOK {
+				served().Inc()
+			} else {
+				s.metrics.Counter("ifair_http_requests_total",
+					"path="+path, "code="+strconv.Itoa(status)).Inc()
+			}
 			if status >= 400 {
 				s.metrics.Counter("ifair_http_errors_total",
 					"path="+path, "code="+strconv.Itoa(status)).Inc()

@@ -77,3 +77,30 @@ func TestShedReasonLabels(t *testing.T) {
 		}
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps nothing, so an allocation
+// count over it is the handler's own.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestInstrumentAllocs bounds what the instrument wrapper costs per
+// request on a path that has already answered 200: the 200 counter is
+// resolved once, so only the request-scoped timeout, the status recorder
+// and the handler itself allocate.
+func TestInstrumentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	s, _ := newTestServer(t, Config{})
+	h := s.instrument("/healthz", false, s.handleHealthz)
+	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	w := &discardWriter{h: http.Header{}}
+	serve := func() { h.ServeHTTP(w, req) }
+	serve()
+	if n := testing.AllocsPerRun(200, serve); n > 8 {
+		t.Fatalf("instrumented /healthz allocates %v per request, want ≤ 8", n)
+	}
+}

@@ -16,16 +16,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/mat"
-	"repro/internal/par"
 )
-
-// rowScratch recycles the handlers' staging and result buffers (request
-// rows, transformed rows, membership rows) so steady traffic does not
-// allocate a fresh matrix per request. Buffers return to the pool only
-// after the response is encoded — and, on the micro-batched path, only
-// after a successful call (see Batcher.TransformRowInto's ownership
-// rule).
-var rowScratch par.Arena
 
 // Config sizes the serving subsystem.
 type Config struct {
@@ -234,27 +225,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ---- request/response bodies ----
-
-// rowsRequest is the body of transform and probabilities requests.
-type rowsRequest struct {
-	Rows [][]float64 `json:"rows"`
-}
-
-// transformResponse echoes the resolved model identity with the
-// transformed rows.
-type transformResponse struct {
-	Model   string      `json:"model"`
-	Version int         `json:"version"`
-	Rows    [][]float64 `json:"rows"`
-}
-
-// probabilitiesResponse carries per-row membership distributions.
-type probabilitiesResponse struct {
-	Model         string      `json:"model"`
-	Version       int         `json:"version"`
-	Probabilities [][]float64 `json:"probabilities"`
-}
+// ---- listing and error bodies ----
 
 type listResponse struct {
 	Models []Info `json:"models"`
@@ -371,37 +342,12 @@ func (s *Server) resolveEntry(r *http.Request) (*Entry, error) {
 	return e, nil
 }
 
-// decodeRows parses and bounds-checks the request body. Width checks
-// against a concrete model version happen separately in checkRowWidths:
-// under canary rollout the serving version is chosen per request key,
-// after decoding.
-func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*rowsRequest, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req rowsRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, &httpError{status: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)}
-		}
-		return nil, badRequest("invalid request body: %v", err)
-	}
-	if len(req.Rows) == 0 {
-		return nil, badRequest("request has no rows")
-	}
-	if len(req.Rows) > s.cfg.MaxRows {
-		return nil, badRequest("request has %d rows, limit is %d", len(req.Rows), s.cfg.MaxRows)
-	}
-	return &req, nil
-}
-
 // checkRowWidths validates every row against the resolved model version.
-func checkRowWidths(req *rowsRequest, entry *Entry) error {
+func checkRowWidths(rb *rowsBuf, entry *Entry) error {
 	want := entry.Model.Dims()
-	for i, row := range req.Rows {
-		if len(row) != want {
-			return badRequest("row %d has %d attributes, model %s expects %d", i, len(row), entry.Key(), want)
+	for i := 0; i < rb.n(); i++ {
+		if got := len(rb.row(i)); got != want {
+			return badRequest("row %d has %d attributes, model %s expects %d", i, got, entry.Key(), want)
 		}
 	}
 	return nil
@@ -432,7 +378,7 @@ func canaryKey(r *http.Request, row []float64) string {
 // splits traffic by request key, and without one the registry's serving
 // policy applies. The returned Rollout is non-nil when the request
 // should be recorded against an arm.
-func (s *Server) routeTransform(r *http.Request, req *rowsRequest) (*Entry, *Rollout, error) {
+func (s *Server) routeTransform(r *http.Request, first []float64) (*Entry, *Rollout, error) {
 	if s.rollouts == nil || r.URL.Query().Get("version") != "" {
 		e, err := s.resolveEntry(r)
 		return e, nil, err
@@ -443,7 +389,7 @@ func (s *Server) routeTransform(r *http.Request, req *rowsRequest) (*Entry, *Rol
 		e, err := s.resolveEntry(r)
 		return e, nil, err
 	}
-	entry, ok := ro.Route(canaryKey(r, req.Rows[0]))
+	entry, ok := ro.Route(canaryKey(r, first))
 	if !ok {
 		return nil, nil, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("model %q not found", name)}
 	}
@@ -451,13 +397,15 @@ func (s *Server) routeTransform(r *http.Request, req *rowsRequest) (*Entry, *Rol
 }
 
 func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeRows(w, r)
-	if err != nil {
+	rb := getRowsBuf()
+	if err := s.decodeRows(w, r, rb); err != nil {
+		rb.release()
 		s.writeError(w, err)
 		return
 	}
-	entry, ro, err := s.routeTransform(r, req)
+	entry, ro, err := s.routeTransform(r, rb.row(0))
 	if err != nil {
+		rb.release()
 		s.writeError(w, err)
 		return
 	}
@@ -467,62 +415,50 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	// served (input, transform) pair.
 	record := func(isErr bool, xt []float64) {
 		if ro != nil {
-			ro.Record(entry.Version, time.Since(start), isErr, req.Rows[0], xt)
+			ro.Record(entry.Version, time.Since(start), isErr, rb.row(0), xt)
 		}
 	}
-	if err := checkRowWidths(req, entry); err != nil {
+	fail := func(err error) {
 		record(true, nil)
+		rb.release()
 		s.writeError(w, err)
+	}
+	if err := checkRowWidths(rb, entry); err != nil {
+		fail(err)
 		return
 	}
 
-	out := make([][]float64, len(req.Rows))
-	dims := entry.Model.Dims()
-	if len(req.Rows) == 1 {
+	// Every row has the model's width, so the decoded rows are the
+	// kernel's row-major input as they stand.
+	n, dims := rb.n(), entry.Model.Dims()
+	x, xt := rb.vals, rb.result(dims)
+	if n == 1 {
 		// Single-row requests go through the micro-batcher so concurrent
-		// callers share one batched transform. The pooled dst is recycled
-		// only on success: after an error (ctx expiry included) a late
-		// flush may still write it.
-		dst := rowScratch.Get(dims)
-		if err := s.batcher.TransformRowInto(r.Context(), entry, dst, req.Rows[0]); err != nil {
+		// callers share one batched transform. After an error (ctx expiry
+		// included) a late flush may still read x and write xt, so rb is
+		// left to the garbage collector instead of the pool.
+		if err := s.batcher.TransformRowInto(r.Context(), entry, xt, x); err != nil {
 			record(true, nil)
 			s.writeError(w, err)
 			return
 		}
-		out[0] = dst
-		record(false, dst)
-		writeJSON(w, http.StatusOK, transformResponse{Model: entry.Name, Version: entry.Version, Rows: out})
-		rowScratch.Put(dst)
+	} else {
+		kern, err := entry.Kernel()
+		if err != nil {
+			fail(err)
+			return
+		}
+		if err := kern.TransformInto(mat.NewDenseData(n, dims, xt), mat.NewDenseData(n, dims, x), s.cfg.Workers); err != nil {
+			fail(badRequest("%v", err))
+			return
+		}
+	}
+	if err := writeRows(w, rb, entry, rowsKey, dims); err != nil {
+		fail(err)
 		return
 	}
-
-	kern, err := entry.Kernel()
-	if err != nil {
-		record(true, nil)
-		s.writeError(w, err)
-		return
-	}
-	// Stage the batch and its result in one pooled backing slice; the
-	// kernel transform is synchronous, so the backing is safely recycled
-	// once the response is written.
-	backing := rowScratch.Get(2 * len(req.Rows) * dims)
-	x := mat.NewDenseData(len(req.Rows), dims, backing[:len(req.Rows)*dims])
-	xt := mat.NewDenseData(len(req.Rows), dims, backing[len(req.Rows)*dims:])
-	for i, row := range req.Rows {
-		copy(x.Row(i), row)
-	}
-	if err := kern.TransformInto(xt, x, s.cfg.Workers); err != nil {
-		rowScratch.Put(backing)
-		record(true, nil)
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	for i := range out {
-		out[i] = xt.Row(i)
-	}
-	record(false, xt.Row(0))
-	writeJSON(w, http.StatusOK, transformResponse{Model: entry.Name, Version: entry.Version, Rows: out})
-	rowScratch.Put(backing)
+	record(false, xt[:dims])
+	rb.release()
 }
 
 func (s *Server) handleProbabilities(w http.ResponseWriter, r *http.Request) {
@@ -531,12 +467,13 @@ func (s *Server) handleProbabilities(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	req, err := s.decodeRows(w, r)
-	if err != nil {
+	rb := getRowsBuf()
+	defer rb.release() // no batcher on this path: rb is always ours again
+	if err := s.decodeRows(w, r, rb); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if err := checkRowWidths(req, entry); err != nil {
+	if err := checkRowWidths(rb, entry); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -545,17 +482,15 @@ func (s *Server) handleProbabilities(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	probs := make([][]float64, len(req.Rows))
-	backing := rowScratch.Get(len(req.Rows) * kern.K())
-	u := mat.NewDenseData(len(req.Rows), kern.K(), backing)
-	for i, row := range req.Rows {
-		if err := kern.ProbabilitiesInto(u.Row(i), row); err != nil {
-			rowScratch.Put(backing)
+	k := kern.K()
+	u := rb.result(k)
+	for i := 0; i < rb.n(); i++ {
+		if err := kern.ProbabilitiesInto(u[i*k:(i+1)*k], rb.row(i)); err != nil {
 			s.writeError(w, badRequest("row %d: %v", i, err))
 			return
 		}
-		probs[i] = u.Row(i)
 	}
-	writeJSON(w, http.StatusOK, probabilitiesResponse{Model: entry.Name, Version: entry.Version, Probabilities: probs})
-	rowScratch.Put(backing)
+	if err := writeRows(w, rb, entry, probabilitiesKey, k); err != nil {
+		s.writeError(w, err)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -98,6 +99,51 @@ func TestTransformRoundTripMatchesModel(t *testing.T) {
 	}
 }
 
+// TestRowsResponseWireFormat pins the 200 bodies of both endpoints, on
+// the batch and the micro-batched single-row path: exactly the bytes
+// json.Encoder writes for the decoded value (trailing newline included),
+// sent with a Content-Length rather than chunked.
+func TestRowsResponseWireFormat(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		url  string
+		rows int
+	}{
+		{"/v1/models/credit/transform", 128},
+		{"/v1/models/credit/transform", 1},
+		{"/v1/models/credit/probabilities", 128},
+		{"/v1/models/credit/probabilities", 1},
+	} {
+		rows := make([][]float64, c.rows)
+		for i := range rows {
+			rows[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		}
+		resp, body := postJSON(t, ts.URL+c.url, rowsRequest{Rows: rows})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", c.url, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s, %d rows: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				c.url, c.rows, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		var v any = &transformResponse{}
+		if strings.HasSuffix(c.url, "probabilities") {
+			v = &probabilitiesResponse{}
+		}
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s, %d rows: body differs from encoding/json's\n got %.300s\nwant %.300s", c.url, c.rows, body, want.Bytes())
+		}
+	}
+}
+
 func TestTransformVersionSelection(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	v1, _ := s.Registry().GetVersion("credit", 1)
@@ -171,16 +217,29 @@ func TestErrorResponses(t *testing.T) {
 		url    string
 		body   string
 		status int
+		msg    string // substring of the error message, when set
 	}{
-		{"unknown model", "/v1/models/nope/transform", `{"rows":[[1,2,3]]}`, http.StatusNotFound},
-		{"unknown version", "/v1/models/credit/transform?version=9", `{"rows":[[1,2,3]]}`, http.StatusNotFound},
-		{"bad version", "/v1/models/credit/transform?version=zero", `{"rows":[[1,2,3]]}`, http.StatusBadRequest},
-		{"wrong width", "/v1/models/credit/transform", `{"rows":[[1,2]]}`, http.StatusBadRequest},
-		{"wrong width probabilities", "/v1/models/credit/probabilities", `{"rows":[[1]]}`, http.StatusBadRequest},
-		{"empty rows", "/v1/models/credit/transform", `{"rows":[]}`, http.StatusBadRequest},
-		{"too many rows", "/v1/models/credit/transform", `{"rows":[[1,2,3],[1,2,3],[1,2,3]]}`, http.StatusBadRequest},
-		{"malformed json", "/v1/models/credit/transform", `{"rows":`, http.StatusBadRequest},
-		{"unknown field", "/v1/models/credit/transform", `{"rowz":[[1,2,3]]}`, http.StatusBadRequest},
+		{"unknown model", "/v1/models/nope/transform", `{"rows":[[1,2,3]]}`, http.StatusNotFound, ""},
+		{"unknown version", "/v1/models/credit/transform?version=9", `{"rows":[[1,2,3]]}`, http.StatusNotFound, ""},
+		{"bad version", "/v1/models/credit/transform?version=zero", `{"rows":[[1,2,3]]}`, http.StatusBadRequest, ""},
+		{"wrong width", "/v1/models/credit/transform", `{"rows":[[1,2]]}`, http.StatusBadRequest, ""},
+		{"wrong width probabilities", "/v1/models/credit/probabilities", `{"rows":[[1]]}`, http.StatusBadRequest, ""},
+		{"empty rows", "/v1/models/credit/transform", `{"rows":[]}`, http.StatusBadRequest, ""},
+		{"too many rows", "/v1/models/credit/transform", `{"rows":[[1,2,3],[1,2,3],[1,2,3]]}`, http.StatusBadRequest, ""},
+		{"malformed json", "/v1/models/credit/transform", `{"rows":`, http.StatusBadRequest, ""},
+		{"unknown field", "/v1/models/credit/transform", `{"rowz":[[1,2,3]]}`, http.StatusBadRequest, ""},
+		// Finite inputs the kernel cannot represent: the non-finite result
+		// must be caught before the status line, not sent as 200 "".
+		{"non-finite single row", "/v1/models/credit/transform", `{"rows":[[1e300,2,3]]}`, http.StatusBadRequest, "row 0: result NaN is not finite"},
+		{"non-finite batch", "/v1/models/credit/transform", `{"rows":[[1,2,3],[1e300,2,3]]}`, http.StatusBadRequest, "row 1: result NaN is not finite"},
+		{"non-finite probabilities", "/v1/models/credit/probabilities", `{"rows":[[1,2,3],[1e300,2,3]]}`, http.StatusBadRequest, "row 1: result NaN is not finite"},
+		// Only whitespace may follow the object, on the one-pass parser
+		// and on the encoding/json fallback alike.
+		{"trailing garbage", "/v1/models/credit/transform", `{"rows":[[1,2,3]]} trailing garbage`, http.StatusBadRequest, "after the JSON object"},
+		{"second object", "/v1/models/credit/transform", `{"rows":[[1,2,3]]}{"rows":[[5,6,7]]}`, http.StatusBadRequest, "after the JSON object"},
+		{"trailing garbage probabilities", "/v1/models/credit/probabilities", `{"rows":[[1,2,3]]} trailing garbage`, http.StatusBadRequest, "after the JSON object"},
+		{"second object probabilities", "/v1/models/credit/probabilities", `{"rows":[[1,2,3]]}{"rows":[[5,6,7]]}`, http.StatusBadRequest, "after the JSON object"},
+		{"trailing garbage fallback", "/v1/models/credit/transform", `{"Rows":[[1,2,3]]} x`, http.StatusBadRequest, "after the JSON object"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.url, "application/json", strings.NewReader(c.body))
@@ -196,6 +255,9 @@ func TestErrorResponses(t *testing.T) {
 		var er errorResponse
 		if err := json.Unmarshal(data, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body %q is not a JSON error", c.name, data)
+		}
+		if !strings.Contains(er.Error, c.msg) {
+			t.Errorf("%s: error %q does not say %q", c.name, er.Error, c.msg)
 		}
 	}
 }
@@ -250,6 +312,34 @@ func TestMetricsEndpointReportsTraffic(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestMetricsRequestCountersExact pins the request counters' exposition
+// for a fixed traffic mix, line for line: only paths that answered a
+// status get a line for it, however the counters are looked up.
+func TestMetricsRequestCountersExact(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	getBody(t, ts.URL+"/healthz")
+	getBody(t, ts.URL+"/healthz")
+	postJSON(t, ts.URL+"/v1/models/credit/transform", rowsRequest{Rows: [][]float64{{1, 2, 3}, {0, 0, 0}}})
+	postJSON(t, ts.URL+"/v1/models/nope/transform", rowsRequest{Rows: [][]float64{{1, 2, 3}}})
+
+	_, body := getBody(t, ts.URL+"/metrics")
+	var got []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "ifair_http_requests_total") || strings.HasPrefix(line, "ifair_http_errors_total") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`ifair_http_errors_total{code="404",path="/v1/models/transform"} 1`,
+		`ifair_http_requests_total{code="200",path="/healthz"} 2`,
+		`ifair_http_requests_total{code="200",path="/v1/models/transform"} 1`,
+		`ifair_http_requests_total{code="404",path="/v1/models/transform"} 1`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("request counters:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

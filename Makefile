@@ -4,7 +4,7 @@ GO ?= go
 MODELS ?= artifacts/models
 ADDR   ?= :8080
 
-.PHONY: all build bench-build test test-workers test-faults test-overload test-router test-rollout test-ingest loadgen loadgen-chaos race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments examples serve fmt vet clean
+.PHONY: all build bench-build test test-workers test-faults test-overload test-router test-rollout test-ingest race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments examples serve fmt fmt-check vet clean
 
 # vet, race, the widened worker sweep, the crash-safety fault sweep, the
 # overload soak, the router replica-kill soak and the closed-loop rollout
@@ -12,12 +12,13 @@ ADDR   ?= :8080
 # code in internal/server, the chunked-parallel objective paths, the
 # checkpoint/resume machinery, the admission/load-shedding path, the
 # scale-out routing tier and the canary guard are checked routinely.
-# examples runs the five example programs end to end (go test only
-# compiles them). bench-build compiles and vets the perfbench module,
-# which go build ./... never reaches. bench-compare and
-# bench-fit-compare are soft gates (leading -): a noisy box must not fail
-# the build, but allocation and training-loss regressions get printed.
-all: build bench-build vet test race test-workers test-faults test-overload test-router test-rollout test-ingest examples
+# fmt-check fails on any file gofmt would rewrite. examples runs the five
+# example programs end to end (go test only compiles them). bench-build
+# compiles and vets the perfbench module, which go build ./... never
+# reaches. bench-compare and bench-fit-compare are soft gates (leading -):
+# a noisy box must not fail the build, but allocation and training-loss
+# regressions get printed.
+all: fmt-check build bench-build vet test race test-workers test-faults test-overload test-router test-rollout test-ingest examples
 	-$(MAKE) bench-compare
 	-$(MAKE) bench-fit-compare
 
@@ -56,8 +57,9 @@ test-overload:
 		./internal/server/ ./internal/admission/
 
 # Race-enabled scale-out soak: goodput scaling 1→4 replicas, replica
-# kill mid-burst with probe-driven eviction, model-dir sync vs hot
-# reload, and the router/balancer/health unit suites.
+# kill mid-burst with probe-driven eviction and its revival under load,
+# model-dir sync vs hot reload, and the router/balancer/health unit
+# suites.
 test-router:
 	$(GO) test -race ./internal/router/
 	$(GO) test -race -run 'TestSync' ./internal/server/
@@ -83,19 +85,6 @@ test-ingest:
 	IFAIR_TEST_INGEST=1 $(GO) test -race ./internal/ingest/ \
 		-run 'TestIngest|TestShard|TestManifest'
 	IFAIR_TEST_INGEST=1 $(GO) test -race ./cmd/ifair/ -run 'TestSIGTERMIngestResume'
-
-# Closed-loop load-generator smoke test: spins an in-process server over
-# a synthetic model, drives it with bursts for 2 seconds, and fails on
-# zero goodput.
-loadgen:
-	$(GO) run ./cmd/loadgen -selftest -duration 2s -concurrency 24 \
-		-deadline 200ms -bursts 2 -burst-max 3 -min-goodput 1
-
-# Multi-replica chaos smoke test: 4 replicas behind the in-process
-# router, 2 seeded replica kills over 6 seconds, fails on zero goodput.
-loadgen-chaos:
-	$(GO) run ./cmd/loadgen -selftest -replicas 4 -chaos 2 -duration 6s \
-		-concurrency 24 -deadline 500ms -min-goodput 1
 
 race:
 	$(GO) test -race ./...
@@ -174,6 +163,10 @@ examples:
 
 fmt:
 	gofmt -w .
+
+# gofmt walks the whole tree, perfbench/ included.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -18,7 +18,9 @@
 // baseline stays exactly 0; continuous metrics such as final_loss get
 // plain proportional slack. Only upward drift is flagged — a lower loss
 // or allocation count is an improvement, not a regression. Offenders
-// print to stderr and exit 1.
+// print to stderr and exit 1, and so does a run in which no fresh
+// benchmark matched a baseline record on a gated metric (a -bench regex
+// typo or a renamed benchmark would otherwise pass by checking nothing).
 //
 //	go test -bench='ServerTransform$' -benchmem . | benchjson -compare BENCH_serve.json
 //	go test -bench=FitLarge -benchmem . | benchjson -compare BENCH_fit.json -gate allocs/op,final_loss
@@ -70,7 +72,7 @@ func main() {
 
 	if *compare != "" {
 		metrics := strings.Split(*gate, ",")
-		regressions, err := compareMetrics(*compare, results, *slackPct, metrics)
+		regressions, matched, err := compareMetrics(*compare, results, *slackPct, metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -81,7 +83,11 @@ func main() {
 		if len(regressions) > 0 {
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %s within baseline %s for %d benchmark(s)\n", *gate, *compare, len(results))
+		if matched == 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: none of %d benchmark(s) matched a record in %s on %s; nothing was checked\n", len(results), *compare, *gate)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: %s within baseline %s for %d benchmark(s)\n", *gate, *compare, matched)
 		return
 	}
 
@@ -158,26 +164,27 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 // gated exactly. Continuous metrics (final_loss, B/op, …) get plain
 // proportional slack. Only upward drift counts: a drop is an
 // improvement. Benchmarks or metrics absent from either side are
-// ignored, so the gate never blocks new or renamed benchmarks.
-func compareMetrics(baselinePath string, fresh []Result, slackPct float64, metrics []string) ([]string, error) {
+// ignored, so a new or renamed benchmark is never gated itself; matched
+// counts the fresh benchmarks that had at least one metric checked.
+func compareMetrics(baselinePath string, fresh []Result, slackPct float64, metrics []string) (regressions []string, matched int, err error) {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var baseline []Result
 	if err := json.Unmarshal(data, &baseline); err != nil {
-		return nil, fmt.Errorf("%s: %w", baselinePath, err)
+		return nil, 0, fmt.Errorf("%s: %w", baselinePath, err)
 	}
 	base := make(map[string]map[string]float64)
 	for _, r := range baseline {
 		base[r.Name] = r.Metrics
 	}
-	var regressions []string
 	for _, r := range fresh {
 		baseMetrics, ok := base[r.Name]
 		if !ok {
 			continue
 		}
+		checked := false
 		for _, metric := range metrics {
 			metric = strings.TrimSpace(metric)
 			want, ok := baseMetrics[metric]
@@ -188,6 +195,7 @@ func compareMetrics(baselinePath string, fresh []Result, slackPct float64, metri
 			if !ok {
 				continue
 			}
+			checked = true
 			var limit float64
 			if metric == "allocs/op" {
 				limit = want + math.Ceil(want*slackPct/100)
@@ -199,6 +207,9 @@ func compareMetrics(baselinePath string, fresh []Result, slackPct float64, metri
 					fmt.Sprintf("%s: %g %s, baseline %g (limit %g)", r.Name, got, metric, want, limit))
 			}
 		}
+		if checked {
+			matched++
+		}
 	}
-	return regressions, nil
+	return regressions, matched, nil
 }

@@ -2,11 +2,23 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain lets a test re-run this binary as the benchjson command
+// itself, so exit codes and stderr are checked end to end.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCHJSON_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 const sample = `goos: linux
 goarch: amd64
@@ -69,17 +81,17 @@ func TestCompareAllocs(t *testing.T) {
 	// Within slack: a zero baseline must stay exactly zero, a non-zero
 	// one gets proportional headroom (10 + ceil(10*25%) = 13).
 	ok := []Result{mk("BenchmarkServerTransform", 0), mk("BenchmarkMicroBatcher", 13)}
-	regs, err := compareMetrics(path, ok, 25, []string{"allocs/op"})
+	regs, matched, err := compareMetrics(path, ok, 25, []string{"allocs/op"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %v", regs)
+	if len(regs) != 0 || matched != 2 {
+		t.Fatalf("regressions = %v, matched = %d; want none of 2", regs, matched)
 	}
 
 	// Over slack: both must be flagged.
 	bad := []Result{mk("BenchmarkServerTransform", 1), mk("BenchmarkMicroBatcher", 14)}
-	regs, err = compareMetrics(path, bad, 25, []string{"allocs/op"})
+	regs, _, err = compareMetrics(path, bad, 25, []string{"allocs/op"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +99,15 @@ func TestCompareAllocs(t *testing.T) {
 		t.Fatalf("regressions = %v, want 2", regs)
 	}
 
-	// Benchmarks absent from the baseline are never gated.
-	regs, err = compareMetrics(path, []Result{mk("BenchmarkBrandNew", 999)}, 25, []string{"allocs/op"})
+	// Benchmarks absent from the baseline, or lacking the gated metric,
+	// are never gated and do not count as matched.
+	unmatched := []Result{mk("BenchmarkBrandNew", 999), {Name: "BenchmarkMicroBatcher", Metrics: map[string]float64{"B/op": 1}}}
+	regs, matched, err = compareMetrics(path, unmatched, 25, []string{"allocs/op"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("new benchmark gated: %v", regs)
+	if len(regs) != 0 || matched != 0 {
+		t.Fatalf("regressions = %v, matched = %d; want none of 0", regs, matched)
 	}
 }
 
@@ -115,7 +129,7 @@ func TestCompareMetricsGatesFinalLoss(t *testing.T) {
 	// Within proportional slack (674000 × 1.05 = 707700); a lower loss is
 	// never a regression.
 	for _, loss := range []float64{674000, 707000, 1} {
-		regs, err := compareMetrics(path, mk(loss, 100), 5, gates)
+		regs, _, err := compareMetrics(path, mk(loss, 100), 5, gates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +139,7 @@ func TestCompareMetricsGatesFinalLoss(t *testing.T) {
 	}
 
 	// Loss drift beyond slack is flagged even with allocs flat.
-	regs, err := compareMetrics(path, mk(710000, 100), 5, gates)
+	regs, _, err := compareMetrics(path, mk(710000, 100), 5, gates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +148,7 @@ func TestCompareMetricsGatesFinalLoss(t *testing.T) {
 	}
 
 	// Both metrics over: both flagged.
-	regs, err = compareMetrics(path, mk(710000, 200), 5, gates)
+	regs, _, err = compareMetrics(path, mk(710000, 200), 5, gates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +157,49 @@ func TestCompareMetricsGatesFinalLoss(t *testing.T) {
 	}
 
 	// An un-gated metric never fires.
-	regs, err = compareMetrics(path, mk(9e9, 100), 5, []string{"allocs/op"})
+	regs, _, err = compareMetrics(path, mk(9e9, 100), 5, []string{"allocs/op"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(regs) != 0 {
 		t.Fatalf("ungated metric flagged: %v", regs)
+	}
+}
+
+// TestCompareFailsWhenNothingMatched runs the command: a fresh run none
+// of whose benchmarks appear in the baseline must exit 1 rather than
+// report a pass, and a pass reports only the benchmarks it checked.
+func TestCompareFailsWhenNothingMatched(t *testing.T) {
+	baseline := `[{"name": "BenchmarkA", "procs": 8, "iterations": 1, "ns_per_op": 1, "metrics": {"allocs/op": 10}}]`
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(stdin string) (int, string) {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], "-compare", path)
+		cmd.Env = append(os.Environ(), "BENCHJSON_RUN_MAIN=1")
+		cmd.Stdin = strings.NewReader(stdin)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode(), stderr.String()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return 0, stderr.String()
+	}
+
+	code, out := run("BenchmarkTypo-8   100   5 ns/op   10 allocs/op\nBenchmarkOther-8   100   5 ns/op   10 allocs/op\n")
+	if code != 1 || !strings.Contains(out, "nothing was checked") {
+		t.Fatalf("unmatched run: exit %d, stderr %q; want exit 1 and a nothing-checked message", code, out)
+	}
+
+	code, out = run("BenchmarkA-8   100   5 ns/op   10 allocs/op\nBenchmarkTypo-8   100   5 ns/op   10 allocs/op\n")
+	if code != 0 || !strings.Contains(out, "for 1 benchmark(s)") {
+		t.Fatalf("matched run: exit %d, stderr %q; want exit 0 reporting 1 checked benchmark", code, out)
 	}
 }

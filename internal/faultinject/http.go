@@ -70,130 +70,6 @@ func (d *DisconnectReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Burst is one phase of a load schedule: for Len ticks, offered load is
-// multiplied by Factor.
-type Burst struct {
-	// Start is the tick at which the burst begins.
-	Start int
-	// Len is the burst duration in ticks (≥ 1).
-	Len int
-	// Factor multiplies the base offered load during the burst (≥ 1).
-	Factor int
-}
-
-// Bursts derives n non-overlapping burst phases across [0, horizon)
-// ticks from a seed, using the same splitmix64 mixing as Schedule, so a
-// load test's traffic shape is replayed exactly by reusing the seed.
-// Each burst lasts between minLen and maxLen ticks and multiplies load
-// by 2..maxFactor.
-func Bursts(seed int64, n, horizon, minLen, maxLen, maxFactor int) []Burst {
-	if n < 1 || horizon < 1 {
-		return nil
-	}
-	if minLen < 1 {
-		minLen = 1
-	}
-	if maxLen < minLen {
-		maxLen = minLen
-	}
-	if maxFactor < 2 {
-		maxFactor = 2
-	}
-	// Slice the horizon into n equal windows and place one burst inside
-	// each, so bursts never overlap regardless of the seed.
-	window := horizon / n
-	if window < 1 {
-		window = 1
-	}
-	out := make([]Burst, 0, n)
-	for i := 0; i < n; i++ {
-		z := uint64(optimize.RestartSeed(seed, i+1))
-		length := minLen + int(z%uint64(maxLen-minLen+1))
-		if length > window {
-			length = window
-		}
-		slack := window - length
-		start := i * window
-		if slack > 0 {
-			start += int((z >> 16) % uint64(slack+1))
-		}
-		factor := 2 + int((z>>32)%uint64(maxFactor-1))
-		out = append(out, Burst{Start: start, Len: length, Factor: factor})
-	}
-	return out
-}
-
-// FactorAt returns the load multiplier at a tick: the burst factor if
-// the tick falls inside a burst, 1 otherwise.
-func FactorAt(bursts []Burst, tick int) int {
-	for _, b := range bursts {
-		if tick >= b.Start && tick < b.Start+b.Len {
-			return b.Factor
-		}
-	}
-	return 1
-}
-
-// Outage is one phase of a replica-kill chaos schedule: replica Replica
-// is down (partitioned or dead) for Len ticks starting at Start.
-type Outage struct {
-	// Replica indexes the victim in [0, replicas).
-	Replica int
-	// Start is the tick at which the outage begins.
-	Start int
-	// Len is the outage duration in ticks (≥ 1).
-	Len int
-}
-
-// Outages derives n deterministic outages across [0, horizon) ticks from
-// a seed, using the same splitmix64 mixing as Schedule and Bursts. The
-// horizon is sliced into n equal windows with one outage placed inside
-// each, so at most one replica is ever down at a time — the fleet loses
-// capacity, never quorum — and the schedule replays exactly from the
-// seed. Each outage lasts between minLen and maxLen ticks and strikes a
-// seed-chosen replica.
-func Outages(seed int64, n, replicas, horizon, minLen, maxLen int) []Outage {
-	if n < 1 || horizon < 1 || replicas < 1 {
-		return nil
-	}
-	if minLen < 1 {
-		minLen = 1
-	}
-	if maxLen < minLen {
-		maxLen = minLen
-	}
-	window := horizon / n
-	if window < 1 {
-		window = 1
-	}
-	out := make([]Outage, 0, n)
-	for i := 0; i < n; i++ {
-		z := uint64(optimize.RestartSeed(seed, i+1))
-		length := minLen + int(z%uint64(maxLen-minLen+1))
-		if length > window {
-			length = window
-		}
-		slack := window - length
-		start := i * window
-		if slack > 0 {
-			start += int((z >> 16) % uint64(slack+1))
-		}
-		victim := int((z >> 32) % uint64(replicas))
-		out = append(out, Outage{Replica: victim, Start: start, Len: length})
-	}
-	return out
-}
-
-// DownAt reports whether the replica is inside an outage at the tick.
-func DownAt(outages []Outage, replica, tick int) bool {
-	for _, o := range outages {
-		if o.Replica == replica && tick >= o.Start && tick < o.Start+o.Len {
-			return true
-		}
-	}
-	return false
-}
-
 // Window is one phase of a generic event schedule: some condition (a
 // drift injection, a corrupted-canary deploy) is active for Len ticks
 // starting at Start.
@@ -205,12 +81,12 @@ type Window struct {
 }
 
 // Windows derives n non-overlapping event windows across [0, horizon)
-// ticks from a seed, with the same splitmix64 mixing and equal-slice
-// placement as Bursts and Outages: window i lives inside
-// [i·horizon/n, (i+1)·horizon/n), so events never overlap and the
-// schedule replays exactly from the seed. The rollout chaos soak uses
-// one schedule for its drift injection and another (different seed) for
-// the corrupted-canary deploy.
+// ticks from a seed, with the same splitmix64 mixing as Schedule. Window
+// i lives inside [i·horizon/n, (i+1)·horizon/n), so events never overlap
+// and the schedule replays exactly from the seed. Each window lasts
+// between minLen and maxLen ticks. The rollout chaos soak uses one
+// schedule for its drift injection and another (different seed) for the
+// corrupted-canary deploy.
 func Windows(seed int64, n, horizon, minLen, maxLen int) []Window {
 	if n < 1 || horizon < 1 {
 		return nil

@@ -58,136 +58,6 @@ func TestDisconnectReaderAtExactEOF(t *testing.T) {
 	}
 }
 
-func TestBurstsDeterministicAndBounded(t *testing.T) {
-	const (
-		n, horizon     = 4, 1000
-		minLen, maxLen = 10, 50
-		maxFactor      = 8
-	)
-	a := Bursts(7, n, horizon, minLen, maxLen, maxFactor)
-	b := Bursts(7, n, horizon, minLen, maxLen, maxFactor)
-	if len(a) != n {
-		t.Fatalf("got %d bursts, want %d", len(a), n)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed produced different schedules: %+v vs %+v", a[i], b[i])
-		}
-	}
-	c := Bursts(8, n, horizon, minLen, maxLen, maxFactor)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical schedules")
-	}
-	for i, bu := range a {
-		if bu.Start < 0 || bu.Start+bu.Len > horizon {
-			t.Fatalf("burst %d out of horizon: %+v", i, bu)
-		}
-		if bu.Len < minLen || bu.Len > maxLen {
-			t.Fatalf("burst %d length %d outside [%d,%d]", i, bu.Len, minLen, maxLen)
-		}
-		if bu.Factor < 2 || bu.Factor > maxFactor {
-			t.Fatalf("burst %d factor %d outside [2,%d]", i, bu.Factor, maxFactor)
-		}
-		if i > 0 && bu.Start < a[i-1].Start+a[i-1].Len {
-			t.Fatalf("bursts %d and %d overlap: %+v %+v", i-1, i, a[i-1], bu)
-		}
-	}
-}
-
-func TestFactorAt(t *testing.T) {
-	bursts := []Burst{{Start: 10, Len: 5, Factor: 4}}
-	cases := []struct {
-		tick, want int
-	}{
-		{0, 1}, {9, 1}, {10, 4}, {14, 4}, {15, 1},
-	}
-	for _, c := range cases {
-		if got := FactorAt(bursts, c.tick); got != c.want {
-			t.Errorf("FactorAt(%d) = %d, want %d", c.tick, got, c.want)
-		}
-	}
-}
-
-func TestOutagesDeterministicAndNonOverlapping(t *testing.T) {
-	const (
-		seed     = 42
-		n        = 4
-		replicas = 3
-		horizon  = 100
-		minLen   = 2
-		maxLen   = 10
-	)
-	a := Outages(seed, n, replicas, horizon, minLen, maxLen)
-	b := Outages(seed, n, replicas, horizon, minLen, maxLen)
-	if len(a) != n || len(b) != n {
-		t.Fatalf("got %d/%d outages, want %d", len(a), len(b), n)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("outage %d differs across runs of the same seed: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	if c := Outages(seed+1, n, replicas, horizon, minLen, maxLen); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] && c[3] == a[3] {
-		t.Fatal("different seeds produced an identical schedule")
-	}
-	for i, o := range a {
-		if o.Replica < 0 || o.Replica >= replicas {
-			t.Fatalf("outage %d victim %d outside [0,%d)", i, o.Replica, replicas)
-		}
-		if o.Start < 0 || o.Start+o.Len > horizon {
-			t.Fatalf("outage %d out of horizon: %+v", i, o)
-		}
-		if o.Len < minLen || o.Len > maxLen {
-			t.Fatalf("outage %d length %d outside [%d,%d]", i, o.Len, minLen, maxLen)
-		}
-		// Windowed placement: at most one replica down at any tick, so the
-		// fleet loses capacity but never quorum.
-		if i > 0 && o.Start < a[i-1].Start+a[i-1].Len {
-			t.Fatalf("outages %d and %d overlap: %+v %+v", i-1, i, a[i-1], o)
-		}
-	}
-}
-
-func TestOutagesDegenerateInputs(t *testing.T) {
-	if got := Outages(1, 0, 3, 100, 1, 5); got != nil {
-		t.Fatalf("n=0 → %+v, want nil", got)
-	}
-	if got := Outages(1, 2, 0, 100, 1, 5); got != nil {
-		t.Fatalf("replicas=0 → %+v, want nil", got)
-	}
-	if got := Outages(1, 2, 3, 0, 1, 5); got != nil {
-		t.Fatalf("horizon=0 → %+v, want nil", got)
-	}
-	// maxLen < minLen and minLen < 1 are repaired, not rejected.
-	for _, o := range Outages(1, 2, 3, 50, 0, -1) {
-		if o.Len != 1 {
-			t.Fatalf("repaired degenerate lengths produced %+v, want Len 1", o)
-		}
-	}
-}
-
-func TestDownAt(t *testing.T) {
-	outages := []Outage{{Replica: 1, Start: 10, Len: 5}}
-	cases := []struct {
-		replica, tick int
-		want          bool
-	}{
-		{1, 9, false}, {1, 10, true}, {1, 14, true}, {1, 15, false},
-		{0, 12, false}, {2, 12, false},
-	}
-	for _, c := range cases {
-		if got := DownAt(outages, c.replica, c.tick); got != c.want {
-			t.Errorf("DownAt(replica=%d, tick=%d) = %v, want %v", c.replica, c.tick, got, c.want)
-		}
-	}
-}
-
 func TestWindowsDeterministicAndNonOverlapping(t *testing.T) {
 	a := Windows(11, 3, 300, 5, 40)
 	b := Windows(11, 3, 300, 5, 40)

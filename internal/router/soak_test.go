@@ -194,6 +194,8 @@ func TestRouterSoakGoodputScales(t *testing.T) {
 // TestRouterSoakSurvivesReplicaKill is acceptance criterion 2: killing
 // one of four replicas mid-burst costs at most its traffic share — no
 // error storm — and the probes evict it within the hysteresis window.
+// The killed replica then comes back under the same load: the probes
+// re-admit it and goodput holds without a burst of failures.
 func TestRouterSoakSurvivesReplicaKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -203,10 +205,11 @@ func TestRouterSoakSurvivesReplicaKill(t *testing.T) {
 	defer cancel()
 	f.rt.Start(ctx, nil)
 
-	// Phases: 0 warmup, 1 pre-kill, 2 kill settling, 3 post-kill.
+	// Phases: 0 warmup, 1 pre-kill, 2 kill settling, 3 post-kill,
+	// 4 revival settling, 5 revived.
 	var phase atomic.Int64
-	ok := make([]atomic.Int64, 4)
-	fail := make([]atomic.Int64, 4)
+	ok := make([]atomic.Int64, 6)
+	fail := make([]atomic.Int64, 6)
 	done := make(chan struct{})
 	go func() { defer close(done); f.run(ctx, &phase, ok, fail) }()
 
@@ -236,12 +239,30 @@ func TestRouterSoakSurvivesReplicaKill(t *testing.T) {
 	time.Sleep(300 * time.Millisecond) // let routing settle post-eviction
 	phase.Store(3)
 	time.Sleep(window)
+
+	// Bring replica 0 back under load and wait for the probes to
+	// re-admit it (ReadmitAfter=2 probes at 25ms).
+	phase.Store(4)
+	f.downs[0].Store(false)
+	revivedAt := time.Now()
+	for !victim.Healthy() && time.Since(revivedAt) < 2*time.Second {
+		time.Sleep(5 * time.Millisecond)
+	}
+	readmitLag := time.Since(revivedAt)
+	if !victim.Healthy() {
+		t.Fatal("revived replica never re-admitted")
+	}
+	time.Sleep(300 * time.Millisecond) // let routing settle post-readmission
+	phase.Store(5)
+	time.Sleep(window)
 	cancel()
 	<-done
 
 	pre := float64(ok[1].Load()) / window.Seconds()
 	post := float64(ok[3].Load()) / window.Seconds()
-	t.Logf("goodput: pre-kill %.0f req/s, post-kill %.0f req/s (eviction after %v)", pre, post, evictionLag)
+	revived := float64(ok[5].Load()) / window.Seconds()
+	t.Logf("goodput: pre-kill %.0f req/s, post-kill %.0f req/s (eviction after %v), revived %.0f req/s (re-admission after %v)",
+		pre, post, evictionLag, revived, readmitLag)
 
 	// Losing 1 of 4 replicas may cost its 25%% share, no more. The 0.6
 	// floor (vs the ideal 0.75) absorbs measurement noise.
@@ -261,5 +282,18 @@ func TestRouterSoakSurvivesReplicaKill(t *testing.T) {
 	}
 	if f.rt.metrics.Counter("router_evictions_total", "replica="+victim.URL).Value() < 1 {
 		t.Fatal("eviction happened but the evictions counter never moved")
+	}
+
+	// The returning replica must not cost goodput or surface failures:
+	// requests routed to it while it rejoins succeed like any other.
+	if f.rt.metrics.Counter("router_readmissions_total", "replica="+victim.URL).Value() < 1 {
+		t.Fatal("re-admission happened but the readmissions counter never moved")
+	}
+	if revived < 0.6*pre {
+		t.Fatalf("revived goodput %.0f req/s < 60%% of pre-kill %.0f req/s", revived, pre)
+	}
+	revivalOK := ok[4].Load() + ok[5].Load()
+	if n := fail[4].Load() + fail[5].Load(); n > revivalOK/50 {
+		t.Fatalf("%d client-visible failures vs %d successes while the replica rejoined (sample: %v)", n, revivalOK, f.lastFail.Load())
 	}
 }

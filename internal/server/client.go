@@ -52,13 +52,6 @@ type probabilitiesResponse struct {
 	Probabilities [][]float64 `json:"probabilities"`
 }
 
-// ClientStats counts what a Client did, for load reports.
-type ClientStats struct {
-	Requests int64 // HTTP round trips attempted
-	Retries  int64 // round trips that were retries
-	Shed     int64 // 429/503 responses seen
-}
-
 // Client is a retrying HTTP client for the serving API, built to be a
 // well-behaved citizen of the overload-protection contract: it
 // propagates its context deadline via the X-Request-Timeout-Ms header,
@@ -82,9 +75,8 @@ type Client struct {
 	// default (jitter quality does not matter, reproducibility does).
 	Seed int64
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	stats ClientStats
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -116,13 +108,6 @@ func (c *Client) maxDelay() time.Duration {
 		return 2 * time.Second
 	}
 	return c.MaxDelay
-}
-
-// Stats returns a snapshot of the client's counters.
-func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // backoff returns the sleep before retry attempt (1-based): full jitter
@@ -269,11 +254,6 @@ func (c *Client) GetRaw(ctx context.Context, path string) ([]byte, error) {
 func (c *Client) do(ctx context.Context, method, path string, body []byte, extra http.Header) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.mu.Lock()
-			c.stats.Retries++
-			c.mu.Unlock()
-		}
 		data, err := c.roundTrip(ctx, method, path, body, extra)
 		if err == nil {
 			return data, nil
@@ -322,9 +302,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 			req.Header.Set(TimeoutHeader, strconv.FormatInt(ms, 10))
 		}
 	}
-	c.mu.Lock()
-	c.stats.Requests++
-	c.mu.Unlock()
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, err
@@ -335,11 +312,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			c.mu.Lock()
-			c.stats.Shed++
-			c.mu.Unlock()
-		}
 		var apiErr errorResponse
 		msg := string(data)
 		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {

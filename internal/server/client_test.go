@@ -77,10 +77,6 @@ func TestClientRetriesShedsThenSucceeds(t *testing.T) {
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("server saw %d calls, want 3 (2 sheds + success)", n)
 	}
-	st := c.Stats()
-	if st.Requests != 3 || st.Retries != 2 || st.Shed != 2 {
-		t.Fatalf("stats = %+v, want 3 requests / 2 retries / 2 sheds", st)
-	}
 }
 
 func TestClientDoesNotRetryTerminalStatus(t *testing.T) {

@@ -33,11 +33,11 @@ bench-build:
 test:
 	$(GO) test ./...
 
-# Widened worker-count sweep for the bit-identity property tests: every
-# worker count in [1, 17] plus oversubscribed values, under the race
-# detector.
+# Widened worker-count sweep for the bit-identity property tests (iFair,
+# LFR and the chunk planner): every worker count in [1, 17] plus
+# oversubscribed values, under the race detector.
 test-workers:
-	IFAIR_TEST_WORKER_SWEEP=1 $(GO) test -race ./internal/ifair/ ./internal/par/
+	IFAIR_TEST_WORKER_SWEEP=1 $(GO) test -race ./internal/ifair/ ./internal/lfr/ ./internal/par/
 
 # Widened fault-injection sweep for the crash-safety suite: extra
 # deterministic kill points for the resume-equivalence property tests,
@@ -96,7 +96,9 @@ race:
 # in-memory CSV loader built on it (never panic, accepted rows are
 # full-width and finite, loaded datasets are consistent), and the serving
 # row decoder against encoding/json (same accept/reject decision, same
-# float64 bits on accept).
+# float64 bits on accept), and the kernel's row forward pass against a
+# naive Defs. 3/7/8 reference (memberships a distribution, x̃ inside the
+# prototype range).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkCover -fuzztime=$(FUZZTIME) ./internal/par/
@@ -105,6 +107,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzForward -fuzztime=$(FUZZTIME) ./internal/kernel/
 
 cover:
 	$(GO) test -cover ./...

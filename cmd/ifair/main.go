@@ -109,6 +109,9 @@ func run() error {
 	)
 	flag.Parse()
 
+	if *profRows < 1 {
+		return fmt.Errorf("-profile-rows must be at least 1, got %d", *profRows)
+	}
 	if *ingestDir != "" {
 		switch {
 		case *input == "":

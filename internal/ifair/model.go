@@ -73,6 +73,15 @@ func (m *Model) Validate() error {
 	return nil
 }
 
+// membership maps a Kernel to the kernel package's weighting; both the
+// training objective and Compile use it.
+func (k Kernel) membership() kernel.Membership {
+	if k == InverseKernel {
+		return kernel.Inverse
+	}
+	return kernel.Exp
+}
+
 // Compile compiles the model into an immutable serving kernel (see
 // internal/kernel): parameters laid out contiguously, scratch pooled, so
 // the per-row transform allocates nothing, and the output reproduces the
@@ -87,16 +96,12 @@ func (m *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	membership := kernel.Exp
-	if m.Kernel == InverseKernel {
-		membership = kernel.Inverse
-	}
 	return kernel.Compile(kernel.Spec{
 		Prototypes: m.Prototypes,
 		Alpha:      m.Alpha,
 		P:          m.P,
 		TakeRoot:   m.TakeRoot,
-		Membership: membership,
+		Membership: m.Kernel.membership(),
 	})
 }
 

@@ -226,21 +226,3 @@ func TestZeroWeightCoordinateInvariance(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestKernelDistanceGeneralP pins the Def. 7 distance of the training
-// forward pass: rawDistance is the rootless sum, and TakeRoot applies
-// the 1/p root on top of it.
-func TestKernelDistanceGeneralP(t *testing.T) {
-	x := []float64{0, 0}
-	v := []float64{3, 4}
-	w := []float64{1, 1}
-	if got := rawDistance(x, v, w, 2); got != 25 {
-		t.Fatalf("squared p=2 distance = %v, want 25", got)
-	}
-	if got := math.Pow(rawDistance(x, v, w, 2), 1.0/2); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("rooted p=2 distance = %v, want 5", got)
-	}
-	if got := math.Pow(rawDistance(x, v, w, 1), 1.0/1); math.Abs(got-7) > 1e-12 {
-		t.Fatalf("p=1 distance = %v, want 7", got)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/kernel"
 	"repro/internal/knn"
 	"repro/internal/mat"
 	"repro/internal/optimize"
@@ -30,6 +31,7 @@ type objective struct {
 	pairs  []pair     // fairness pairs
 	target []float64  // d(x*_i, x*_j) for each pair, squared Euclidean on non-protected dims
 	opts   Options
+	prm    kernel.Params // distance and membership configuration of opts
 	m, n   int
 
 	// scratch buffers reused across evaluations. The five M-row matrices
@@ -82,6 +84,7 @@ func newObjective(x *mat.Dense, opts Options, rng *rand.Rand) *objective {
 	o := &objective{
 		x:       x,
 		opts:    opts,
+		prm:     kernel.Params{P: opts.P, TakeRoot: opts.TakeRoot, Membership: opts.Kernel.membership()},
 		m:       m,
 		n:       n,
 		alpha:   make([]float64, n),
@@ -173,6 +176,7 @@ func (o *objective) clone() *objective {
 		adjPair:  o.adjPair,
 		adjOther: o.adjOther,
 		opts:     o.opts,
+		prm:      o.prm,
 		m:        o.m,
 		n:        o.n,
 		alpha:    make([]float64, o.n),
@@ -330,22 +334,6 @@ func (o *objective) Eval(theta, grad []float64) float64 {
 	return loss
 }
 
-// rawDistance computes s = Σ α_n·|x_n − v_n|^p, the rootless Def. 7 form.
-func rawDistance(x, v, alpha []float64, p float64) float64 {
-	var s float64
-	if p == 2 {
-		for n := range x {
-			d := x[n] - v[n]
-			s += alpha[n] * d * d
-		}
-		return s
-	}
-	for n := range x {
-		s += alpha[n] * math.Pow(math.Abs(x[n]-v[n]), p)
-	}
-	return s
-}
-
 // forward computes memberships u, transforms x̃ and the utility loss (plus
 // its upstream gradient into o.g when withGrad is set). Raw distances and
 // kernel weights are recorded for the backward pass.
@@ -370,66 +358,16 @@ func (o *objective) forwardRange(alpha, protos []float64, withGrad bool, lo, hi 
 	return loss
 }
 
-// forwardRecord computes one record's memberships (into ui), raw
-// distances (ri), kernel weights (gv) and transform (xti), returning its
-// weighted utility loss (0 unless withUtil). When gi is non-nil it is
-// zeroed and, with withUtil, receives the utility upstream gradient —
-// the fairness pass accumulates on top of it afterwards. Shared by the
-// full-objective range pass and the mini-batch path, which differ only
-// in which rows they hand in.
+// forwardRecord runs kernel.Forward for one record — memberships into
+// ui, raw distances into ri, InverseKernel weights into gv and the
+// transform into xti — and returns its weighted utility loss (0 unless withUtil).
+// When gi is non-nil it is zeroed and, with withUtil, receives the
+// utility upstream gradient; the fairness pass accumulates on top of it
+// afterwards. Shared by the full-objective range pass and the mini-batch
+// path, which differ only in which rows they hand in.
 func (o *objective) forwardRecord(alpha, protos, xi, ui, ri, gv, xti, gi []float64, withUtil bool) float64 {
-	k := o.opts.K
-	for kk := 0; kk < k; kk++ {
-		ri[kk] = rawDistance(xi, protos[kk*o.n:(kk+1)*o.n], alpha, o.opts.P)
-	}
-	switch o.opts.Kernel {
-	case InverseKernel:
-		var sum float64
-		for kk := 0; kk < k; kk++ {
-			d := ri[kk]
-			if o.opts.TakeRoot {
-				d = math.Pow(d, 1/o.opts.P)
-			}
-			gv[kk] = 1 / (1 + d)
-			sum += gv[kk]
-		}
-		for kk := 0; kk < k; kk++ {
-			ui[kk] = gv[kk] / sum
-		}
-	default: // ExpKernel: softmax over z = −D with max-shift
-		maxZ := math.Inf(-1)
-		for kk := 0; kk < k; kk++ {
-			d := ri[kk]
-			if o.opts.TakeRoot {
-				d = math.Pow(d, 1/o.opts.P)
-			}
-			z := -d
-			ui[kk] = z
-			if z > maxZ {
-				maxZ = z
-			}
-		}
-		var sum float64
-		for kk := 0; kk < k; kk++ {
-			ui[kk] = math.Exp(ui[kk] - maxZ)
-			sum += ui[kk]
-		}
-		for kk := 0; kk < k; kk++ {
-			ui[kk] /= sum
-		}
-	}
-
-	for n := range xti {
-		xti[n] = 0
-	}
-	for kk := 0; kk < k; kk++ {
-		mat.AddScaled(xti, ui[kk], protos[kk*o.n:(kk+1)*o.n])
-	}
-	if gi != nil {
-		for n := range gi {
-			gi[n] = 0
-		}
-	}
+	kernel.Forward(o.prm, protos, alpha, xi, ri, gv, ui, xti)
+	clear(gi)
 	var loss float64
 	if withUtil && o.opts.Lambda > 0 {
 		if gi != nil {

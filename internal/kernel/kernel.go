@@ -7,13 +7,11 @@
 // laying parameters out contiguously) from the per-row work, so the hot
 // loop touches exactly one contiguous parameter block and no allocator.
 //
-// A kernel has one representation, float64, and reproduces the
-// training-side arithmetic bit-for-bit: distances, memberships and
-// prototype mixes are computed in exactly the operation order of the
-// iFair and LFR training forward passes, so a compiled kernel's output
-// is bit-identical to what training optimised, for every worker count.
-// This package is the only inference implementation of that map; the
-// ifair and lfr tests pin it to the forward passes.
+// Forward is the one implementation of the row map itself (Defs. 3, 7
+// and 8: weighted Minkowski distances, memberships, prototype mix).
+// CompiledKernel calls it per served row, and the iFair and LFR training
+// objectives call it per record, so a compiled kernel's output is
+// bit-identical to what training optimised, for every worker count.
 //
 // Aliasing contract (shared by every *Into method in this package): dst
 // is fully overwritten, must not alias the input x, and is owned by the
@@ -75,7 +73,8 @@ type Spec struct {
 	// Prototypes is the K×N prototype matrix (copied at compile time).
 	Prototypes *mat.Dense
 	// Alpha is the non-negative attribute weight vector of the distance
-	// (length N); nil means unweighted (all ones), as used by LFR.
+	// (length N); nil means unweighted (all ones). LFR compiles with nil
+	// and its training objective passes nil to Forward.
 	Alpha []float64
 	// P is the Minkowski exponent (≥ 1; 2 is the fast path).
 	P float64
@@ -85,25 +84,31 @@ type Spec struct {
 	Membership Membership
 }
 
+// Params is the distance and membership configuration of the row
+// forward pass: the Minkowski exponent (≥ 1), the optional 1/p root and
+// the membership weighting.
+type Params struct {
+	P          float64
+	TakeRoot   bool
+	Membership Membership
+}
+
 // scratch is the pooled per-call workspace of a CompiledKernel. Every
 // field is sized at compile time, so Get never grows a slice.
 type scratch struct {
-	u []float64 // K membership weights
+	raw, g, u []float64 // K rootless distances, kernel weights, memberships
 }
 
 // CompiledKernel is an immutable prototype-mixture kernel: the model
-// parameters laid out contiguously for the fused per-row loop. Compile once per model (the registry does
-// this per loaded entry); the kernel itself is safe for concurrent use
-// and allocation-free per call.
+// parameters laid out contiguously for the fused per-row loop. Compile
+// once per model (the registry does this per loaded entry); the kernel
+// itself is safe for concurrent use and allocation-free per call.
 type CompiledKernel struct {
-	k, n       int
-	p          float64
-	takeRoot   bool
-	membership Membership
+	k, n int
+	prm  Params
 
 	// A contiguous row-major K×N prototype copy and the (possibly nil)
-	// weight vector, evaluated in exactly the training-side operation
-	// order.
+	// weight vector.
 	protos []float64
 	alpha  []float64
 
@@ -146,14 +151,16 @@ func Compile(spec Spec) (*CompiledKernel, error) {
 	}
 
 	ck := &CompiledKernel{
-		k: k, n: n, p: p, takeRoot: spec.TakeRoot,
-		membership: spec.Membership,
-		protos:     append([]float64(nil), spec.Prototypes.Data()...),
+		k: k, n: n,
+		prm:    Params{P: p, TakeRoot: spec.TakeRoot, Membership: spec.Membership},
+		protos: append([]float64(nil), spec.Prototypes.Data()...),
 	}
 	if spec.Alpha != nil {
 		ck.alpha = append([]float64(nil), spec.Alpha...)
 	}
-	ck.pool.New = func() any { return &scratch{u: make([]float64, ck.k)} }
+	ck.pool.New = func() any {
+		return &scratch{raw: make([]float64, k), g: make([]float64, k), u: make([]float64, k)}
+	}
 	return ck, nil
 }
 
@@ -167,11 +174,6 @@ func (ck *CompiledKernel) Dims() int { return ck.n }
 // transform is a convex combination of prototypes).
 func (ck *CompiledKernel) OutDims() int { return ck.n }
 
-// proto returns prototype row i.
-func (ck *CompiledKernel) proto(i int) []float64 {
-	return ck.protos[i*ck.n : (i+1)*ck.n]
-}
-
 func (ck *CompiledKernel) checkRow(x []float64) error {
 	if len(x) != ck.n {
 		return fmt.Errorf("kernel: record has %d attributes, kernel expects %d", len(x), ck.n)
@@ -179,71 +181,91 @@ func (ck *CompiledKernel) checkRow(x []float64) error {
 	return nil
 }
 
-// dist is the weighted Minkowski distance in the exact operation
-// order of the iFair training forward pass (rawDistance, then the
-// optional 1/p root); a nil alpha matches LFR's unweighted mat.SqDist.
-func (ck *CompiledKernel) dist(x, v []float64) float64 {
-	var s float64
-	if ck.p == 2 {
-		if ck.alpha == nil {
+// Forward is the row forward pass of Defs. 3, 7 and 8, the one
+// implementation of the map that serving and both training objectives
+// call. For record x (length N) and the K prototypes laid out row-major
+// in protos (K×N) it writes
+//
+//   - raw[k] = Σ_n α_n·|x_n − v_kn|^p, the rootless Def. 7 distance
+//     (alpha nil means all ones, as used by LFR);
+//   - u, the membership distribution over D_k = raw[k], or raw[k]^{1/p}
+//     under TakeRoot: softmax(−D) with a max-shift for Exp (Def. 8), or
+//     1/(1+D) normalised for Inverse;
+//   - g[k] = 1/(1+D_k), the unnormalised Inverse weights the iFair
+//     backward pass reads (Inverse only; g is untouched under Exp and
+//     may then be nil);
+//   - xt = Σ_k u_k·v_k (Def. 3), when xt is non-nil.
+//
+// raw, g and u have length K and xt length N; none of them may alias x
+// or protos. Forward is stateless and allocates nothing; its operation
+// order is fixed, so the same inputs give the same bits on every path.
+func Forward(prm Params, protos, alpha, x, raw, g, u, xt []float64) {
+	n := len(x)
+	for k := range raw {
+		v := protos[k*n : (k+1)*n]
+		var s float64
+		switch {
+		case prm.P == 2 && alpha == nil:
 			for j := range x {
 				d := x[j] - v[j]
 				s += d * d
 			}
-		} else {
+		case prm.P == 2:
 			for j := range x {
 				d := x[j] - v[j]
-				s += ck.alpha[j] * d * d
+				s += alpha[j] * d * d
 			}
+		case alpha == nil:
+			for j := range x {
+				s += math.Pow(math.Abs(x[j]-v[j]), prm.P)
+			}
+		default:
+			for j := range x {
+				s += alpha[j] * math.Pow(math.Abs(x[j]-v[j]), prm.P)
+			}
+		}
+		raw[k] = s
+	}
+	var sum float64
+	if prm.Membership == Inverse {
+		for k, s := range raw {
+			if prm.TakeRoot {
+				s = math.Pow(s, 1/prm.P)
+			}
+			g[k] = 1 / (1 + s)
+			sum += g[k]
+		}
+		for k := range u {
+			u[k] = g[k] / sum
 		}
 	} else {
-		if ck.alpha == nil {
-			for j := range x {
-				s += math.Pow(math.Abs(x[j]-v[j]), ck.p)
-			}
-		} else {
-			for j := range x {
-				s += ck.alpha[j] * math.Pow(math.Abs(x[j]-v[j]), ck.p)
-			}
-		}
-	}
-	if ck.takeRoot {
-		return math.Pow(s, 1/ck.p)
-	}
-	return s
-}
-
-// membershipsInto writes the membership distribution of x into u
-// (length k), mirroring the memberships of the iFair and LFR training
-// forward passes bit for bit.
-func (ck *CompiledKernel) membershipsInto(u, x []float64) {
-	switch ck.membership {
-	case Inverse:
-		var sum float64
-		for j := 0; j < ck.k; j++ {
-			d := ck.dist(x, ck.proto(j))
-			u[j] = 1 / (1 + d)
-			sum += u[j]
-		}
-		for j := range u {
-			u[j] /= sum
-		}
-	default: // Exp
 		maxZ := math.Inf(-1)
-		for j := 0; j < ck.k; j++ {
-			z := -ck.dist(x, ck.proto(j))
-			u[j] = z
-			if z > maxZ {
-				maxZ = z
+		for k, s := range raw {
+			if prm.TakeRoot {
+				s = math.Pow(s, 1/prm.P)
+			}
+			u[k] = -s
+			if -s > maxZ {
+				maxZ = -s
 			}
 		}
-		var sum float64
-		for j := range u {
-			u[j] = math.Exp(u[j] - maxZ)
-			sum += u[j]
+		for k := range u {
+			u[k] = math.Exp(u[k] - maxZ)
+			sum += u[k]
 		}
-		for j := range u {
-			u[j] /= sum
+		for k := range u {
+			u[k] /= sum
+		}
+	}
+	if xt == nil {
+		return
+	}
+	for j := range xt {
+		xt[j] = 0
+	}
+	for k, uk := range u {
+		for j, v := range protos[k*n : (k+1)*n] {
+			xt[j] += uk * v
 		}
 	}
 }
@@ -258,23 +280,10 @@ func (ck *CompiledKernel) ProbabilitiesInto(dst, x []float64) error {
 	if len(dst) != ck.k {
 		return fmt.Errorf("kernel: destination has %d cells, want K=%d", len(dst), ck.k)
 	}
-	ck.membershipsInto(dst, x)
+	s := ck.pool.Get().(*scratch)
+	Forward(ck.prm, ck.protos, ck.alpha, x, s.raw, s.g, dst, nil)
+	ck.pool.Put(s)
 	return nil
-}
-
-// transformRowInto runs the fused membership + prototype-mix for one
-// record using the given scratch.
-func (ck *CompiledKernel) transformRowInto(s *scratch, dst, x []float64) {
-	ck.membershipsInto(s.u, x)
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i, ui := range s.u {
-		row := ck.proto(i)
-		for j, v := range row {
-			dst[j] += ui * v
-		}
-	}
 }
 
 // TransformRowInto writes the transformed record x̃ = Σ_k u_k·v_k into
@@ -288,7 +297,7 @@ func (ck *CompiledKernel) TransformRowInto(dst, x []float64) error {
 		return fmt.Errorf("kernel: destination has %d cells, want N=%d", len(dst), ck.n)
 	}
 	s := ck.pool.Get().(*scratch)
-	ck.transformRowInto(s, dst, x)
+	Forward(ck.prm, ck.protos, ck.alpha, x, s.raw, s.g, s.u, dst)
 	ck.pool.Put(s)
 	return nil
 }
@@ -311,7 +320,7 @@ func (ck *CompiledKernel) TransformInto(dst, x *mat.Dense, workers int) error {
 	if workers <= 1 {
 		s := ck.pool.Get().(*scratch)
 		for i := 0; i < rows; i++ {
-			ck.transformRowInto(s, dst.Row(i), x.Row(i))
+			Forward(ck.prm, ck.protos, ck.alpha, x.Row(i), s.raw, s.g, s.u, dst.Row(i))
 		}
 		ck.pool.Put(s)
 		return nil
@@ -319,7 +328,7 @@ func (ck *CompiledKernel) TransformInto(dst, x *mat.Dense, workers int) error {
 	par.Chunks(rows).Run(workers, func(_, lo, hi int) {
 		s := ck.pool.Get().(*scratch)
 		for i := lo; i < hi; i++ {
-			ck.transformRowInto(s, dst.Row(i), x.Row(i))
+			Forward(ck.prm, ck.protos, ck.alpha, x.Row(i), s.raw, s.g, s.u, dst.Row(i))
 		}
 		ck.pool.Put(s)
 	})

@@ -35,8 +35,8 @@ func randomRow(rng *rand.Rand, n int) []float64 {
 // TestFloat64BitIdentity sweeps kernels, Minkowski exponents and rooting.
 // For each configuration the Float64 fused row transform must equal,
 // bit for bit, the prototype mix Σ_k u_k·v_k of the Float64 memberships.
-// The Float64 path itself is pinned to the training forward passes by
-// the ifair and lfr package tests.
+// Training calls the same Forward; the ifair and lfr package tests check
+// that it does so with the configuration Compile serves.
 func TestFloat64BitIdentity(t *testing.T) {
 	const k, n = 5, 9
 	rng := rand.New(rand.NewSource(7))
@@ -198,6 +198,143 @@ func TestKernelZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("TransformInto(workers=1) allocates %v/op, want 0", n)
 	}
+	raw, g := make([]float64, 8), make([]float64, 8)
+	for _, prm := range []kernel.Params{
+		{P: 2, Membership: kernel.Exp},
+		{P: 1.5, TakeRoot: true, Membership: kernel.Inverse},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			kernel.Forward(prm, m.Prototypes.Data(), m.Alpha, x, raw, g, u, dst)
+		}); n != 0 {
+			t.Errorf("Forward(%+v) allocates %v/op, want 0", prm, n)
+		}
+	}
+}
+
+// TestKernelDistanceGeneralP pins the Def. 7 distance of the forward
+// pass: raw is the rootless sum for every p, and TakeRoot applies the
+// 1/p root on top of it before the membership weighting.
+func TestKernelDistanceGeneralP(t *testing.T) {
+	x := []float64{0, 0}
+	v := []float64{3, 4}
+	w := []float64{1, 1}
+	raw, g, u := make([]float64, 1), make([]float64, 1), make([]float64, 1)
+	kernel.Forward(kernel.Params{P: 2}, v, w, x, raw, g, u, nil)
+	if raw[0] != 25 {
+		t.Fatalf("squared p=2 distance = %v, want 25", raw[0])
+	}
+	kernel.Forward(kernel.Params{P: 2, TakeRoot: true, Membership: kernel.Inverse}, v, w, x, raw, g, u, nil)
+	if raw[0] != 25 {
+		t.Fatalf("rooted p=2 raw distance = %v, want the rootless 25", raw[0])
+	}
+	if got := 1/g[0] - 1; math.Abs(got-5) > 1e-12 {
+		t.Fatalf("rooted p=2 distance = %v, want 5", got)
+	}
+	kernel.Forward(kernel.Params{P: 1, TakeRoot: true, Membership: kernel.Inverse}, v, w, x, raw, g, u, nil)
+	if got := 1/g[0] - 1; math.Abs(raw[0]-7) > 1e-12 || math.Abs(got-7) > 1e-12 {
+		t.Fatalf("p=1 distance = %v (raw %v), want 7", got, raw[0])
+	}
+}
+
+// FuzzForward checks the row forward pass against its definition for
+// any prototype count, width, exponent p ∈ [1, 4], rooting and
+// membership. Cell values come from the fuzzed bytes, scaled into
+// [−1, 1) (weights into [0, 1)), so every input is finite and every
+// distance stays small enough for the naive reference below — softmax
+// without the max-shift, math.Exp taken directly — not to underflow.
+// Properties: u ≥ 0, Σu = 1, every x̃_j inside the prototypes' range in
+// column j, and agreement with the reference to 1e-12 relative.
+func FuzzForward(f *testing.F) {
+	f.Add(uint8(3), uint8(4), 2.0, false, false, []byte{1, 200, 37, 90, 128, 5})
+	f.Add(uint8(1), uint8(1), 1.0, true, true, []byte{255})
+	f.Add(uint8(7), uint8(7), 3.5, true, false, []byte("prototype mixture"))
+	f.Add(uint8(5), uint8(2), 1.25, false, true, []byte{})
+	f.Fuzz(func(t *testing.T, kb, nb uint8, p float64, takeRoot, inverse bool, data []byte) {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return
+		}
+		k, n := 1+int(kb%8), 1+int(nb%8)
+		p = 1 + math.Mod(math.Abs(p), 3)
+		next := 0
+		cell := func() float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[next%len(data)]
+			next++
+			return float64(int8(b)) / 128
+		}
+		protos, alpha, x := make([]float64, k*n), make([]float64, n), make([]float64, n)
+		for i := range protos {
+			protos[i] = cell()
+		}
+		for j := range x {
+			x[j] = cell()
+			alpha[j] = (cell() + 1) / 2
+		}
+		prm := kernel.Params{P: p, TakeRoot: takeRoot}
+		if inverse {
+			prm.Membership = kernel.Inverse
+		}
+		raw, g, u, xt := make([]float64, k), make([]float64, k), make([]float64, k), make([]float64, n)
+		kernel.Forward(prm, protos, alpha, x, raw, g, u, xt)
+
+		// Naive reference, straight from Defs. 3, 7 and 8.
+		wantRaw, wantU, wantX := make([]float64, k), make([]float64, k), make([]float64, n)
+		var sum float64
+		for kk := 0; kk < k; kk++ {
+			for j := 0; j < n; j++ {
+				wantRaw[kk] += alpha[j] * math.Pow(math.Abs(x[j]-protos[kk*n+j]), p)
+			}
+			d := wantRaw[kk]
+			if takeRoot {
+				d = math.Pow(d, 1/p)
+			}
+			if inverse {
+				wantU[kk] = 1 / (1 + d)
+			} else {
+				wantU[kk] = math.Exp(-d)
+			}
+			sum += wantU[kk]
+		}
+		for kk := range wantU {
+			wantU[kk] /= sum
+		}
+		near := func(got, want, scale float64) bool {
+			return math.Abs(got-want) <= 1e-12*scale
+		}
+		var usum float64
+		for kk := 0; kk < k; kk++ {
+			if u[kk] < 0 {
+				t.Fatalf("u[%d] = %v < 0", kk, u[kk])
+			}
+			usum += u[kk]
+			if !near(raw[kk], wantRaw[kk], math.Abs(wantRaw[kk])) {
+				t.Fatalf("raw[%d] = %v, reference %v", kk, raw[kk], wantRaw[kk])
+			}
+			if !near(u[kk], wantU[kk], wantU[kk]) {
+				t.Fatalf("u[%d] = %v, reference %v", kk, u[kk], wantU[kk])
+			}
+		}
+		if math.Abs(usum-1) > 1e-12*float64(k) {
+			t.Fatalf("Σu = %v, want 1", usum)
+		}
+		for j := 0; j < n; j++ {
+			lo, hi, scale := math.Inf(1), math.Inf(-1), 0.0
+			for kk := 0; kk < k; kk++ {
+				v := protos[kk*n+j]
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+				wantX[j] += wantU[kk] * v
+				scale += wantU[kk] * math.Abs(v)
+			}
+			if tol := 1e-12 * float64(k) * math.Max(math.Abs(lo), math.Abs(hi)); xt[j] < lo-tol || xt[j] > hi+tol {
+				t.Fatalf("x̃[%d] = %v outside the prototype range [%v, %v]", j, xt[j], lo, hi)
+			}
+			if !near(xt[j], wantX[j], scale) {
+				t.Fatalf("x̃[%d] = %v, reference %v", j, xt[j], wantX[j])
+			}
+		}
+	})
 }
 
 // TestProjectionBitIdentity checks the compiled linear projection against

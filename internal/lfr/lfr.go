@@ -156,8 +156,8 @@ func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Opt
 func (md *Model) Compile() (*kernel.CompiledKernel, error) {
 	return kernel.Compile(kernel.Spec{
 		Prototypes: md.Prototypes,
-		P:          2,
-		Membership: kernel.Exp,
+		P:          forwardParams.P,
+		Membership: forwardParams.Membership,
 	})
 }
 

@@ -3,12 +3,14 @@ package lfr
 import (
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/optimize"
+	"repro/internal/par"
 )
 
 // labelledData builds records whose label depends on feature 0 and whose
@@ -276,13 +278,16 @@ func TestRestartsNotWorse(t *testing.T) {
 }
 
 // TestEvalBitIdenticalAcrossWorkers: the chunked objective reduces
-// per-chunk partials in chunk order (internal/par), so loss and gradient
-// are bit-identical for every worker count — on repeated evaluations
-// too.
+// per-chunk partials in chunk order (internal/par) and its forward pass
+// writes only chunk-local scratch, so loss and gradient are
+// bit-identical for every worker count — on repeated evaluations too.
+// IFAIR_TEST_WORKER_SWEEP=1 (set by `make test-workers`) widens the
+// sweep to every worker count in [2, 17] and to record counts on both
+// sides of par.MaxChunks.
 func TestEvalBitIdenticalAcrossWorkers(t *testing.T) {
-	eval := func(workers int) (float64, float64, []float64) {
+	eval := func(m, workers int) (float64, float64, []float64) {
 		rng := rand.New(rand.NewSource(13))
-		x, y, prot := labelledData(rng, 57)
+		x, y, prot := labelledData(rng, m)
 		opts := Options{K: 3, Az: 1, Ax: 1, Ay: 1, Workers: workers}
 		if err := opts.fill(); err != nil {
 			t.Fatal(err)
@@ -294,15 +299,26 @@ func TestEvalBitIdenticalAcrossWorkers(t *testing.T) {
 		l2 := obj.Eval(theta, grad)
 		return l1, l2, grad
 	}
-	want1, want2, wantGrad := eval(1)
-	for _, w := range []int{2, 3, 5, 8, 16, 17} {
-		got1, got2, gotGrad := eval(w)
-		if math.Float64bits(got1) != math.Float64bits(want1) || math.Float64bits(got2) != math.Float64bits(want2) {
-			t.Fatalf("workers=%d: losses (%v, %v) != sequential (%v, %v)", w, got1, got2, want1, want2)
+	sizes := []int{57}
+	workers := []int{2, 3, 5, 8, 16, 17}
+	if os.Getenv("IFAIR_TEST_WORKER_SWEEP") != "" {
+		sizes = []int{1, 2, par.MaxChunks - 1, par.MaxChunks, par.MaxChunks + 1, 57, 2 * par.MaxChunks}
+		workers = workers[:0]
+		for w := 2; w <= 17; w++ {
+			workers = append(workers, w)
 		}
-		for i := range wantGrad {
-			if math.Float64bits(gotGrad[i]) != math.Float64bits(wantGrad[i]) {
-				t.Fatalf("workers=%d: grad[%d] = %v != sequential %v", w, i, gotGrad[i], wantGrad[i])
+	}
+	for _, m := range sizes {
+		want1, want2, wantGrad := eval(m, 1)
+		for _, w := range workers {
+			got1, got2, gotGrad := eval(m, w)
+			if math.Float64bits(got1) != math.Float64bits(want1) || math.Float64bits(got2) != math.Float64bits(want2) {
+				t.Fatalf("m=%d workers=%d: losses (%v, %v) != sequential (%v, %v)", m, w, got1, got2, want1, want2)
+			}
+			for i := range wantGrad {
+				if math.Float64bits(gotGrad[i]) != math.Float64bits(wantGrad[i]) {
+					t.Fatalf("m=%d workers=%d: grad[%d] = %v != sequential %v", m, w, i, gotGrad[i], wantGrad[i])
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/par"
 )
@@ -53,6 +54,10 @@ type objective struct {
 }
 
 const parityEps = 1e-8
+
+// forwardParams is LFR's map: unweighted squared-Euclidean distances with
+// softmax memberships, in training and in Model.Compile.
+var forwardParams = kernel.Params{P: 2, Membership: kernel.Exp}
 
 func newObjective(x *mat.Dense, y, protected []bool, opts Options) *objective {
 	m, n := x.Dims()
@@ -147,7 +152,7 @@ func (o *objective) Eval(theta, grad []float64) float64 {
 	o.meanProtPart.Reset()
 	o.meanUnprotPart.Reset()
 	o.plan.Run(o.workers, func(c, lo, hi int) {
-		o.lossC[c] = o.forwardRange(protos,
+		o.lossC[c] = o.forwardRange(protos, o.q[c],
 			o.meanProtPart.Buf(c, o.meanProt),
 			o.meanUnprotPart.Buf(c, o.meanUnprot), lo, hi)
 	})
@@ -182,41 +187,25 @@ func (o *objective) Eval(theta, grad []float64) float64 {
 // forwardRange computes memberships, reconstructions and the upstream
 // ∂L/∂x̂ for records [lo, hi), accumulating the per-group mean
 // memberships into the given chunk-local buffers and returning the
-// chunk's loss contribution.
-func (o *objective) forwardRange(protos, meanProt, meanUnprot []float64, lo, hi int) float64 {
-	k := o.opts.K
+// chunk's loss contribution. raw is chunk-local K-sized scratch for
+// kernel.Forward's distances (the chunk's backward q buffer, which is
+// free until the backward pass).
+func (o *objective) forwardRange(protos, raw, meanProt, meanUnprot []float64, lo, hi int) float64 {
 	var loss float64
 	for i := lo; i < hi; i++ {
 		xi := o.x.Row(i)
 		ui := o.u.Row(i)
-		maxZ := math.Inf(-1)
-		for kk := 0; kk < k; kk++ {
-			z := -mat.SqDist(xi, protos[kk*o.n:(kk+1)*o.n])
-			ui[kk] = z
-			if z > maxZ {
-				maxZ = z
-			}
-		}
-		var sum float64
-		for kk := 0; kk < k; kk++ {
-			ui[kk] = math.Exp(ui[kk] - maxZ)
-			sum += ui[kk]
-		}
 		xhi := o.xh.Row(i)
+		kernel.Forward(forwardParams, protos, nil, xi, raw, nil, ui, xhi)
 		gi := o.g.Row(i)
-		for n := range xhi {
-			xhi[n] = 0
-			gi[n] = 0
-		}
+		clear(gi)
 		var yhat float64
-		for kk := 0; kk < k; kk++ {
-			ui[kk] /= sum
-			mat.AddScaled(xhi, ui[kk], protos[kk*o.n:(kk+1)*o.n])
-			yhat += ui[kk] * o.w[kk]
+		for kk, uk := range ui {
+			yhat += uk * o.w[kk]
 			if o.protected[i] {
-				meanProt[kk] += ui[kk] / o.nProt
+				meanProt[kk] += uk / o.nProt
 			} else {
-				meanUnprot[kk] += ui[kk] / o.nUnprot
+				meanUnprot[kk] += uk / o.nUnprot
 			}
 		}
 		// reconstruction loss

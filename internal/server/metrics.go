@@ -9,7 +9,9 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -232,37 +234,55 @@ func (m *Metrics) GaugeFunc(name string, fn func() float64, labels ...string) {
 }
 
 // RegisterProcessMetrics adds process-level health gauges sampled at
-// scrape time: goroutine count, heap bytes, and the p99 GC pause over
-// the runtime's recent-pause ring. Replicas and the router both export
-// them, so fleet dashboards (and the router's probes) can tell a busy
-// backend from a sick one.
+// scrape time: goroutine count, heap bytes, and the p99 GC pause
+// estimated from the runtime's cumulative pause histogram. Replicas and
+// the router both export them, so fleet dashboards (and the router's
+// probes) can tell a busy backend from a sick one. The gauges read
+// runtime/metrics, which, unlike runtime.ReadMemStats, does not stop the
+// world.
 func RegisterProcessMetrics(m *Metrics) {
 	m.GaugeFunc("go_goroutines", func() float64 {
 		return float64(runtime.NumGoroutine())
 	})
 	m.GaugeFunc("go_heap_alloc_bytes", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
+		return float64(readRuntimeMetric("/memory/classes/heap/objects:bytes").Uint64())
 	})
 	m.GaugeFunc("go_gc_pause_p99_seconds", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		n := int(ms.NumGC)
-		if n == 0 {
-			return 0
-		}
-		if n > len(ms.PauseNs) {
-			n = len(ms.PauseNs)
-		}
-		pauses := make([]float64, n)
-		for i := 0; i < n; i++ {
-			pauses[i] = float64(ms.PauseNs[i])
-		}
-		sort.Float64s(pauses)
-		idx := int(0.99 * float64(n-1))
-		return pauses[idx] / 1e9
+		return histogramQuantile(readRuntimeMetric("/sched/pauses/total/gc:seconds").Float64Histogram(), 0.99)
 	})
+}
+
+// readRuntimeMetric samples one runtime/metrics value. Both names above
+// exist in every Go release go.mod admits (1.22 and later).
+func readRuntimeMetric(name string) rtmetrics.Value {
+	s := []rtmetrics.Sample{{Name: name}}
+	rtmetrics.Read(s)
+	return s[0].Value
+}
+
+// histogramQuantile estimates quantile q of a runtime histogram as the
+// upper edge of the bucket holding the q-th observation (its lower edge
+// when the bucket is unbounded above), or 0 when it holds none.
+func histogramQuantile(h *rtmetrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var cum uint64
+	for i, c := range h.Counts {
+		cum += c
+		if cum >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return math.Max(h.Buckets[i], 0)
+		}
+	}
+	return 0
 }
 
 // WriteTo renders every metric in the Prometheus plain-text format, with

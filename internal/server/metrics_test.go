@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,6 +162,7 @@ func TestGaugeFuncExposition(t *testing.T) {
 func TestProcessMetricsExposition(t *testing.T) {
 	m := NewMetrics()
 	RegisterProcessMetrics(m)
+	runtime.GC() // at least one pause in the runtime's histogram
 	var sb strings.Builder
 	if _, err := m.WriteTo(&sb); err != nil {
 		t.Fatal(err)
@@ -172,21 +174,22 @@ func TestProcessMetricsExposition(t *testing.T) {
 		}
 	}
 	// The gauges sample live process state at scrape time: a running test
-	// binary always has ≥ 1 goroutine and a non-zero heap.
+	// binary always has ≥ 1 goroutine and a non-zero heap, and after a
+	// collection the pause estimate is a finite, non-negative duration.
 	for _, line := range strings.Split(out, "\n") {
 		fields := strings.Fields(line)
-		if len(fields) != 2 {
+		if len(fields) != 2 || !strings.HasPrefix(fields[0], "go_") {
 			continue
 		}
-		switch fields[0] {
-		case "go_goroutines", "go_heap_alloc_bytes":
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				t.Fatalf("%s value %q: %v", fields[0], fields[1], err)
-			}
-			if v <= 0 {
-				t.Fatalf("%s = %v, want > 0", fields[0], v)
-			}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("%s value %q: %v", fields[0], fields[1], err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			t.Fatalf("%s = %v, want finite and ≥ 0", fields[0], v)
+		}
+		if fields[0] != "go_gc_pause_p99_seconds" && v == 0 {
+			t.Fatalf("%s = 0, want > 0", fields[0])
 		}
 	}
 }

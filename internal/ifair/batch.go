@@ -1,100 +1,8 @@
 package ifair
 
-import (
-	"repro/internal/mat"
-)
-
-// batchState is the mini-batch evaluation scratch. Where the full
-// objective keeps five M-row matrices, the batch path keeps the same
-// five matrices sized to the largest evaluation list it has seen — the
-// batch records plus the partners of the fairness pairs they own — so
-// memory stays flat in the dataset size. Everything here is allocated
-// once, on the first EvalBatch (the SGD warm-up), at the worst-case list
-// length; after that an epoch runs without a single M-sized allocation.
-type batchState struct {
-	// ownOff is the CSR ownership index into objective.pairs: record i
-	// owns pairs[ownOff[i]:ownOff[i+1]] (every builder emits pairs in
-	// non-decreasing pair.i order). Each pair is owned by exactly one
-	// record, so summing the batch sub-objectives of one epoch counts
-	// every utility term and every pair term exactly once.
-	ownOff []int32
-	// pos maps a record index to its position in the current evaluation
-	// list, −1 when absent. M entries of int32 — the one dataset-sized
-	// buffer the batch path keeps, reset to −1 after every evaluation by
-	// walking the list.
-	pos []int32
-	// list is the evaluation list: the batch records first, then the
-	// deduplicated partner records of their owned pairs.
-	list []int
-
-	// Per-evaluation-row forward state, capRows rows each.
-	u, raw, gval *mat.Dense // memberships, raw distances, kernel weights
-	xt, g        *mat.Dense // transforms and upstream gradients
-	capRows      int
-
-	q []float64 // K-sized backward scratch
-}
-
 // Items implements optimize.BatchObjective: the decomposable work items
 // are the records.
 func (o *objective) Items() int { return o.m }
-
-// ensureBatch builds the batch evaluation state on first use. batchLen
-// is the current batch length; the first SGD evaluation uses the full
-// configured batch size, so the worst-case list length — batch records
-// plus each record's maximum owned-pair count — is known at warm-up.
-func (o *objective) ensureBatch(batchLen int) *batchState {
-	if o.batch != nil {
-		return o.batch
-	}
-	b := &batchState{q: make([]float64, o.opts.K)}
-	b.ownOff = make([]int32, o.m+1)
-	for _, pr := range o.pairs {
-		b.ownOff[pr.i+1]++
-	}
-	maxOwned := 0
-	for i := 0; i < o.m; i++ {
-		if c := int(b.ownOff[i+1]); c > maxOwned {
-			maxOwned = c
-		}
-		b.ownOff[i+1] += b.ownOff[i]
-	}
-	capRows := batchLen * (1 + maxOwned)
-	if capRows > o.m {
-		capRows = o.m
-	}
-	if capRows < batchLen {
-		capRows = batchLen
-	}
-	b.capRows = capRows
-	b.pos = make([]int32, o.m)
-	for i := range b.pos {
-		b.pos[i] = -1
-	}
-	b.list = make([]int, 0, capRows)
-	b.u = mat.NewDense(capRows, o.opts.K)
-	b.raw = mat.NewDense(capRows, o.opts.K)
-	b.gval = mat.NewDense(capRows, o.opts.K)
-	b.xt = mat.NewDense(capRows, o.n)
-	b.g = mat.NewDense(capRows, o.n)
-	o.batch = b
-	return b
-}
-
-// growBatch re-sizes the per-row matrices when an evaluation list
-// outgrows the warm-up estimate (possible only when later batches are
-// larger than the first one).
-func (o *objective) growBatch(b *batchState, rows int) {
-	if rows <= b.capRows {
-		return
-	}
-	b.capRows = rows
-	b.u = mat.NewDense(rows, o.opts.K)
-	b.raw = mat.NewDense(rows, o.opts.K)
-	b.gval = mat.NewDense(rows, o.opts.K)
-	b.xt = mat.NewDense(rows, o.n)
-	b.g = mat.NewDense(rows, o.n)
-}
 
 // EvalBatch implements optimize.BatchObjective: the sub-objective
 //
@@ -104,87 +12,67 @@ func (o *objective) growBatch(b *batchState, rows int) {
 // Partner records of owned pairs are transformed — the gradient flows
 // through both endpoints of every pair — but contribute no utility term,
 // so summing L_B over one epoch's batches counts each term of Def. 9
-// exactly once. The evaluation runs serially: batches are small, the
-// restart pool provides the coarse-grained parallelism, and a serial
-// pass is trivially bit-identical for every Workers value (the
-// internal/par contract the full-objective path guarantees by chunk
-// ordering).
+// exactly once. The batch runs through the full objective's evaluation
+// (eval) over its own list, chunked with internal/par, so it is
+// bit-identical for every Workers value.
 func (o *objective) EvalBatch(batch []int, theta, grad []float64) float64 {
-	b := o.ensureBatch(len(batch))
-	alpha, protos := o.decode(theta)
-	for i := range grad {
-		grad[i] = 0
-	}
-	gradA := grad[:o.n]
-	gradV := grad[o.n:]
+	return o.eval(o.batchList(batch), theta, grad)
+}
 
-	// Assemble the evaluation list: batch rows, then unseen partners.
-	list := b.list[:0]
+// batchList assembles batch's evaluation list in o.batch: the batch
+// records, then the unseen partners of the pairs they own, with the
+// owned pairs rewritten to list rows (in batch order, then pair order)
+// and indexed by the same adjacency builder as the full list. The list
+// and the evaluation scratch are reserved for the worst case of the
+// batch length — every record owning the most pairs any record owns,
+// every partner distinct — so an SGD epoch, whose first batch is its
+// largest, allocates nothing after warm-up.
+func (o *objective) batchList(batch []int) *evalList {
+	if o.pos == nil {
+		o.buildOwnership()
+	}
+	maxRows := min(o.m, len(batch)*(1+o.maxOwned))
+	maxPairs := len(batch) * o.maxOwned
+	o.reserve(maxRows, maxPairs)
+	l := &o.batch
+	l.reserve(maxRows, maxPairs)
+
 	for _, i := range batch {
-		b.pos[i] = int32(len(list))
-		list = append(list, i)
+		o.pos[i] = int32(len(l.rows))
+		l.rows = append(l.rows, i)
 	}
-	withFair := o.opts.Mu > 0 && len(o.pairs) > 0
-	if withFair {
-		for _, i := range batch {
-			for p := b.ownOff[i]; p < b.ownOff[i+1]; p++ {
-				j := o.pairs[p].j
-				if b.pos[j] < 0 {
-					b.pos[j] = int32(len(list))
-					list = append(list, j)
-				}
+	l.nUtil = len(batch)
+	for _, i := range batch {
+		for p := o.ownOff[i]; p < o.ownOff[i+1]; p++ {
+			j := o.full.pairs[p].j
+			if o.pos[j] < 0 {
+				o.pos[j] = int32(len(l.rows))
+				l.rows = append(l.rows, j)
 			}
+			l.pairs = append(l.pairs, pair{int(o.pos[i]), int(o.pos[j])})
+			l.target = append(l.target, o.full.target[p])
 		}
 	}
-	b.list = list
-	o.growBatch(b, len(list))
+	for _, rec := range l.rows {
+		o.pos[rec] = -1
+	}
+	l.adj.build(len(l.rows), l.pairs)
+	return l
+}
 
-	// Forward: memberships and transforms for every listed row; utility
-	// loss and gradient only for the batch-owned prefix.
-	var loss float64
-	for e, rec := range list {
-		loss += o.forwardRecord(alpha, protos, o.x.Row(rec),
-			b.u.Row(e), b.raw.Row(e), b.gval.Row(e), b.xt.Row(e), b.g.Row(e),
-			e < len(batch))
+// buildOwnership builds the ownership index and the all-absent position
+// map on the first EvalBatch.
+func (o *objective) buildOwnership() {
+	o.ownOff = make([]int32, o.m+1)
+	for _, pr := range o.full.pairs {
+		o.ownOff[pr.i+1]++
 	}
-
-	// Fairness terms of the owned pairs, accumulating the upstream
-	// gradient into both endpoints' g rows.
-	if withFair {
-		mu := o.opts.Mu
-		for _, i := range batch {
-			for p := b.ownOff[i]; p < b.ownOff[i+1]; p++ {
-				pr := o.pairs[p]
-				xti := b.xt.Row(int(b.pos[pr.i]))
-				xtj := b.xt.Row(int(b.pos[pr.j]))
-				d := mat.SqDist(xti, xtj)
-				e := d - o.target[p]
-				loss += mu * e * e
-				w := 4 * mu * e
-				gi := b.g.Row(int(b.pos[pr.i]))
-				gj := b.g.Row(int(b.pos[pr.j]))
-				for n := range xti {
-					diff := xti[n] - xtj[n]
-					gi[n] += w * diff
-					gj[n] -= w * diff
-				}
-			}
-		}
+	for i := 0; i < o.m; i++ {
+		o.maxOwned = max(o.maxOwned, int(o.ownOff[i+1]))
+		o.ownOff[i+1] += o.ownOff[i]
 	}
-
-	// Backward through every listed row (partners carry fairness-only
-	// upstream gradients), then reset the position map.
-	for e, rec := range list {
-		o.backwardRecord(alpha, protos, b.q, gradV, gradA,
-			o.x.Row(rec), b.u.Row(e), b.raw.Row(e), b.gval.Row(e), b.g.Row(e))
+	o.pos = make([]int32, o.m)
+	for i := range o.pos {
+		o.pos[i] = -1
 	}
-	for _, rec := range list {
-		b.pos[rec] = -1
-	}
-
-	// Chain through α = a².
-	for n := 0; n < o.n; n++ {
-		gradA[n] *= 2 * theta[n]
-	}
-	return loss
 }

@@ -13,7 +13,9 @@ import (
 // the mini-batch path: because every record's utility term and every
 // fairness pair is owned by exactly one batch, summing the sub-objective
 // (and its gradient) over any partition of the records must reproduce
-// the full objective bit-for-bit up to floating-point reassociation.
+// the full objective up to floating-point reassociation — and exactly,
+// bit for bit, for the single in-order batch of every record, whose
+// evaluation list is the full objective's.
 func TestEvalBatchPartitionSumsToFullObjective(t *testing.T) {
 	for _, mode := range []FairnessMode{PairwiseFairness, SampledFairness, NeighborFairness} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -50,6 +52,17 @@ func TestEvalBatchPartitionSumsToFullObjective(t *testing.T) {
 					for i := range grad {
 						sumGrad[i] += grad[i]
 					}
+				}
+				if batchSize == m {
+					if sumLoss != fullLoss {
+						t.Fatalf("one batch: loss %v != full loss %v", sumLoss, fullLoss)
+					}
+					for i := range fullGrad {
+						if sumGrad[i] != fullGrad[i] {
+							t.Fatalf("one batch: grad[%d] = %v, full %v", i, sumGrad[i], fullGrad[i])
+						}
+					}
+					continue
 				}
 				if math.Abs(sumLoss-fullLoss) > 1e-9*(1+math.Abs(fullLoss)) {
 					t.Fatalf("batch=%d: summed loss %v != full loss %v", batchSize, sumLoss, fullLoss)
@@ -125,7 +138,7 @@ func TestEvalBatchAllocFree(t *testing.T) {
 }
 
 // TestEvalBatchCloneSkipsFullScratch: a clone that only trains through
-// the batch path must not allocate the five M-row matrices.
+// the batch path must not grow its evaluation scratch to M rows.
 func TestEvalBatchCloneSkipsFullScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, n := 100, 3
@@ -142,12 +155,12 @@ func TestEvalBatchCloneSkipsFullScratch(t *testing.T) {
 	theta := initialTheta(x, opts, rng)
 	grad := make([]float64, c.paramLen())
 	c.EvalBatch([]int{0, 1, 2}, theta, grad)
-	if c.u != nil {
-		t.Fatal("batch evaluation allocated the M-row scratch")
+	if rows := c.u.Rows(); rows >= m {
+		t.Fatalf("batch evaluation sized the scratch to %d rows, want < %d", rows, m)
 	}
 	c.Eval(theta, grad) // full path still works on demand
-	if c.u == nil {
-		t.Fatal("full evaluation did not allocate its scratch")
+	if rows := c.u.Rows(); rows != m {
+		t.Fatalf("full evaluation sized the scratch to %d rows, want %d", rows, m)
 	}
 }
 

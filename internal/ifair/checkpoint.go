@@ -29,6 +29,14 @@ func checkpointFingerprint(x *mat.Dense, o *Options) string {
 		o.Fairness, o.PairSamples, o.NeighborK, o.P, o.TakeRoot, o.Kernel,
 		o.ForceNumericalGradient, o.MaxIterations, o.UseGradientDescent,
 		o.BatchSize, o.Epochs, o.LearnRate)
+	// Mini-batch evaluations sum in chunk order (eval), which rounds
+	// differently from the serial pass older SGD snapshots were taken
+	// under; this tag keeps those snapshots from resuming into a run that
+	// would not reproduce them. Full-batch arithmetic did not change, so
+	// full-batch fingerprints stay as they were.
+	if o.BatchSize > 0 {
+		fmt.Fprint(h, "batcheval=chunked|")
+	}
 	// A warm start changes restart 0's trajectory, so its parameters are
 	// part of the problem identity: a checkpoint taken without one (or
 	// from a different donor model) must not be resumed into it.

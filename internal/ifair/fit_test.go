@@ -222,6 +222,42 @@ func TestLossesUtilityMatchesManual(t *testing.T) {
 	}
 }
 
+// TestLossesMatchesObjective: Losses fills the options like Fit and
+// reports the components of the objective such a fit trains, in every
+// fairness mode — so λ·util + µ·fair reproduces the objective at the
+// model's parameters, and the sampled and neighbour pair sets are not
+// silently empty.
+func TestLossesMatchesObjective(t *testing.T) {
+	const m, n, k = 60, 4, 3
+	rng := rand.New(rand.NewSource(1))
+	x := randomData(rng, m, n)
+	model := &Model{Prototypes: randomData(rng, k, n), Alpha: make([]float64, n), P: 2}
+	for j := range model.Alpha {
+		model.Alpha[j] = 0.5 + rng.Float64()
+	}
+	for _, mode := range []FairnessMode{PairwiseFairness, SampledFairness, NeighborFairness} {
+		opts := Options{K: k, Lambda: 0.7, Mu: 1.3, Seed: 2, Fairness: mode}
+		util, fair, err := Losses(model, x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fair <= 0 {
+			t.Fatalf("%v: fairness loss %v, want > 0", mode, fair)
+		}
+		if err := opts.fill(m, n); err != nil {
+			t.Fatal(err)
+		}
+		obj := newObjective(x, opts, rand.New(rand.NewSource(opts.Seed)))
+		want := obj.lossOnly(warmStartTheta(model))
+		if got := opts.Lambda*util + opts.Mu*fair; math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("%v: λ·util + µ·fair = %v, objective %v", mode, got, want)
+		}
+	}
+	if _, _, err := Losses(model, mat.NewDense(MaxPairwiseRows+1, n), Options{K: k}); err == nil {
+		t.Fatal("Losses accepted a pairwise problem above MaxPairwiseRows")
+	}
+}
+
 func TestGradientDescentFallbackConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := randomData(rng, 20, 3)

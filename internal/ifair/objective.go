@@ -3,6 +3,7 @@ package ifair
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/knn"
@@ -26,61 +27,141 @@ type pair struct{ i, j int }
 // exponent p ≥ 1, the optional 1/p root, and both membership kernels; a
 // central-difference fallback remains available for validation
 // (Options.ForceNumericalGradient).
+//
+// The full objective and the mini-batch sub-objective are one evaluation
+// (eval) over different evaluation lists: full holds every record and
+// pair, batch is reassembled for each EvalBatch (see batch.go).
 type objective struct {
-	x      *mat.Dense // M×N training records
-	pairs  []pair     // fairness pairs
-	target []float64  // d(x*_i, x*_j) for each pair, squared Euclidean on non-protected dims
-	opts   Options
-	prm    kernel.Params // distance and membership configuration of opts
-	m, n   int
-
-	// scratch buffers reused across evaluations. The five M-row matrices
-	// are allocated lazily on the first full-objective evaluation
-	// (ensureFull): a clone that only ever trains through the mini-batch
-	// path never pays for them — its scratch is batch-sized (see batch.go).
+	x     *mat.Dense // M×N training records
+	opts  Options
+	prm   kernel.Params // distance and membership configuration of opts
+	m, n  int
 	alpha []float64
-	u     *mat.Dense // M×K memberships
-	raw   *mat.Dense // M×K rootless kernel distances s_ik (for the root chain)
-	gval  *mat.Dense // M×K kernel weights g(D_ik) (InverseKernel backward)
-	xt    *mat.Dense // M×N transformed records
-	g     *mat.Dense // M×N upstream gradient ∂L/∂x̃
 
-	// batch is the mini-batch evaluation state (lazily built by EvalBatch).
-	batch *batchState
+	// full is the full objective's evaluation list: the identity over the
+	// records, all of them owning their utility terms, and every fairness
+	// pair owned, its target d(x*_i, x*_j) the squared Euclidean distance
+	// on the non-protected dims. Like x it is problem data, shared
+	// read-only between clones.
+	full evalList
 
-	// Chunked-parallel state. Both plans are fixed by the problem sizes
-	// alone (records and fairness pairs respectively), so every partial
-	// buffer below has exactly one cell per chunk that runs and every
-	// reduction combines them in chunk order — the evaluation is
-	// bit-identical for any Workers value. See internal/par.
+	// Mini-batch state, built on the first EvalBatch: the reusable list,
+	// the CSR ownership index (record i owns the pairs
+	// full.pairs[ownOff[i]:ownOff[i+1]]; every builder emits pairs in
+	// non-decreasing pair.i order, so each pair is owned by exactly one
+	// record), the largest owned-pair count, and pos, the record →
+	// list-row map used while assembling a list (−1 for absent records,
+	// restored after every assembly).
+	batch    evalList
+	ownOff   []int32
+	maxOwned int
+	pos      []int32
+
+	// Evaluation scratch, one row per list row. reserve grows it to the
+	// largest list evaluated so far: M rows once the full objective has
+	// run, batch-bounded for a clone that only trains on mini-batches.
+	u        *mat.Dense // memberships
+	raw      *mat.Dense // rootless kernel distances s_ik (for the root chain)
+	gval     *mat.Dense // kernel weights g(D_ik) (InverseKernel backward)
+	xt       *mat.Dense // transformed records
+	g        *mat.Dense // upstream gradient ∂L/∂x̃
+	pairCoef []float64  // 4µ·e_p of each owned pair, from the loss pass
+
+	// Chunked-parallel state (internal/par). The plans depend only on the
+	// list's row and pair counts, the per-chunk buffers are sized from
+	// those plans, and every reduction combines them in chunk order — so
+	// an evaluation is bit-identical for any Workers value.
 	workers   int
-	planRec   par.Plan      // chunk plan over the m records
-	planPair  par.Plan      // chunk plan over the fairness pairs
-	lossRec   par.Scalars   // per-chunk forward losses
+	lossRec   par.Scalars   // per-chunk utility losses
 	lossPair  par.Scalars   // per-chunk fairness losses
-	q         [][]float64   // upstream on u, one buffer per record chunk
-	gradVPart *par.Partials // partial prototype gradients (backward)
-	gradAPart *par.Partials // partial α gradients (backward)
+	q         [][]float64   // K-sized backward scratch, one per row chunk
+	gradVPart *par.Partials // partial prototype gradients
+	gradAPart *par.Partials // partial α gradients
 
-	// Fairness backward indices: pairCoef[p] holds 4µ·e_p from the loss
-	// pass, and the CSR adjacency (adjOff, adjPair, adjOther) lists for
-	// each record the pairs it appears in plus the opposite endpoint.
-	// Each record's upstream gradient row is then owned by exactly one
-	// chunk, so no per-chunk m×n partial matrices are needed and the
-	// accumulation order per row is fixed by construction.
-	pairCoef []float64
-	adjOff   []int32
-	adjPair  []int32
-	adjOther []int32
+	// run is what the chunk functions read during one evaluation. The
+	// functions are bound once (bind), so handing them to par.Run
+	// allocates no closure per evaluation.
+	run        evalRun
+	forwardFn  func(c, lo, hi int)
+	pairFn     func(c, lo, hi int)
+	backwardFn func(c, lo, hi int)
 }
 
-// newObjective precomputes the fairness pair list and target distances.
+// evalList is the work of one evaluation: the sub-objective
+//
+//	λ·Σ_{e<nUtil} ‖x̃_e − x_e‖² + µ·Σ_{owned p=(e,f)} (d(x̃_e, x̃_f) − t_p)²
+//
+// over list rows e, f. rows names the training record of each list row:
+// the records owning their utility terms first, then the partners of
+// the pairs they own, which are transformed so the fairness gradient
+// can flow through both endpoints.
+type evalList struct {
+	rows   []int     // training record of each list row
+	nUtil  int       // rows[:nUtil] own their utility terms
+	pairs  []pair    // owned fairness pairs, endpoints as list rows
+	target []float64 // target distance of each owned pair
+	adj    adjacency // owned pairs incident to each list row
+}
+
+// reserve grows the list's buffers, emptied, to hold rows rows and pairs
+// owned pairs without reallocating.
+func (l *evalList) reserve(rows, pairs int) {
+	l.rows = slices.Grow(l.rows[:0], rows)
+	l.pairs = slices.Grow(l.pairs[:0], pairs)
+	l.target = slices.Grow(l.target[:0], pairs)
+	l.adj.off = slices.Grow(l.adj.off[:0], rows+1)
+	l.adj.pair = slices.Grow(l.adj.pair[:0], 2*pairs)
+	l.adj.other = slices.Grow(l.adj.other[:0], 2*pairs)
+}
+
+// adjacency is a CSR index of a pair list: row r appears in the pairs
+// pair[off[r]:off[r+1]], in ascending pair order, opposite the rows
+// other[off[r]:off[r+1]]. It gives each row's fairness upstream gradient
+// to exactly one chunk with a fixed accumulation order, so no per-chunk
+// row-sized partials are needed.
+type adjacency struct{ off, pair, other []int32 }
+
+// build indexes pairs over a list of rows rows, reusing the buffers'
+// capacity.
+func (a *adjacency) build(rows int, pairs []pair) {
+	a.off = slices.Grow(a.off[:0], rows+1)[:rows+1]
+	a.pair = slices.Grow(a.pair[:0], 2*len(pairs))[:2*len(pairs)]
+	a.other = slices.Grow(a.other[:0], 2*len(pairs))[:2*len(pairs)]
+	clear(a.off)
+	for _, pr := range pairs {
+		a.off[pr.i]++
+		a.off[pr.j]++
+	}
+	// off[r] becomes the end of row r's entries; filling the pairs in
+	// descending order while decrementing each end leaves off[r] at the
+	// row's start and its entries in ascending pair order.
+	var end int32
+	for r := 0; r < rows; r++ {
+		end += a.off[r]
+		a.off[r] = end
+	}
+	a.off[rows] = end
+	for p := len(pairs) - 1; p >= 0; p-- {
+		pr := pairs[p]
+		a.off[pr.i]--
+		a.pair[a.off[pr.i]], a.other[a.off[pr.i]] = int32(p), int32(pr.j)
+		a.off[pr.j]--
+		a.pair[a.off[pr.j]], a.other[a.off[pr.j]] = int32(p), int32(pr.i)
+	}
+}
+
+// evalRun is the state one evaluation hands its chunk functions.
+type evalRun struct {
+	l            *evalList
+	protos       []float64
+	withGrad     bool
+	gradA, gradV []float64 // the caller's gradient, split at N
+}
+
+// newObjective precomputes the fairness pair list, the target distances
+// and the full evaluation list.
 func newObjective(x *mat.Dense, opts Options, rng *rand.Rand) *objective {
 	m, n := x.Dims()
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	o := &objective{
 		x:       x,
 		opts:    opts,
@@ -88,101 +169,46 @@ func newObjective(x *mat.Dense, opts Options, rng *rand.Rand) *objective {
 		m:       m,
 		n:       n,
 		alpha:   make([]float64, n),
-		workers: workers,
+		workers: max(opts.Workers, 1),
+	}
+	o.full = evalList{rows: make([]int, m), nUtil: m}
+	for i := range o.full.rows {
+		o.full.rows[i] = i
 	}
 	if opts.Mu > 0 {
-		o.pairs = buildPairs(x, opts, rng)
+		pairs := buildPairs(x, opts, rng)
 		nonProt := nonProtectedIndices(n, opts.Protected)
-		o.target = make([]float64, len(o.pairs))
-		for p, pr := range o.pairs {
-			o.target[p] = maskedSqDist(x.Row(pr.i), x.Row(pr.j), nonProt)
+		target := make([]float64, len(pairs))
+		for p, pr := range pairs {
+			target[p] = maskedSqDist(x.Row(pr.i), x.Row(pr.j), nonProt)
 		}
-		o.adjOff, o.adjPair, o.adjOther = buildPairAdjacency(m, o.pairs)
+		o.full.pairs, o.full.target = pairs, target
+		o.full.adj.build(m, pairs)
 	}
-	o.initScratch()
+	o.bind()
 	return o
 }
 
-// ensureFull allocates the M-row evaluation scratch on first use. The
-// full-objective paths (Eval, lossOnly) need one row of each matrix per
-// record; the mini-batch path never calls this.
-func (o *objective) ensureFull() {
-	if o.u != nil {
-		return
-	}
-	o.u = mat.NewDense(o.m, o.opts.K)
-	o.raw = mat.NewDense(o.m, o.opts.K)
-	o.gval = mat.NewDense(o.m, o.opts.K)
-	o.xt = mat.NewDense(o.m, o.n)
-	o.g = mat.NewDense(o.m, o.n)
-	if len(o.pairs) > 0 {
-		o.pairCoef = make([]float64, len(o.pairs))
-	}
-}
-
-// initScratch sizes the per-chunk evaluation buffers from the two
-// chunk plans. Everything here is private mutable state; the problem
-// data (x, pairs, target, adjacency) is shared between clones.
-func (o *objective) initScratch() {
-	o.planRec = par.Chunks(o.m)
-	o.planPair = par.Chunks(len(o.pairs))
-	o.lossRec = o.planRec.NewScalars()
-	o.lossPair = o.planPair.NewScalars()
-	o.gradVPart = o.planRec.NewPartials(o.opts.K * o.n)
-	o.gradAPart = o.planRec.NewPartials(o.n)
-	o.q = make([][]float64, o.planRec.NumChunks())
-	for c := range o.q {
-		o.q[c] = make([]float64, o.opts.K)
-	}
-}
-
-// buildPairAdjacency converts the pair list into a CSR index: for each
-// record i, adjPair[adjOff[i]:adjOff[i+1]] are the pairs i appears in
-// and adjOther the opposite endpoints, in ascending pair order.
-func buildPairAdjacency(m int, pairs []pair) (off, pairIdx, other []int32) {
-	off = make([]int32, m+1)
-	for _, pr := range pairs {
-		off[pr.i+1]++
-		off[pr.j+1]++
-	}
-	for i := 0; i < m; i++ {
-		off[i+1] += off[i]
-	}
-	pairIdx = make([]int32, 2*len(pairs))
-	other = make([]int32, 2*len(pairs))
-	next := make([]int32, m)
-	copy(next, off[:m])
-	for p, pr := range pairs {
-		e := next[pr.i]
-		pairIdx[e], other[e] = int32(p), int32(pr.j)
-		next[pr.i]++
-		e = next[pr.j]
-		pairIdx[e], other[e] = int32(p), int32(pr.i)
-		next[pr.j]++
-	}
-	return off, pairIdx, other
+// bind points the chunk functions at o.
+func (o *objective) bind() {
+	o.forwardFn, o.pairFn, o.backwardFn = o.forwardChunk, o.pairChunk, o.backwardChunk
 }
 
 // clone returns an objective sharing o's immutable problem data — the
-// training matrix, the fairness pair list, the target distances and the
-// pair adjacency — with private scratch buffers, so clones can be
-// evaluated concurrently (one per restart under FitContext).
+// training matrix and the full evaluation list — with private scratch, so clones can be evaluated concurrently
+// (one per restart under FitContext).
 func (o *objective) clone() *objective {
 	c := &objective{
-		x:        o.x,
-		pairs:    o.pairs,
-		target:   o.target,
-		adjOff:   o.adjOff,
-		adjPair:  o.adjPair,
-		adjOther: o.adjOther,
-		opts:     o.opts,
-		prm:      o.prm,
-		m:        o.m,
-		n:        o.n,
-		alpha:    make([]float64, o.n),
-		workers:  o.workers,
+		x:       o.x,
+		full:    o.full,
+		opts:    o.opts,
+		prm:     o.prm,
+		m:       o.m,
+		n:       o.n,
+		alpha:   make([]float64, o.n),
+		workers: o.workers,
 	}
-	c.initScratch()
+	c.bind()
 	return c
 }
 
@@ -234,9 +260,6 @@ func buildPairs(x *mat.Dense, opts Options, rng *rand.Rand) []pair {
 func buildNeighborPairs(x *mat.Dense, opts Options, rng *rand.Rand) []pair {
 	m := x.Rows()
 	k := opts.NeighborK
-	if k <= 0 {
-		k = DefaultNeighborK
-	}
 	tree := opts.prebuiltNeighbors
 	if tree == nil {
 		tree = knn.NewKDTree(nonProtectedMatrix(x, opts.Protected))
@@ -325,37 +348,126 @@ func (o *objective) decode(theta []float64) (alpha []float64, protos []float64) 
 
 // Eval implements optimize.Objective.
 func (o *objective) Eval(theta, grad []float64) float64 {
-	o.ensureFull()
 	if o.opts.analyticGradient() {
-		return o.evalAnalytic(theta, grad)
+		return o.eval(&o.full, theta, grad)
 	}
 	loss := o.lossOnly(theta)
 	optimize.NumericalGradient(o.lossOnly, theta, grad, 1e-6)
 	return loss
 }
 
-// forward computes memberships u, transforms x̃ and the utility loss (plus
-// its upstream gradient into o.g when withGrad is set). Raw distances and
-// kernel weights are recorded for the backward pass.
-func (o *objective) forward(alpha, protos []float64, withGrad bool) float64 {
-	o.planRec.Run(o.workers, func(c, lo, hi int) {
-		o.lossRec[c] = o.forwardRange(alpha, protos, withGrad, lo, hi)
-	})
-	return o.lossRec.Sum()
+// lossOnly evaluates the objective without gradients; it also serves as the
+// finite-difference target for ForceNumericalGradient.
+func (o *objective) lossOnly(theta []float64) float64 {
+	return o.eval(&o.full, theta, nil)
 }
 
-// forwardRange runs the forward pass for records [lo, hi).
-func (o *objective) forwardRange(alpha, protos []float64, withGrad bool, lo, hi int) float64 {
-	var loss float64
-	for i := lo; i < hi; i++ {
-		var gi []float64
-		if withGrad {
-			gi = o.g.Row(i)
+// reserve grows the evaluation scratch to lists of up to rows rows and
+// pairs owned pairs. It never shrinks, so once the first (largest)
+// mini-batch has sized it an SGD epoch allocates nothing.
+func (o *objective) reserve(rows, pairs int) {
+	if o.u == nil || rows > o.u.Rows() {
+		k := o.opts.K
+		o.u, o.raw, o.gval = mat.NewDense(rows, k), mat.NewDense(rows, k), mat.NewDense(rows, k)
+		o.xt, o.g = mat.NewDense(rows, o.n), mat.NewDense(rows, o.n)
+	}
+	if pairs > len(o.pairCoef) {
+		o.pairCoef = make([]float64, pairs)
+	}
+}
+
+// sizeChunks fits the per-chunk buffers to the plans of the list about
+// to be evaluated, rebuilding them only when a chunk count changes (for
+// lists of at least par.MaxChunks rows and pairs, never after the first
+// evaluation). Every cell a reduction reads is therefore written by the
+// evaluation that reads it.
+func (o *objective) sizeChunks(rows, pairs par.Plan) {
+	if o.gradVPart == nil || len(o.lossRec) != rows.NumChunks() {
+		o.lossRec = rows.NewScalars()
+		o.gradVPart = rows.NewPartials(o.opts.K * o.n)
+		o.gradAPart = rows.NewPartials(o.n)
+		o.q = make([][]float64, rows.NumChunks())
+		for c := range o.q {
+			// Spare capacity of one cache line keeps concurrent chunks'
+			// scratch off each other's lines, as par.Partials does.
+			o.q[c] = make([]float64, o.opts.K, o.opts.K+8)
 		}
-		loss += o.forwardRecord(alpha, protos, o.x.Row(i),
-			o.u.Row(i), o.raw.Row(i), o.gval.Row(i), o.xt.Row(i), gi, true)
+	}
+	if len(o.lossPair) != pairs.NumChunks() {
+		o.lossPair = pairs.NewScalars()
+	}
+}
+
+// eval is the one implementation of Def. 9: it evaluates the
+// sub-objective of list l at θ and, when grad is non-nil, writes its
+// gradient in the packed θ layout. Three passes run chunked over the
+// list with internal/par:
+//
+//  1. forward (forwardChunk): memberships and transforms of every row,
+//     the utility terms of the owning rows and their upstream gradients;
+//  2. fairness loss (pairChunk) over the owned pairs, recording each
+//     pair's gradient coefficient;
+//  3. backward (backwardChunk): per row, the fairness upstream gradient
+//     and then backpropagation into per-chunk gradient partials — row
+//     e's backward reads only its own finished g row, so the two fuse.
+//
+// Derivation of pass 3: with raw distance s_ik = Σ_n α_n·|x_in − v_kn|^p,
+// kernel input D_ik = s_ik^{1/p} (or s_ik without the root), membership
+// weight g_ik = g(D_ik) and u = g/Σg, the chain rule gives for upstream
+// q_ik = ∂L/∂u_ik (here q_ik = (∂L/∂x̃_i)·v_k):
+//
+//	∂L/∂D_ik = (g'(D_ik)/S_i)·(q_ik − Σ_l u_il·q_il)
+//	           with g'/S = −u        for g = exp(−D)
+//	           and  g'/S = −u·g      for g = 1/(1+D)
+//	∂D/∂s    = 1 (no root) or (1/p)·s^{1/p−1}
+//	∂s/∂v_kn = −α_n·p·|x_in − v_kn|^{p−1}·sign(x_in − v_kn)
+//	∂s/∂α_n  = |x_in − v_kn|^p
+//	∂L/∂a_n  = ∂L/∂α_n · 2a_n                     (α = a²)
+//
+// plus the direct path ∂L/∂v_kn += Σ_i u_ik·(∂L/∂x̃_i)_n.
+func (o *objective) eval(l *evalList, theta, grad []float64) float64 {
+	_, protos := o.decode(theta)
+	o.reserve(len(l.rows), len(l.pairs))
+	rowPlan, pairPlan := par.Chunks(len(l.rows)), par.Chunks(len(l.pairs))
+	o.sizeChunks(rowPlan, pairPlan)
+	o.run = evalRun{l: l, protos: protos, withGrad: grad != nil}
+	defer func() { o.run = evalRun{} }() // retain neither θ nor grad
+
+	rowPlan.Run(o.workers, o.forwardFn)
+	loss := o.lossRec.Sum()
+	pairPlan.Run(o.workers, o.pairFn)
+	loss += o.lossPair.Sum()
+	if grad == nil {
+		return loss
+	}
+
+	clear(grad)
+	o.run.gradA, o.run.gradV = grad[:o.n], grad[o.n:]
+	o.gradVPart.Reset()
+	o.gradAPart.Reset()
+	rowPlan.Run(o.workers, o.backwardFn)
+	o.gradVPart.ReduceInto(o.run.gradV)
+	o.gradAPart.ReduceInto(o.run.gradA)
+	// chain through α = a².
+	for n := 0; n < o.n; n++ {
+		grad[n] *= 2 * theta[n]
 	}
 	return loss
+}
+
+// forwardChunk is pass 1 over list rows [lo, hi).
+func (o *objective) forwardChunk(c, lo, hi int) {
+	r := &o.run
+	var loss float64
+	for e := lo; e < hi; e++ {
+		var ge []float64
+		if r.withGrad {
+			ge = o.g.Row(e)
+		}
+		loss += o.forwardRecord(o.alpha, r.protos, o.x.Row(r.l.rows[e]),
+			o.u.Row(e), o.raw.Row(e), o.gval.Row(e), o.xt.Row(e), ge, e < r.l.nUtil)
+	}
+	o.lossRec[c] = loss
 }
 
 // forwardRecord runs kernel.Forward for one record — memberships into
@@ -363,8 +475,7 @@ func (o *objective) forwardRange(alpha, protos []float64, withGrad bool, lo, hi 
 // transform into xti — and returns its weighted utility loss (0 unless withUtil).
 // When gi is non-nil it is zeroed and, with withUtil, receives the
 // utility upstream gradient; the fairness pass accumulates on top of it
-// afterwards. Shared by the full-objective range pass and the mini-batch
-// path, which differ only in which rows they hand in.
+// afterwards.
 func (o *objective) forwardRecord(alpha, protos, xi, ui, ri, gv, xti, gi []float64, withUtil bool) float64 {
 	kernel.Forward(o.prm, protos, alpha, xi, ri, gv, ui, xti)
 	clear(gi)
@@ -386,140 +497,73 @@ func (o *objective) forwardRecord(alpha, protos, xi, ui, ri, gv, xti, gi []float
 	return loss
 }
 
-// fairnessLoss accumulates the pairwise loss; with withGrad it also adds
-// the upstream gradients into o.g. The loss pass chunks over pairs with
-// per-chunk partial cells and records each pair's gradient coefficient
-// 4µ·e_p; the gradient pass then chunks over records, where each chunk
-// exclusively owns its rows of o.g and folds in the incident pairs from
-// the precomputed adjacency in ascending pair order. Both passes are
-// therefore bit-identical for every worker count, with no per-chunk
-// m×n partial matrices.
-func (o *objective) fairnessLoss(withGrad bool) float64 {
-	if o.opts.Mu == 0 || len(o.pairs) == 0 {
-		return 0
-	}
+// pairChunk is pass 2 over owned pairs [lo, hi): the fairness loss and,
+// for a gradient evaluation, each pair's coefficient 4µ·e_p.
+func (o *objective) pairChunk(c, lo, hi int) {
+	r := &o.run
 	xd, nn, mu := o.xt.Data(), o.n, o.opts.Mu
-	o.planPair.Run(o.workers, func(c, lo, hi int) {
-		var loss float64
-		for p := lo; p < hi; p++ {
-			pr := o.pairs[p]
-			d := mat.SqDist(xd[pr.i*nn:(pr.i+1)*nn], xd[pr.j*nn:(pr.j+1)*nn])
-			e := d - o.target[p]
-			loss += mu * e * e
-			if withGrad {
-				o.pairCoef[p] = 4 * mu * e
-			}
+	var loss float64
+	for p := lo; p < hi; p++ {
+		pr := r.l.pairs[p]
+		d := mat.SqDist(xd[pr.i*nn:(pr.i+1)*nn], xd[pr.j*nn:(pr.j+1)*nn])
+		e := d - r.l.target[p]
+		loss += mu * e * e
+		if r.withGrad {
+			o.pairCoef[p] = 4 * mu * e
 		}
-		o.lossPair[c] = loss
-	})
-	if withGrad {
-		o.planRec.Run(o.workers, func(_, lo, hi int) {
-			o.fairnessBackwardRange(lo, hi)
-		})
 	}
-	return o.lossPair.Sum()
+	o.lossPair[c] = loss
 }
 
-// fairnessBackwardRange adds the fairness upstream gradient of records
-// [lo, hi) into their rows of o.g. For record i with incident pairs p
-// (opposite endpoint j_p) the contribution is
+// backwardChunk is pass 3 over list rows [lo, hi), accumulating into
+// the chunk's gradient partials.
+func (o *objective) backwardChunk(c, lo, hi int) {
+	r := &o.run
+	gradV, gradA := o.gradVPart.Buf(c, r.gradV), o.gradAPart.Buf(c, r.gradA)
+	fair := len(r.l.pairs) > 0
+	for e := lo; e < hi; e++ {
+		if fair {
+			o.fairnessBackward(&r.l.adj, e)
+		}
+		o.backwardRecord(o.alpha, r.protos, o.q[c], gradV, gradA,
+			o.x.Row(r.l.rows[e]), o.u.Row(e), o.raw.Row(e), o.gval.Row(e), o.g.Row(e))
+	}
+}
+
+// fairnessBackward adds the fairness upstream gradient of list row i
+// into its row of o.g. For incident pairs p (opposite row j_p) the
+// contribution is
 //
 //	∂L_fair/∂x̃_i = Σ_p w_p·(x̃_i − x̃_{j_p}) = (Σ_p w_p)·x̃_i − Σ_p w_p·x̃_{j_p}
 //
 // with w_p = 4µ·e_p from the loss pass. The weighted opposite rows are
-// subtracted from g_i edge by edge, then the (Σw)·x̃_i term is added
-// once; each record's row is owned by exactly one chunk and the edge
-// order is fixed by the adjacency, so the result is independent of the
-// worker count.
-func (o *objective) fairnessBackwardRange(lo, hi int) {
-	xd, gd, nn := o.xt.Data(), o.g.Data(), o.n
-	for i := lo; i < hi; i++ {
-		start, end := o.adjOff[i], o.adjOff[i+1]
-		if start == end {
-			continue
-		}
-		gi := gd[i*nn : (i+1)*nn]
-		var wsum float64
-		for e := start; e < end; e++ {
-			w := o.pairCoef[o.adjPair[e]]
-			wsum += w
-			xo := xd[int(o.adjOther[e])*nn:]
-			xo = xo[:len(gi)]
-			for n, v := range xo {
-				gi[n] -= w * v
-			}
-		}
-		xti := xd[i*nn : (i+1)*nn]
-		for n, v := range xti {
-			gi[n] += wsum * v
+// subtracted from g_i edge by edge in adjacency order, then the
+// (Σw)·x̃_i term is added once.
+func (o *objective) fairnessBackward(adj *adjacency, i int) {
+	start, end := adj.off[i], adj.off[i+1]
+	if start == end {
+		return
+	}
+	xd, nn := o.xt.Data(), o.n
+	gi := o.g.Row(i)
+	var wsum float64
+	for e := start; e < end; e++ {
+		w := o.pairCoef[adj.pair[e]]
+		wsum += w
+		xo := xd[int(adj.other[e])*nn:]
+		xo = xo[:len(gi)]
+		for n, v := range xo {
+			gi[n] -= w * v
 		}
 	}
-}
-
-// lossOnly evaluates the objective without gradients; it also serves as the
-// finite-difference target for ForceNumericalGradient.
-func (o *objective) lossOnly(theta []float64) float64 {
-	o.ensureFull()
-	alpha, protos := o.decode(theta)
-	loss := o.forward(alpha, protos, false)
-	return loss + o.fairnessLoss(false)
-}
-
-// evalAnalytic computes the loss and its exact gradient. Derivation: with
-// raw distance s_ik = Σ_n α_n·|x_in − v_kn|^p, kernel input
-// D_ik = s_ik^{1/p} (or s_ik without the root), membership weight
-// g_ik = g(D_ik) and u = g/Σg, the chain rule gives for upstream
-// q_ik = ∂L/∂u_ik (here q_ik = (∂L/∂x̃_i)·v_k):
-//
-//	∂L/∂D_ik = (g'(D_ik)/S_i)·(q_ik − Σ_l u_il·q_il)
-//	           with g'/S = −u        for g = exp(−D)
-//	           and  g'/S = −u·g      for g = 1/(1+D)
-//	∂D/∂s    = 1 (no root) or (1/p)·s^{1/p−1}
-//	∂s/∂v_kn = −α_n·p·|x_in − v_kn|^{p−1}·sign(x_in − v_kn)
-//	∂s/∂α_n  = |x_in − v_kn|^p
-//	∂L/∂a_n  = ∂L/∂α_n · 2a_n                     (α = a²)
-//
-// plus the direct path ∂L/∂v_kn += Σ_i u_ik·(∂L/∂x̃_i)_n.
-func (o *objective) evalAnalytic(theta, grad []float64) float64 {
-	alpha, protos := o.decode(theta)
-	for i := range grad {
-		grad[i] = 0
-	}
-	gradA := grad[:o.n]
-	gradV := grad[o.n:]
-
-	loss := o.forward(alpha, protos, true)
-	loss += o.fairnessLoss(true)
-
-	o.gradVPart.Reset()
-	o.gradAPart.Reset()
-	o.planRec.Run(o.workers, func(c, lo, hi int) {
-		o.backwardRange(alpha, protos, o.q[c],
-			o.gradVPart.Buf(c, gradV), o.gradAPart.Buf(c, gradA), lo, hi)
-	})
-	o.gradVPart.ReduceInto(gradV)
-	o.gradAPart.ReduceInto(gradA)
-
-	// chain through α = a².
-	for n := 0; n < o.n; n++ {
-		gradA[n] *= 2 * theta[n]
-	}
-	return loss
-}
-
-// backwardRange backpropagates records [lo, hi) into the given gradient
-// buffers, using q as per-chunk scratch.
-func (o *objective) backwardRange(alpha, protos, q, gradV, gradA []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		o.backwardRecord(alpha, protos, q, gradV, gradA,
-			o.x.Row(i), o.u.Row(i), o.raw.Row(i), o.gval.Row(i), o.g.Row(i))
+	for n, v := range xd[i*nn : (i+1)*nn] {
+		gi[n] += wsum * v
 	}
 }
 
 // backwardRecord backpropagates one record — given its forward rows ui,
 // ri, gvi and upstream gradient gi — into gradV and gradA, using q as
-// K-sized scratch. Shared by the chunked full-objective pass and the
-// mini-batch path.
+// K-sized scratch.
 func (o *objective) backwardRecord(alpha, protos, q, gradV, gradA, xi, ui, ri, gvi, gi []float64) {
 	k := o.opts.K
 	p := o.opts.P
@@ -572,10 +616,17 @@ func (o *objective) backwardRecord(alpha, protos, q, gradV, gradA, xi, ui, ri, g
 
 // Losses evaluates the two loss components (unweighted by λ and µ) of a
 // fitted model on data x, for reporting and tests: the reconstruction loss
-// of Def. 4 and the fairness loss of Def. 5 over the objective's pair set.
-// An invalid model or data of the wrong width is reported as an error.
+// of Def. 4 and the fairness loss of Def. 5 over the pairs and targets a
+// fit with opts would train on (opts.Mu only weights that set, so it is
+// ignored here). opts gets the same defaults and validation as Fit. An
+// invalid model, invalid options or data of the wrong width is reported
+// as an error.
 func Losses(m *Model, x *mat.Dense, opts Options) (util, fair float64, err error) {
-	rows, _ := x.Dims()
+	rows, cols := x.Dims()
+	opts.Mu = 1
+	if err := opts.fill(rows, cols); err != nil {
+		return 0, 0, err
+	}
 	xt, err := m.TransformChecked(x)
 	if err != nil {
 		return 0, 0, err
@@ -583,13 +634,9 @@ func Losses(m *Model, x *mat.Dense, opts Options) (util, fair float64, err error
 	for i := 0; i < rows; i++ {
 		util += mat.SqDist(x.Row(i), xt.Row(i))
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	pairs := buildPairs(x, opts, rng)
-	nonProt := nonProtectedIndices(x.Cols(), opts.Protected)
-	for _, pr := range pairs {
-		d := mat.SqDist(xt.Row(pr.i), xt.Row(pr.j))
-		t := maskedSqDist(x.Row(pr.i), x.Row(pr.j), nonProt)
-		e := d - t
+	o := newObjective(x, opts, rand.New(rand.NewSource(opts.Seed)))
+	for p, pr := range o.full.pairs {
+		e := mat.SqDist(xt.Row(pr.i), xt.Row(pr.j)) - o.full.target[p]
 		fair += e * e
 	}
 	return util, fair, nil

@@ -112,8 +112,8 @@ func TestPairwisePairCount(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	obj := newObjective(randomData(rng, 10, 3), opts, rng)
-	if want := 10 * 9 / 2; len(obj.pairs) != want {
-		t.Fatalf("pairs = %d, want %d", len(obj.pairs), want)
+	if want := 10 * 9 / 2; len(obj.full.pairs) != want {
+		t.Fatalf("pairs = %d, want %d", len(obj.full.pairs), want)
 	}
 }
 
@@ -124,10 +124,10 @@ func TestSampledPairCountBounded(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	obj := newObjective(randomData(rng, 20, 3), opts, rng)
-	if len(obj.pairs) > 20*5 {
-		t.Fatalf("pairs = %d, want ≤ 100", len(obj.pairs))
+	if len(obj.full.pairs) > 20*5 {
+		t.Fatalf("pairs = %d, want ≤ 100", len(obj.full.pairs))
 	}
-	for _, p := range obj.pairs {
+	for _, p := range obj.full.pairs {
 		if p.i == p.j {
 			t.Fatal("self-pair found")
 		}
@@ -141,8 +141,8 @@ func TestNoPairsWhenMuZero(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	obj := newObjective(randomData(rng, 10, 3), opts, rng)
-	if len(obj.pairs) != 0 {
-		t.Fatalf("pairs = %d, want 0 when µ = 0", len(obj.pairs))
+	if len(obj.full.pairs) != 0 {
+		t.Fatalf("pairs = %d, want 0 when µ = 0", len(obj.full.pairs))
 	}
 }
 
@@ -158,8 +158,8 @@ func TestTargetDistancesIgnoreProtected(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := newObjective(x, opts, rand.New(rand.NewSource(1)))
-	if len(obj.pairs) != 1 || obj.target[0] != 0 {
-		t.Fatalf("target = %v, want [0]", obj.target)
+	if len(obj.full.pairs) != 1 || obj.full.target[0] != 0 {
+		t.Fatalf("target = %v, want [0]", obj.full.target)
 	}
 }
 

@@ -182,12 +182,14 @@ type Options struct {
 	// gradient ablation bench; far slower.
 	ForceNumericalGradient bool
 
-	// Workers is the number of goroutines evaluating the objective.
-	// Values ≤ 1 run sequentially. Evaluation chunks records and pairs
-	// with internal/par, whose chunk plan depends only on the problem
-	// size and whose partial reductions run in chunk order — so losses,
-	// gradients and the fitted model are bit-identical for every worker
-	// count, including sequential runs.
+	// Workers is the number of goroutines evaluating the objective: the
+	// full objective of an L-BFGS or gradient-descent fit and every
+	// mini-batch of an SGD fit alike. Values ≤ 1 run sequentially.
+	// Evaluation chunks the evaluated records and pairs with internal/par,
+	// whose chunk plan depends only on their counts and whose partial
+	// reductions run in chunk order — so losses, gradients and the fitted
+	// model are bit-identical for every worker count, including
+	// sequential runs.
 	Workers int
 
 	// Restarts is the number of random restarts; the best final loss wins.

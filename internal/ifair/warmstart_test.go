@@ -127,3 +127,30 @@ func TestWarmStartChangesCheckpointFingerprint(t *testing.T) {
 		t.Fatal("fingerprint ignores donor parameters")
 	}
 }
+
+// TestCheckpointFingerprintTracksEvaluationArithmetic pins the
+// fingerprint on both sides of the chunked mini-batch evaluation:
+// full-batch fits still train bit-identically to the serial-era code, so
+// their fingerprint (and their snapshots) carry over unchanged, while an
+// SGD fit must no longer match a snapshot the serial mini-batch pass
+// wrote.
+func TestCheckpointFingerprintTracksEvaluationArithmetic(t *testing.T) {
+	x := mat.NewDense(5, 2)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i) / 4
+	}
+	full := Options{K: 2, Lambda: 1, Mu: 1, Seed: 3}
+	sgd := Options{K: 2, Lambda: 1, Mu: 1, Seed: 3, Fairness: NeighborFairness, BatchSize: 2}
+	for _, o := range []*Options{&full, &sgd} {
+		if err := o.fill(5, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const serialFull, serialSGD = "7266671f8b636e64", "727d780352c0d2db"
+	if got := checkpointFingerprint(x, &full); got != serialFull {
+		t.Fatalf("full-batch fingerprint %s, want the unchanged %s", got, serialFull)
+	}
+	if got := checkpointFingerprint(x, &sgd); got == serialSGD {
+		t.Fatalf("SGD fingerprint %s still matches serial-evaluation snapshots", got)
+	}
+}

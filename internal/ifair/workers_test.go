@@ -82,6 +82,86 @@ func TestEvalBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// evalBatchAt builds an objective over x with the given worker count and
+// evaluates two mini-batches in a row, returning both losses and the
+// second gradient. The batches differ in length, so the second evaluation
+// runs under different chunk plans than the first and would sum any
+// partial cell the first left behind.
+func evalBatchAt(x *mat.Dense, workers int, opts Options, first, second []int) (loss1, loss2 float64, grad []float64) {
+	m, n := x.Dims()
+	if err := opts.fill(m, n); err != nil {
+		panic(err)
+	}
+	opts.Workers = workers
+	obj := newObjective(x, opts, rand.New(rand.NewSource(3)))
+	theta := make([]float64, obj.paramLen())
+	trng := rand.New(rand.NewSource(11))
+	for i := range theta {
+		theta[i] = trng.NormFloat64()
+	}
+	grad = make([]float64, len(theta))
+	if first != nil {
+		loss1 = obj.EvalBatch(first, theta, grad)
+	}
+	loss2 = obj.EvalBatch(second, theta, grad)
+	return loss1, loss2, grad
+}
+
+// TestEvalBatchBitIdenticalAcrossWorkerCounts extends the worker-count
+// property to the mini-batch path in every fairness mode: for batches
+// whose evaluation lists straddle the par.MaxChunks boundary, both
+// losses and the gradient match the sequential evaluation bit for bit,
+// and the second evaluation matches a fresh objective's (no stale
+// partials).
+func TestEvalBatchBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	const m = 64
+	x := randomData(rand.New(rand.NewSource(7)), m, 4)
+	// tail(b) is the batch of the last b records. Under pairwise fairness
+	// its evaluation list has exactly b rows (every partner is a later
+	// record), so the sizes below put lists on 31, 32 and 33 rows.
+	tail := func(b int) []int {
+		batch := make([]int, b)
+		for i := range batch {
+			batch[i] = m - b + i
+		}
+		return batch
+	}
+	sizes := []int{1, 2, 5, 16, 31, 32, 33, 48, 64}
+	if os.Getenv("IFAIR_TEST_WORKER_SWEEP") != "" {
+		sizes = sizes[:0]
+		for b := 1; b <= m; b++ {
+			sizes = append(sizes, b)
+		}
+	}
+	for _, mode := range []FairnessMode{PairwiseFairness, SampledFairness, NeighborFairness} {
+		opts := Options{K: 3, Lambda: 1, Mu: 1, Fairness: mode, PairSamples: 2, NeighborK: 6}
+		for s, b := range sizes {
+			first, second := tail(b), tail(sizes[len(sizes)-1-s])
+			want1, want2, wantGrad := evalBatchAt(x, 1, opts, first, second)
+			_, fresh, freshGrad := evalBatchAt(x, 1, opts, nil, second)
+			if math.Float64bits(fresh) != math.Float64bits(want2) {
+				t.Fatalf("%v b=%d: second loss %v != fresh objective's %v", mode, b, want2, fresh)
+			}
+			for i := range wantGrad {
+				if math.Float64bits(freshGrad[i]) != math.Float64bits(wantGrad[i]) {
+					t.Fatalf("%v b=%d: second grad[%d] = %v != fresh objective's %v", mode, b, i, wantGrad[i], freshGrad[i])
+				}
+			}
+			for _, w := range testWorkerSweep() {
+				got1, got2, gotGrad := evalBatchAt(x, w, opts, first, second)
+				if math.Float64bits(got1) != math.Float64bits(want1) || math.Float64bits(got2) != math.Float64bits(want2) {
+					t.Fatalf("%v b=%d workers=%d: losses (%v, %v) != sequential (%v, %v)", mode, b, w, got1, got2, want1, want2)
+				}
+				for i := range wantGrad {
+					if math.Float64bits(gotGrad[i]) != math.Float64bits(wantGrad[i]) {
+						t.Fatalf("%v b=%d workers=%d: grad[%d] = %v != sequential %v", mode, b, w, i, gotGrad[i], wantGrad[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStaleLossPartialsReproducer is the minimal reproducer of the bug
 // this package's par migration fixed: a Workers:16 objective over m=100
 // records whose forward pass (100 items) and fairness pass (400 pairs)
@@ -156,31 +236,36 @@ func TestBuildPairsSampledBudget(t *testing.T) {
 
 // TestFitBitIdenticalAcrossWorkers: the end-to-end guarantee — the
 // fitted model (prototypes, weights, loss) is bit-identical for every
-// objective worker count.
+// objective worker count, under full-batch L-BFGS and mini-batch SGD.
 func TestFitBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randomData(rng, 40, 4)
-	base := Options{K: 3, Lambda: 1, Mu: 1, Seed: 9, MaxIterations: 25}
-	seq, err := Fit(x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 7, 16} {
-		opts := base
-		opts.Workers = w
-		got, err := Fit(x, opts)
+	for _, base := range []Options{
+		{K: 3, Lambda: 1, Mu: 1, Seed: 9, MaxIterations: 25},
+		{K: 3, Lambda: 1, Mu: 1, Seed: 9, Fairness: NeighborFairness, PairSamples: 4, NeighborK: 8,
+			BatchSize: 16, Epochs: 5, LearnRate: 0.05},
+	} {
+		seq, err := Fit(x, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got.Loss) != math.Float64bits(seq.Loss) {
-			t.Fatalf("workers=%d: loss %v != sequential %v", w, got.Loss, seq.Loss)
-		}
-		if !mat.Equalish(got.Prototypes, seq.Prototypes, 0) {
-			t.Fatalf("workers=%d: prototypes differ from sequential fit", w)
-		}
-		for i := range seq.Alpha {
-			if math.Float64bits(got.Alpha[i]) != math.Float64bits(seq.Alpha[i]) {
-				t.Fatalf("workers=%d: alpha[%d] = %v != %v", w, i, got.Alpha[i], seq.Alpha[i])
+		for _, w := range []int{2, 7, 16} {
+			opts := base
+			opts.Workers = w
+			got, err := Fit(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Loss) != math.Float64bits(seq.Loss) {
+				t.Fatalf("batch=%d workers=%d: loss %v != sequential %v", base.BatchSize, w, got.Loss, seq.Loss)
+			}
+			if !mat.Equalish(got.Prototypes, seq.Prototypes, 0) {
+				t.Fatalf("batch=%d workers=%d: prototypes differ from sequential fit", base.BatchSize, w)
+			}
+			for i := range seq.Alpha {
+				if math.Float64bits(got.Alpha[i]) != math.Float64bits(seq.Alpha[i]) {
+					t.Fatalf("batch=%d workers=%d: alpha[%d] = %v != %v", base.BatchSize, w, i, got.Alpha[i], seq.Alpha[i])
+				}
 			}
 		}
 	}

@@ -37,9 +37,6 @@ type SGDSettings struct {
 	// x -= (LearnRate/len(batch))·∇f_batch, so the step scale is
 	// independent of the batch size. Default 0.01.
 	LearnRate float64
-	// LearnRateDecay anneals the rate: lr_e = LearnRate/(1+Decay·e) at
-	// epoch e. Default 0 (constant rate).
-	LearnRateDecay float64
 	// Seed drives the without-replacement batch shuffle. Epoch e
 	// reshuffles the item permutation with a stream derived only from
 	// (Seed, e), so a run is deterministic in Seed regardless of how the
@@ -54,9 +51,6 @@ func (s *SGDSettings) fill() {
 	}
 	if s.LearnRate <= 0 {
 		s.LearnRate = 0.01
-	}
-	if s.LearnRateDecay < 0 {
-		s.LearnRateDecay = 0
 	}
 }
 
@@ -124,10 +118,6 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 			j := rng.Intn(i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		rate := lr
-		if settings.LearnRateDecay > 0 {
-			rate = lr / (1 + settings.LearnRateDecay*float64(epoch))
-		}
 
 		var epochLoss float64
 		sawNonFinite := false
@@ -145,7 +135,6 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 				// finite iterate and shrink the rate.
 				copy(x, xGood)
 				lr /= 2
-				rate /= 2
 				sawNonFinite = true
 				if lr < 1e-18 {
 					return result(Diverged, epoch), nil
@@ -155,13 +144,13 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 			copy(xGood, x)
 			lastF, lastGradNorm = fB, infNorm(grad)
 			epochLoss += fB
-			step := rate / float64(len(b))
+			step := lr / float64(len(b))
 			for i := range x {
 				x[i] -= step * grad[i]
 			}
 		}
 
-		it := Iteration{Iter: epoch, F: epochLoss, GradNorm: lastGradNorm, Step: rate, Evals: evals}
+		it := Iteration{Iter: epoch, F: epochLoss, GradNorm: lastGradNorm, Step: lr, Evals: evals}
 		if settings.Snapshot != nil {
 			settings.Snapshot(it, x)
 		}

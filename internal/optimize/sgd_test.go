@@ -58,11 +58,10 @@ func (q *quadBatch) mean() []float64 {
 func TestSGDConvergesToMean(t *testing.T) {
 	q := newQuadBatch(200, 3)
 	res, err := SGD(q, []float64{9, -7, 4}, SGDSettings{
-		Settings:       Settings{MaxIterations: 200},
-		BatchSize:      16,
-		LearnRate:      0.2,
-		LearnRateDecay: 0.5,
-		Seed:           1,
+		Settings:  Settings{MaxIterations: 200},
+		BatchSize: 16,
+		LearnRate: 0.005,
+		Seed:      1,
 	})
 	if err != nil {
 		t.Fatal(err)

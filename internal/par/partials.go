@@ -43,10 +43,18 @@ func (p Plan) NewPartials(size int) *Partials {
 	}
 	pt := &Partials{bufs: make([][]float64, n)}
 	for i := range pt.bufs {
-		pt.bufs[i] = make([]float64, size)
+		pt.bufs[i] = make([]float64, size, size+linePad)
 	}
 	return pt
 }
+
+// linePad is one 64-byte cache line of float64s. Each private buffer
+// is allocated with that much spare capacity so that chunks running
+// concurrently never accumulate into the same cache line: small
+// partials, such as an N-element gradient, would otherwise pack several
+// chunks' buffers into one line and make every accumulation a
+// cross-core miss.
+const linePad = 8
 
 // Reset zeroes every private buffer. The chunk-0 destination is the
 // caller's and is left untouched.

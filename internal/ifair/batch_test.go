@@ -3,10 +3,13 @@ package ifair
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/mat"
+	"repro/internal/optimize"
 )
 
 // TestEvalBatchPartitionSumsToFullObjective is the correctness anchor of
@@ -24,7 +27,7 @@ func TestEvalBatchPartitionSumsToFullObjective(t *testing.T) {
 			x := randomData(rng, m, n)
 			opts := Options{
 				K: 3, Lambda: 0.8, Mu: 1.2, Protected: []int{3},
-				Fairness: mode, PairSamples: 4, NeighborK: 8,
+				Fairness: mode, PairSamples: 4, NeighborK: 8, BatchSize: 8,
 			}
 			if err := opts.fill(m, n); err != nil {
 				t.Fatal(err)
@@ -35,41 +38,47 @@ func TestEvalBatchPartitionSumsToFullObjective(t *testing.T) {
 			fullGrad := make([]float64, obj.paramLen())
 			fullLoss := obj.Eval(theta, fullGrad)
 
+			// Batches are cut from the records in index order and from
+			// the block order in reverse block sequence, as SGD cuts them
+			// from an epoch's shuffled blocks.
+			order, off := obj.Blocks()
+			var blockSeq []int
+			for b := len(off) - 2; b >= 0; b-- {
+				blockSeq = append(blockSeq, order[off[b]:off[b+1]]...)
+			}
+			seqs := map[string][]int{"index": make([]int, m), "blocks": blockSeq}
+			for i := range seqs["index"] {
+				seqs["index"][i] = i
+			}
 			for _, batchSize := range []int{1, 7, 16, 40} {
-				sumGrad := make([]float64, obj.paramLen())
-				grad := make([]float64, obj.paramLen())
-				var sumLoss float64
-				for lo := 0; lo < m; lo += batchSize {
-					hi := lo + batchSize
-					if hi > m {
-						hi = m
-					}
-					batch := make([]int, hi-lo)
-					for i := range batch {
-						batch[i] = lo + i
-					}
-					sumLoss += obj.EvalBatch(batch, theta, grad)
-					for i := range grad {
-						sumGrad[i] += grad[i]
-					}
-				}
-				if batchSize == m {
-					if sumLoss != fullLoss {
-						t.Fatalf("one batch: loss %v != full loss %v", sumLoss, fullLoss)
-					}
-					for i := range fullGrad {
-						if sumGrad[i] != fullGrad[i] {
-							t.Fatalf("one batch: grad[%d] = %v, full %v", i, sumGrad[i], fullGrad[i])
+				for name, seq := range seqs {
+					sumGrad := make([]float64, obj.paramLen())
+					grad := make([]float64, obj.paramLen())
+					var sumLoss float64
+					for lo := 0; lo < m; lo += batchSize {
+						sumLoss += obj.EvalBatch(seq[lo:min(lo+batchSize, m)], theta, grad)
+						for i := range grad {
+							sumGrad[i] += grad[i]
 						}
 					}
-					continue
-				}
-				if math.Abs(sumLoss-fullLoss) > 1e-9*(1+math.Abs(fullLoss)) {
-					t.Fatalf("batch=%d: summed loss %v != full loss %v", batchSize, sumLoss, fullLoss)
-				}
-				for i := range fullGrad {
-					if math.Abs(sumGrad[i]-fullGrad[i]) > 1e-9*(1+math.Abs(fullGrad[i])) {
-						t.Fatalf("batch=%d: grad[%d] = %v, full %v", batchSize, i, sumGrad[i], fullGrad[i])
+					if batchSize == m && name == "index" {
+						if sumLoss != fullLoss {
+							t.Fatalf("one batch: loss %v != full loss %v", sumLoss, fullLoss)
+						}
+						for i := range fullGrad {
+							if sumGrad[i] != fullGrad[i] {
+								t.Fatalf("one batch: grad[%d] = %v, full %v", i, sumGrad[i], fullGrad[i])
+							}
+						}
+						continue
+					}
+					if math.Abs(sumLoss-fullLoss) > 1e-9*(1+math.Abs(fullLoss)) {
+						t.Fatalf("%s batch=%d: summed loss %v != full loss %v", name, batchSize, sumLoss, fullLoss)
+					}
+					for i := range fullGrad {
+						if math.Abs(sumGrad[i]-fullGrad[i]) > 1e-9*(1+math.Abs(fullGrad[i])) {
+							t.Fatalf("%s batch=%d: grad[%d] = %v, full %v", name, batchSize, i, sumGrad[i], fullGrad[i])
+						}
 					}
 				}
 			}
@@ -285,4 +294,203 @@ func TestFitRejectsPairwiseAboveLimit(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "NeighborFairness") {
 		t.Fatalf("err = %v, want the pairwise row-limit error", err)
 	}
+}
+
+// pairComponents labels each record with its connected component in
+// the fairness-pair graph (union–find over the pair list).
+func pairComponents(m int, pairs []pair) []int {
+	parent := make([]int, m)
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
+		}
+		return parent[i]
+	}
+	for _, pr := range pairs {
+		parent[find(pr.i)] = find(pr.j)
+	}
+	comp := make([]int, m)
+	for i := range comp {
+		comp[i] = find(i)
+	}
+	return comp
+}
+
+// checkBlocks asserts the block-order contract on obj: the order is a
+// permutation of the records, every block holds 1..blockRows records of
+// one pair-graph component, each component is one run of blocks, and
+// only a component's last block is short. It returns the number of
+// components.
+func checkBlocks(t *testing.T, obj *objective) int {
+	t.Helper()
+	order, off := obj.Blocks()
+	if len(order) != obj.m || off[0] != 0 || off[len(off)-1] != obj.m {
+		t.Fatalf("order of %d records with offsets %v..%v, want %d records", len(order), off[0], off[len(off)-1], obj.m)
+	}
+	seen := make([]bool, obj.m)
+	for _, r := range order {
+		if seen[r] {
+			t.Fatalf("record %d appears twice in the order", r)
+		}
+		seen[r] = true
+	}
+	comp := pairComponents(obj.m, obj.full.pairs)
+	done := map[int]bool{}
+	for b := 0; b+1 < len(off); b++ {
+		blk := order[off[b]:off[b+1]]
+		if len(blk) == 0 || len(blk) > blockRows {
+			t.Fatalf("block %d holds %d records, want 1..%d", b, len(blk), blockRows)
+		}
+		c := comp[blk[0]]
+		for _, r := range blk {
+			if comp[r] != c {
+				t.Fatalf("block %d spans components %d and %d", b, c, comp[r])
+			}
+		}
+		if done[c] && (b == 0 || comp[order[off[b]-1]] != c) {
+			t.Fatalf("component %d is split across non-adjacent blocks", c)
+		}
+		done[c] = true
+		if b+2 < len(off) && comp[order[off[b+1]]] == c && len(blk) != blockRows {
+			t.Fatalf("block %d holds %d records but its component continues", b, len(blk))
+		}
+	}
+	return len(done)
+}
+
+// TestBlocksFollowPairGraph pins the block order SGD shuffles in every
+// fairness mode and on the edge cases: no pairs (µ = 0 gives singleton
+// blocks in record order, so SGD's block shuffle is the record shuffle),
+// fewer records than a block, and a pair graph split into components.
+// The order is a pure function of the problem: identical for every
+// Workers value and shared by clones.
+func TestBlocksFollowPairGraph(t *testing.T) {
+	twoClusters := randomData(rand.New(rand.NewSource(3)), 60, 2)
+	for i := 30; i < 60; i++ {
+		twoClusters.Row(i)[0] += 1000
+	}
+	cases := []struct {
+		name  string
+		x     *mat.Dense
+		opts  Options
+		comps int // expected component count; 0 = only ≥ 1
+	}{
+		{"pairwise", randomData(rand.New(rand.NewSource(1)), 40, 3),
+			Options{K: 2, Lambda: 1, Mu: 1, Fairness: PairwiseFairness}, 1},
+		{"sampled", randomData(rand.New(rand.NewSource(1)), 300, 3),
+			Options{K: 2, Lambda: 1, Mu: 1, Fairness: SampledFairness, PairSamples: 2}, 0},
+		{"neighbor", randomData(rand.New(rand.NewSource(1)), 300, 3),
+			Options{K: 2, Lambda: 1, Mu: 1, Fairness: NeighborFairness, PairSamples: 3, NeighborK: 6}, 0},
+		{"mu=0", randomData(rand.New(rand.NewSource(1)), 100, 3),
+			Options{K: 2, Lambda: 1, Mu: 0, Fairness: NeighborFairness, PairSamples: 3, NeighborK: 6}, 100},
+		{"m<block", randomData(rand.New(rand.NewSource(1)), 10, 3),
+			Options{K: 2, Lambda: 1, Mu: 1, Fairness: NeighborFairness, PairSamples: 3, NeighborK: 6}, 0},
+		{"two-clusters", twoClusters,
+			Options{K: 2, Lambda: 1, Mu: 1, Fairness: NeighborFairness, PairSamples: 3, NeighborK: 5}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, n := tc.x.Dims()
+			build := func(workers int) *objective {
+				opts := tc.opts
+				opts.Workers, opts.BatchSize = workers, 16
+				if err := opts.fill(m, n); err != nil {
+					t.Fatal(err)
+				}
+				return newObjective(tc.x, opts, rand.New(rand.NewSource(7)))
+			}
+			obj := build(1)
+			comps := checkBlocks(t, obj)
+			if tc.comps > 0 && comps != tc.comps {
+				t.Fatalf("%d components, want %d", comps, tc.comps)
+			}
+			order, off := obj.Blocks()
+			if tc.opts.Mu == 0 {
+				for i, r := range order {
+					if r != i || off[i+1] != i+1 {
+						t.Fatalf("µ = 0: block order %v / %v, want singleton records in index order", order, off)
+					}
+				}
+			}
+			if tc.name == "two-clusters" && comps < 2 {
+				t.Fatal("the two far-apart clusters share a component")
+			}
+			for _, w := range []int{2, 5} {
+				o2, f2 := build(w).Blocks()
+				if !slices.Equal(o2, order) || !slices.Equal(f2, off) {
+					t.Fatalf("Workers=%d changed the block order", w)
+				}
+			}
+			o3, f3 := obj.clone().Blocks()
+			if &o3[0] != &order[0] || &f3[0] != &off[0] {
+				t.Fatal("a clone rebuilt the block order instead of sharing it")
+			}
+		})
+	}
+}
+
+// TestSGDBatchesAreGraphLocal is the locality regression: on the 2-D
+// mixture the perfbench train workload fits (m = 10k, 8 of 16 neighbour
+// pairs per record, 1024-record batches), one epoch of the batches SGD
+// cuts from the shuffled graph blocks evaluates at most 4 list rows per
+// batch record (3.72 with 16-record blocks). Batches cut from a shuffled
+// record permutation evaluate 5.98: most partners of a record's pairs
+// sit in other batches.
+func TestSGDBatchesAreGraphLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10k-record neighbour graph")
+	}
+	ds := dataset.SyntheticMixture(dataset.VariantRandom, 10_000, 1)
+	m, n := ds.X.Dims()
+	opts := Options{
+		K: 8, Lambda: 1, Mu: 1, Protected: ds.ProtectedCols,
+		Init: InitMaskedProtected, Fairness: NeighborFairness,
+		PairSamples: 8, NeighborK: 16,
+		BatchSize: 1024, Epochs: 1, LearnRate: 0.01, Seed: 1,
+	}
+	if err := opts.fill(m, n); err != nil {
+		t.Fatal(err)
+	}
+	cnt := &listCounter{obj: newObjective(ds.X, opts, rand.New(rand.NewSource(opts.Seed)))}
+	_, err := optimize.SGD(cnt, make([]float64, cnt.obj.paramLen()), optimize.SGDSettings{
+		Settings:  optimize.Settings{MaxIterations: 1},
+		BatchSize: opts.BatchSize,
+		Seed:      5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cnt.batchRows != m {
+		t.Fatalf("one epoch's batches hold %d records, want %d", cnt.batchRows, m)
+	}
+	ratio := float64(cnt.listRows) / float64(cnt.batchRows)
+	t.Logf("%.3f evaluated rows per batch record", ratio)
+	if ratio > 4 {
+		t.Fatalf("an epoch evaluates %.2f rows per batch record, want ≤ 4", ratio)
+	}
+}
+
+// listCounter is a BatchObjective over an objective's blocks that counts
+// the records its batches own and the rows their evaluation lists hold,
+// without evaluating anything.
+type listCounter struct {
+	obj                 *objective
+	batchRows, listRows int
+	evals               int
+}
+
+func (c *listCounter) Blocks() (order, off []int) { return c.obj.Blocks() }
+
+func (c *listCounter) EvalBatch(batch []int, _, grad []float64) float64 {
+	c.evals++
+	if c.evals > 1 { // skip SGD's initial evaluation
+		c.batchRows += len(batch)
+		c.listRows += len(c.obj.batchList(batch).rows)
+	}
+	clear(grad)
+	return float64(c.evals)
 }

@@ -31,11 +31,14 @@ func checkpointFingerprint(x *mat.Dense, o *Options) string {
 		o.BatchSize, o.Epochs, o.LearnRate)
 	// Mini-batch evaluations sum in chunk order (eval), which rounds
 	// differently from the serial pass older SGD snapshots were taken
-	// under; this tag keeps those snapshots from resuming into a run that
+	// under, and SGD cuts its batches from shuffled blocks of the pair
+	// graph's breadth-first order rather than from a shuffled record
+	// permutation, so the within-epoch sequence differs too. These tags
+	// keep snapshots of either older regime from resuming into a run that
 	// would not reproduce them. Full-batch arithmetic did not change, so
 	// full-batch fingerprints stay as they were.
 	if o.BatchSize > 0 {
-		fmt.Fprint(h, "batcheval=chunked|")
+		fmt.Fprint(h, "batcheval=chunked|batchorder=graph-blocks|")
 	}
 	// A warm start changes restart 0's trajectory, so its parameters are
 	// part of the problem identity: a checkpoint taken without one (or

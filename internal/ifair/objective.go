@@ -45,6 +45,11 @@ type objective struct {
 	// read-only between clones.
 	full evalList
 
+	// order and blockOff are the SGD block order over the records
+	// (Blocks), built only when the problem trains by SGD; likewise
+	// shared between clones.
+	order, blockOff []int
+
 	// Mini-batch state, built on the first EvalBatch: the reusable list,
 	// the CSR ownership index (record i owns the pairs
 	// full.pairs[ownOff[i]:ownOff[i+1]]; every builder emits pairs in
@@ -158,8 +163,8 @@ type evalRun struct {
 	gradA, gradV []float64 // the caller's gradient, split at N
 }
 
-// newObjective precomputes the fairness pair list, the target distances
-// and the full evaluation list.
+// newObjective precomputes the fairness pair list, the target distances,
+// the full evaluation list and, for an SGD problem, the block order.
 func newObjective(x *mat.Dense, opts Options, rng *rand.Rand) *objective {
 	m, n := x.Dims()
 	o := &objective{
@@ -185,6 +190,9 @@ func newObjective(x *mat.Dense, opts Options, rng *rand.Rand) *objective {
 		o.full.pairs, o.full.target = pairs, target
 		o.full.adj.build(m, pairs)
 	}
+	if opts.BatchSize > 0 {
+		o.order, o.blockOff = graphBlocks(m, &o.full.adj)
+	}
 	o.bind()
 	return o
 }
@@ -195,18 +203,21 @@ func (o *objective) bind() {
 }
 
 // clone returns an objective sharing o's immutable problem data — the
-// training matrix and the full evaluation list — with private scratch, so clones can be evaluated concurrently
+// training matrix, the full evaluation list and the block order — with
+// private scratch, so clones can be evaluated concurrently
 // (one per restart under FitContext).
 func (o *objective) clone() *objective {
 	c := &objective{
-		x:       o.x,
-		full:    o.full,
-		opts:    o.opts,
-		prm:     o.prm,
-		m:       o.m,
-		n:       o.n,
-		alpha:   make([]float64, o.n),
-		workers: o.workers,
+		x:        o.x,
+		full:     o.full,
+		order:    o.order,
+		blockOff: o.blockOff,
+		opts:     o.opts,
+		prm:      o.prm,
+		m:        o.m,
+		n:        o.n,
+		alpha:    make([]float64, o.n),
+		workers:  o.workers,
 	}
 	c.bind()
 	return c

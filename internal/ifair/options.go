@@ -217,10 +217,12 @@ type Options struct {
 	// MaxIterations bounds L-BFGS iterations per restart. Default 150.
 	MaxIterations int
 	// BatchSize, when positive, trains with mini-batch SGD instead of the
-	// full-batch optimizers: every epoch reshuffles the records (seeded,
-	// without replacement) and steps once per batch on the batch's
-	// sub-objective. Scratch is sized to the batch, not the dataset, so
-	// memory stays flat as M grows. Requires the analytic gradient.
+	// full-batch optimizers: every epoch reshuffles blocks of a
+	// breadth-first order over the fairness-pair graph (seeded, without
+	// replacement), cuts batches from them and steps once per batch on
+	// the batch's sub-objective. Scratch is sized to the batch, not the
+	// dataset, so memory stays flat as M grows. Requires the analytic
+	// gradient.
 	// 0 (the default) keeps full-batch L-BFGS / gradient descent.
 	BatchSize int
 	// Epochs bounds SGD epochs per restart (each epoch visits every

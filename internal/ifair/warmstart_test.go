@@ -129,11 +129,11 @@ func TestWarmStartChangesCheckpointFingerprint(t *testing.T) {
 }
 
 // TestCheckpointFingerprintTracksEvaluationArithmetic pins the
-// fingerprint on both sides of the chunked mini-batch evaluation:
-// full-batch fits still train bit-identically to the serial-era code, so
-// their fingerprint (and their snapshots) carry over unchanged, while an
-// SGD fit must no longer match a snapshot the serial mini-batch pass
-// wrote.
+// fingerprint on both sides of the mini-batch changes: full-batch fits
+// still train bit-identically to the serial-era code, so their
+// fingerprint (and their snapshots) carry over unchanged, while an SGD
+// fit must match neither a snapshot the serial mini-batch pass wrote nor
+// one taken under the shuffled-record batch order.
 func TestCheckpointFingerprintTracksEvaluationArithmetic(t *testing.T) {
 	x := mat.NewDense(5, 2)
 	for i := range x.Data() {
@@ -146,11 +146,13 @@ func TestCheckpointFingerprintTracksEvaluationArithmetic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const serialFull, serialSGD = "7266671f8b636e64", "727d780352c0d2db"
+	const serialFull = "7266671f8b636e64"
 	if got := checkpointFingerprint(x, &full); got != serialFull {
 		t.Fatalf("full-batch fingerprint %s, want the unchanged %s", got, serialFull)
 	}
-	if got := checkpointFingerprint(x, &sgd); got == serialSGD {
-		t.Fatalf("SGD fingerprint %s still matches serial-evaluation snapshots", got)
+	for _, old := range []string{"727d780352c0d2db", "f0938ed2aa0b3762"} {
+		if got := checkpointFingerprint(x, &sgd); got == old {
+			t.Fatalf("SGD fingerprint %s still matches snapshots of an older batch regime", got)
+		}
 	}
 }

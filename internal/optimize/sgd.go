@@ -10,14 +10,22 @@ import (
 // that can be evaluated — with its gradient — on a subset of the items.
 // It is the contract mini-batch SGD trains against.
 //
+// Blocks groups the items into the units SGD shuffles, in CSR form:
+// order is a permutation of 0..items−1 and block b is
+// order[off[b]:off[b+1]], with off[0] = 0 and off[len(off)−1] =
+// len(order). Items whose terms share work (e.g. records joined by a
+// pair term) belong in the same block, so a batch cut from few blocks
+// evaluates little beyond its own items; singleton blocks make every
+// batch an i.i.d. draw. SGD reads but never modifies the slices.
+//
 // EvalBatch must return the value of the sub-objective restricted to the
 // given item indices and write its gradient into grad (full parameter
 // length, overwritten). Implementations must not retain batch, x or
-// grad. The batch slice is a contiguous window of a shuffled permutation
-// and is never empty.
+// grad. The batch slice is a contiguous window of the epoch's shuffled
+// blocks, concatenated, and is never empty.
 type BatchObjective interface {
-	// Items returns the number of decomposable work items (records).
-	Items() int
+	// Blocks returns the item order and its block offsets.
+	Blocks() (order, off []int)
 	// EvalBatch evaluates the sub-objective over the items in batch.
 	EvalBatch(batch []int, x, grad []float64) float64
 }
@@ -37,10 +45,10 @@ type SGDSettings struct {
 	// x -= (LearnRate/len(batch))·∇f_batch, so the step scale is
 	// independent of the batch size. Default 0.01.
 	LearnRate float64
-	// Seed drives the without-replacement batch shuffle. Epoch e
-	// reshuffles the item permutation with a stream derived only from
-	// (Seed, e), so a run is deterministic in Seed regardless of how the
-	// objective parallelises its evaluations.
+	// Seed drives the block shuffle. Epoch e reshuffles the block
+	// permutation, in place, with a stream derived only from (Seed, e),
+	// so a run is deterministic in Seed regardless of how the objective
+	// parallelises its evaluations.
 	Seed int64
 }
 
@@ -55,13 +63,13 @@ func (s *SGDSettings) fill() {
 }
 
 // SGD minimises a decomposable objective with mini-batch stochastic
-// gradient descent: every epoch reshuffles the items (seeded, without
-// replacement), partitions them into consecutive batches and takes one
-// normalised gradient step per batch. Because each item appears in
-// exactly one batch per epoch, the summed batch losses of an epoch
-// approximate the full objective along the trajectory — that sum is the
-// per-epoch Iteration.F reported to Callback/Snapshot and tested against
-// FuncTol.
+// gradient descent: every epoch reshuffles the objective's blocks
+// (seeded, without replacement), concatenates them and cuts the result
+// into consecutive batches, taking one normalised gradient step per
+// batch. Because each item appears in exactly one batch per epoch, the
+// summed batch losses of an epoch approximate the full objective along
+// the trajectory — that sum is the per-epoch Iteration.F reported to
+// Callback/Snapshot and tested against FuncTol.
 //
 // Divergence is hardened the same way the GradientDescent fallback is: a
 // non-finite batch loss or gradient never updates the parameters —
@@ -77,8 +85,9 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 	if n == 0 {
 		return Result{}, ErrEmptyProblem
 	}
-	items := obj.Items()
-	if items <= 0 {
+	order, off := obj.Blocks()
+	items := len(order)
+	if items == 0 {
 		return Result{}, errors.New("optimize: batch objective has no items")
 	}
 	batch := settings.BatchSize
@@ -89,13 +98,16 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 	x := append([]float64(nil), x0...)
 	xGood := append([]float64(nil), x0...)
 	grad := make([]float64, n)
-	perm := make([]int, items)
-	for i := range perm {
-		perm[i] = i
+	// blocks is the block permutation, reshuffled in place every epoch;
+	// perm is the item order it concatenates to.
+	blocks := make([]int, len(off)-1)
+	for b := range blocks {
+		blocks[b] = b
 	}
+	perm := make([]int, 0, items)
 
 	evals := 0
-	f0 := obj.EvalBatch(perm[:batch], x, grad)
+	f0 := obj.EvalBatch(order[:batch], x, grad)
 	evals++
 	if math.IsNaN(f0) || math.IsInf(f0, 0) {
 		return Result{X: x, F: f0, Status: Diverged, Evals: evals},
@@ -110,13 +122,18 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 	}
 
 	for epoch := 0; epoch < settings.MaxIterations; epoch++ {
-		// Seeded without-replacement shuffle: the epoch's stream depends
-		// only on (Seed, epoch), via the same splitmix64 derivation as
-		// the restart pool.
+		// Seeded without-replacement block shuffle: the epoch's stream
+		// depends only on (Seed, epoch), via the same splitmix64
+		// derivation as the restart pool. With singleton blocks in
+		// identity order it is the plain item shuffle.
 		rng := rand.New(rand.NewSource(RestartSeed(settings.Seed, epoch+1)))
-		for i := items - 1; i > 0; i-- {
+		for i := len(blocks) - 1; i > 0; i-- {
 			j := rng.Intn(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
+			blocks[i], blocks[j] = blocks[j], blocks[i]
+		}
+		perm = perm[:0]
+		for _, b := range blocks {
+			perm = append(perm, order[off[b]:off[b+1]]...)
 		}
 
 		var epochLoss float64

@@ -2,6 +2,8 @@ package optimize
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -11,7 +13,16 @@ type quadBatch struct {
 	targets [][]float64
 }
 
-func (q *quadBatch) Items() int { return len(q.targets) }
+func (q *quadBatch) Blocks() (order, off []int) { return singletonBlocks(len(q.targets)) }
+
+// singletonBlocks is the identity order of items items, one block each.
+func singletonBlocks(items int) (order, off []int) {
+	order, off = make([]int, items), make([]int, items+1)
+	for i := range order {
+		order[i], off[i+1] = i, i+1
+	}
+	return order, off
+}
 
 func (q *quadBatch) EvalBatch(batch []int, x, grad []float64) float64 {
 	for i := range grad {
@@ -178,7 +189,7 @@ type poisonBatch struct {
 	poison int
 }
 
-func (p *poisonBatch) Items() int { return p.quad.Items() }
+func (p *poisonBatch) Blocks() (order, off []int) { return p.quad.Blocks() }
 
 func (p *poisonBatch) EvalBatch(batch []int, x, grad []float64) float64 {
 	p.evals++
@@ -242,6 +253,119 @@ func TestSGDBatchLargerThanItems(t *testing.T) {
 	for j := range want {
 		if math.Abs(res.X[j]-want[j]) > 1e-3 {
 			t.Fatalf("x = %v, want ≈ %v", res.X, want)
+		}
+	}
+}
+
+// recordBatch records every batch SGD evaluates, copied, over the given
+// blocks. Its gradient is zero, so the trajectory never matters, and its
+// value counts the evaluations, so no two epochs' losses tie and SGD
+// never stops early.
+type recordBatch struct {
+	order, off []int
+	batches    [][]int
+}
+
+func (r *recordBatch) Blocks() (order, off []int) { return r.order, r.off }
+
+func (r *recordBatch) EvalBatch(batch []int, x, grad []float64) float64 {
+	r.batches = append(r.batches, slices.Clone(batch))
+	clear(grad)
+	return float64(len(r.batches))
+}
+
+// epochBatches runs SGD for epochs epochs over r and returns each
+// epoch's batches (the initial evaluation dropped).
+func epochBatches(t *testing.T, r *recordBatch, batch, epochs int, seed int64) [][][]int {
+	t.Helper()
+	_, err := SGD(r, []float64{0}, SGDSettings{
+		Settings:  Settings{MaxIterations: epochs},
+		BatchSize: batch,
+		Seed:      seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEpoch := (len(r.order) + batch - 1) / batch
+	if got, want := len(r.batches), 1+epochs*perEpoch; got != want {
+		t.Fatalf("%d evaluations, want %d", got, want)
+	}
+	out := make([][][]int, epochs)
+	for e := range out {
+		out[e] = r.batches[1+e*perEpoch : 1+(e+1)*perEpoch]
+	}
+	return out
+}
+
+// TestSGDEpochVisitsEveryItemOnce: for arbitrary blocks — ragged sizes,
+// a scrambled order — every epoch's batches are a partition of the
+// items, each block stays contiguous within the epoch's sequence, and the
+// block sequence changes between epochs.
+func TestSGDEpochVisitsEveryItemOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, items := range []int{1, 2, 17, 100} {
+		ident, _ := singletonBlocks(items)
+		r := &recordBatch{order: rng.Perm(items), off: []int{0}}
+		for lo := 0; lo < items; {
+			lo = min(items, lo+1+rng.Intn(9))
+			r.off = append(r.off, lo)
+		}
+		blockOf := make([]int, items)
+		for b := 0; b+1 < len(r.off); b++ {
+			for _, it := range r.order[r.off[b]:r.off[b+1]] {
+				blockOf[it] = b
+			}
+		}
+		var prev []int
+		for e, batches := range epochBatches(t, r, 7, 4, 9) {
+			seq := slices.Concat(batches...)
+			got := slices.Clone(seq)
+			slices.Sort(got)
+			if !slices.Equal(got, ident) {
+				t.Fatalf("items=%d epoch %d: batches cover %v, want every item once", items, e, got)
+			}
+			// Each block's items appear together and in block order.
+			for i := 0; i < len(seq); {
+				b := blockOf[seq[i]]
+				blk := r.order[r.off[b]:r.off[b+1]]
+				if !slices.Equal(seq[i:i+len(blk)], blk) {
+					t.Fatalf("items=%d epoch %d: block %d split at %d", items, e, b, i)
+				}
+				i += len(blk)
+			}
+			if items == 100 && slices.Equal(seq, prev) {
+				t.Fatalf("items=%d: epoch %d repeats the previous block sequence", items, e)
+			}
+			prev = seq
+		}
+	}
+}
+
+// TestSGDSingletonBlocksAreTheItemShuffle pins the shuffle stream:
+// singleton blocks in identity order cut exactly the batches of the
+// persistent in-place item shuffle (Fisher–Yates over the (Seed, epoch)
+// stream) that SGD drew before it shuffled blocks, so µ = 0 fits and
+// checkpoints of that regime are unchanged.
+func TestSGDSingletonBlocksAreTheItemShuffle(t *testing.T) {
+	const items, batch, epochs, seed = 50, 8, 3, 77
+	r := &recordBatch{}
+	r.order, r.off = singletonBlocks(items)
+	got := epochBatches(t, r, batch, epochs, seed)
+	if !slices.Equal(r.batches[0], r.order[:batch]) {
+		t.Fatalf("initial batch %v, want the first %d items", r.batches[0], batch)
+	}
+	perm, _ := singletonBlocks(items)
+	for e := 0; e < epochs; e++ {
+		rng := rand.New(rand.NewSource(RestartSeed(seed, e+1)))
+		for i := items - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		for k, lo := 0, 0; lo < items; k, lo = k+1, lo+batch {
+			want := perm[lo:min(lo+batch, items)]
+			if !slices.Equal(got[e][k], want) {
+				t.Fatalf("epoch %d batch %d = %v, want %v", e, k, got[e][k], want)
+			}
 		}
 	}
 }

@@ -98,7 +98,8 @@ race:
 # row decoder against encoding/json (same accept/reject decision, same
 # float64 bits on accept), and the kernel's row forward pass against a
 # naive Defs. 3/7/8 reference (memberships a distribution, x̃ inside the
-# prototype range).
+# prototype range), and L-BFGS under injected NaN/±Inf evaluations (the
+# result stays finite, a sticky poison always ends as Diverged).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkCover -fuzztime=$(FUZZTIME) ./internal/par/
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzForward -fuzztime=$(FUZZTIME) ./internal/kernel/
+	$(GO) test -run='^$$' -fuzz=FuzzLBFGSNonFinite -fuzztime=$(FUZZTIME) ./internal/optimize/
 
 cover:
 	$(GO) test -cover ./...

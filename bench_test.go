@@ -251,29 +251,6 @@ func BenchmarkAblationFairnessLoss(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGradient compares the analytic-gradient training path
-// against the finite-difference path at identical problem size.
-func BenchmarkAblationGradient(b *testing.B) {
-	x := ablationData(60)
-	for _, mode := range []struct {
-		name    string
-		numeric bool
-	}{{"Analytic", false}, {"Numeric", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ifair.Fit(x, ifair.Options{
-					K: 3, Lambda: 1, Mu: 1,
-					ForceNumericalGradient: mode.numeric,
-					Fairness:               ifair.SampledFairness, PairSamples: 4,
-					MaxIterations: 5, Seed: 1,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationKernel compares the paper's exponential kernel against
 // the heavy-tailed inverse kernel (the paper's future-work direction).
 func BenchmarkAblationKernel(b *testing.B) {
@@ -327,31 +304,6 @@ func BenchmarkAblationRestarts(b *testing.B) {
 				model, err := ifair.Fit(x, ifair.Options{
 					K: 8, Lambda: 1, Mu: 1, Fairness: ifair.SampledFairness,
 					MaxIterations: 20, Restarts: r, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				loss = model.Loss
-			}
-			b.ReportMetric(loss, "final_loss")
-		})
-	}
-}
-
-// BenchmarkAblationOptimizer compares L-BFGS against plain gradient
-// descent on the iFair objective (Eq. 10).
-func BenchmarkAblationOptimizer(b *testing.B) {
-	x := ablationData(300)
-	for _, mode := range []struct {
-		name string
-		gd   bool
-	}{{"LBFGS", false}, {"GradientDescent", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var loss float64
-			for i := 0; i < b.N; i++ {
-				model, err := ifair.Fit(x, ifair.Options{
-					K: 8, Lambda: 1, Mu: 1, Fairness: ifair.SampledFairness,
-					MaxIterations: 40, UseGradientDescent: mode.gd, Seed: 1,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -249,16 +249,6 @@ func TestFitSGDRestartWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchSizeRejectsNumericalGradient: the batch path has no
-// finite-difference fallback.
-func TestBatchSizeRejectsNumericalGradient(t *testing.T) {
-	opts := Options{K: 2, Lambda: 1, BatchSize: 8, ForceNumericalGradient: true}
-	if err := opts.fill(10, 3); err == nil ||
-		!strings.Contains(err.Error(), "analytic gradient") {
-		t.Fatalf("err = %v, want analytic-gradient requirement", err)
-	}
-}
-
 // TestPairwiseRowLimit: with the fairness loss active, PairwiseFairness
 // must refuse row counts whose O(M²) pair list would be an outage, and
 // the error must point at the scalable modes.

@@ -24,11 +24,13 @@ var fingerprintTable = crc64.MakeTable(crc64.ECMA)
 // Seed and Restarts are carried separately in the snapshot header.
 func checkpointFingerprint(x *mat.Dense, o *Options) string {
 	h := crc64.New(fingerprintTable)
-	fmt.Fprintf(h, "ifair|k=%d|lambda=%g|mu=%g|prot=%v|init=%d|pinit=%d|nearzero=%g|fair=%d|pairs=%d|neighk=%d|p=%g|root=%t|kernel=%d|numgrad=%t|maxiter=%d|gd=%t|batch=%d|epochs=%d|lr=%g|",
-		o.K, o.Lambda, o.Mu, o.Protected, o.Init, o.ProtoInit, o.NearZero,
+	// nearzero, numgrad and gd name a constant and two retired training
+	// paths; they stay as literals so fingerprints, and the checkpoints
+	// they key, are unchanged.
+	fmt.Fprintf(h, "ifair|k=%d|lambda=%g|mu=%g|prot=%v|init=%d|pinit=%d|nearzero=%g|fair=%d|pairs=%d|neighk=%d|p=%g|root=%t|kernel=%d|numgrad=false|maxiter=%d|gd=false|batch=%d|epochs=%d|lr=%g|",
+		o.K, o.Lambda, o.Mu, o.Protected, o.Init, o.ProtoInit, nearZeroAlpha,
 		o.Fairness, o.PairSamples, o.NeighborK, o.P, o.TakeRoot, o.Kernel,
-		o.ForceNumericalGradient, o.MaxIterations, o.UseGradientDescent,
-		o.BatchSize, o.Epochs, o.LearnRate)
+		o.MaxIterations, o.BatchSize, o.Epochs, o.LearnRate)
 	// Mini-batch evaluations sum in chunk order (eval), which rounds
 	// differently from the serial pass older SGD snapshots were taken
 	// under, and SGD cuts its batches from shuffled blocks of the pair

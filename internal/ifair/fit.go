@@ -121,8 +121,6 @@ func FitContext(ctx context.Context, x *mat.Dense, opts Options) (*Model, error)
 					LearnRate: opts.LearnRate,
 					Seed:      shuffleSeed,
 				})
-			case opts.UseGradientDescent:
-				res, err = optimize.GradientDescent(obj, theta, settings)
 			default:
 				res, err = optimize.LBFGS(obj, theta, settings)
 			}
@@ -163,7 +161,7 @@ func initialTheta(x *mat.Dense, opts Options, rng *rand.Rand) []float64 {
 	for j := 0; j < n; j++ {
 		alpha := rng.Float64()
 		if opts.Init == InitMaskedProtected && isProt[j] {
-			alpha = opts.NearZero
+			alpha = nearZeroAlpha
 		}
 		theta[j] = math.Sqrt(alpha)
 	}

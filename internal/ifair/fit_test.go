@@ -258,18 +258,6 @@ func TestLossesMatchesObjective(t *testing.T) {
 	}
 }
 
-func TestGradientDescentFallbackConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := randomData(rng, 20, 3)
-	model, err := Fit(x, Options{K: 2, Lambda: 1, Mu: 0.1, Seed: 1, MaxIterations: 200, UseGradientDescent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(model.Loss) || model.Loss < 0 {
-		t.Fatalf("loss = %v", model.Loss)
-	}
-}
-
 func TestInitStrategyStrings(t *testing.T) {
 	if InitRandom.String() != "iFair-a" || InitMaskedProtected.String() != "iFair-b" {
 		t.Fatal("InitStrategy strings wrong")

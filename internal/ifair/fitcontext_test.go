@@ -227,13 +227,12 @@ func TestFitContextTraceProtocol(t *testing.T) {
 }
 
 func TestFitContextBestOfPartialFailures(t *testing.T) {
-	// With NaN poisoning one restart's initial point the optimizer for
-	// that restart fails; the fit must still return the best surviving
-	// model rather than aborting on the first error. We simulate this via
-	// ForceNumericalGradient being irrelevant — instead exercise the error
-	// path directly through optimize.Restarts semantics, which
-	// TestRestartsErrorPolicy covers at the engine level; here we only pin
-	// that a normal multi-restart fit succeeds end to end with workers.
+	// FitContext hands its restarts to optimize.RestartsLedger, whose
+	// policy — a failed restart is skipped and the best surviving one
+	// wins — TestRestartsErrorPolicy pins at the engine level. Options
+	// offer no way to make a single restart fail, so this test pins the
+	// fit side of that contract: four restarts on four workers return one
+	// model with a positive loss.
 	rng := rand.New(rand.NewSource(6))
 	x := randomData(rng, 20, 4)
 	opts := ctxOpts()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/knn"
 	"repro/internal/mat"
-	"repro/internal/optimize"
 	"repro/internal/par"
 )
 
@@ -24,9 +23,8 @@ type pair struct{ i, j int }
 // unconstrained optimizer.
 //
 // Gradients are analytic for every supported configuration — any Minkowski
-// exponent p ≥ 1, the optional 1/p root, and both membership kernels; a
-// central-difference fallback remains available for validation
-// (Options.ForceNumericalGradient).
+// exponent p ≥ 1, the optional 1/p root, and both membership kernels; the
+// tests check them against optimize.NumericalGradient.
 //
 // The full objective and the mini-batch sub-objective are one evaluation
 // (eval) over different evaluation lists: full holds every record and
@@ -359,18 +357,7 @@ func (o *objective) decode(theta []float64) (alpha []float64, protos []float64) 
 
 // Eval implements optimize.Objective.
 func (o *objective) Eval(theta, grad []float64) float64 {
-	if o.opts.analyticGradient() {
-		return o.eval(&o.full, theta, grad)
-	}
-	loss := o.lossOnly(theta)
-	optimize.NumericalGradient(o.lossOnly, theta, grad, 1e-6)
-	return loss
-}
-
-// lossOnly evaluates the objective without gradients; it also serves as the
-// finite-difference target for ForceNumericalGradient.
-func (o *objective) lossOnly(theta []float64) float64 {
-	return o.eval(&o.full, theta, nil)
+	return o.eval(&o.full, theta, grad)
 }
 
 // reserve grows the evaluation scratch to lists of up to rows rows and

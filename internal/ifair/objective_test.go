@@ -18,6 +18,11 @@ func randomData(rng *rand.Rand, m, n int) *mat.Dense {
 	return x
 }
 
+// lossOnly evaluates the full objective without its gradient.
+func (o *objective) lossOnly(theta []float64) float64 {
+	return o.eval(&o.full, theta, nil)
+}
+
 // newTestObjective builds an objective plus a random parameter point.
 func newTestObjective(seed int64, opts Options) (*objective, []float64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -172,30 +177,6 @@ func TestNonProtectedIndices(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-// TestNumericalPathAgreesWithAnalytic validates the ForceNumericalGradient
-// escape hatch: same loss, near-identical gradient.
-func TestNumericalPathAgreesWithAnalytic(t *testing.T) {
-	analytic := Options{K: 2, Lambda: 1, Mu: 1}
-	numeric := analytic
-	numeric.ForceNumericalGradient = true
-
-	objA, theta := newTestObjective(5, analytic)
-	objN, _ := newTestObjective(5, numeric)
-	gA := make([]float64, objA.paramLen())
-	gN := make([]float64, objN.paramLen())
-	lossA := objA.Eval(theta, gA)
-	lossN := objN.Eval(theta, gN)
-	if math.Abs(lossA-lossN) > 1e-10 {
-		t.Fatalf("losses differ: %v vs %v", lossA, lossN)
-	}
-	for i := range gA {
-		denom := math.Max(1, math.Abs(gA[i]))
-		if math.Abs(gA[i]-gN[i])/denom > 1e-4 {
-			t.Fatalf("gradient %d differs: %v vs %v", i, gA[i], gN[i])
 		}
 	}
 }

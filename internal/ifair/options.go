@@ -29,11 +29,15 @@ const (
 	// iFair-a.
 	InitRandom InitStrategy = iota
 	// InitMaskedProtected draws non-protected α_n uniformly from (0, 1)
-	// and sets protected entries to a near-zero value — the paper's
-	// iFair-b ("initializing protected attributes to (near-)zero values
-	// ... avoiding zero values to allow slack").
+	// and sets protected entries to nearZeroAlpha — the paper's iFair-b
+	// ("initializing protected attributes to (near-)zero values ...
+	// avoiding zero values to allow slack").
 	InitMaskedProtected
 )
+
+// nearZeroAlpha is the initial α of protected attributes under
+// InitMaskedProtected.
+const nearZeroAlpha = 0.01
 
 // String implements fmt.Stringer.
 func (s InitStrategy) String() string {
@@ -151,9 +155,6 @@ type Options struct {
 	Init InitStrategy
 	// ProtoInit selects prototype initialisation.
 	ProtoInit PrototypeInit
-	// NearZero is the α value assigned to protected attributes under
-	// InitMaskedProtected. Default 0.01.
-	NearZero float64
 
 	// Fairness selects the pairing strategy for L_fair.
 	Fairness FairnessMode
@@ -177,14 +178,10 @@ type Options struct {
 	TakeRoot bool
 	// Kernel selects the membership weighting (Def. 8 by default).
 	Kernel Kernel
-	// ForceNumericalGradient trains with central finite differences
-	// instead of the analytic gradient — retained for validation and the
-	// gradient ablation bench; far slower.
-	ForceNumericalGradient bool
 
 	// Workers is the number of goroutines evaluating the objective: the
-	// full objective of an L-BFGS or gradient-descent fit and every
-	// mini-batch of an SGD fit alike. Values ≤ 1 run sequentially.
+	// full objective of an L-BFGS fit and every mini-batch of an SGD fit
+	// alike. Values ≤ 1 run sequentially.
 	// Evaluation chunks the evaluated records and pairs with internal/par,
 	// whose chunk plan depends only on their counts and whose partial
 	// reductions run in chunk order — so losses, gradients and the fitted
@@ -221,9 +218,8 @@ type Options struct {
 	// breadth-first order over the fairness-pair graph (seeded, without
 	// replacement), cuts batches from them and steps once per batch on
 	// the batch's sub-objective. Scratch is sized to the batch, not the
-	// dataset, so memory stays flat as M grows. Requires the analytic
-	// gradient.
-	// 0 (the default) keeps full-batch L-BFGS / gradient descent.
+	// dataset, so memory stays flat as M grows.
+	// 0 (the default) keeps full-batch L-BFGS.
 	BatchSize int
 	// Epochs bounds SGD epochs per restart (each epoch visits every
 	// record once). Only used when BatchSize > 0. Default 30.
@@ -231,9 +227,6 @@ type Options struct {
 	// LearnRate is the per-item SGD step size: each batch steps by
 	// (LearnRate/batch)·∇. Only used when BatchSize > 0. Default 0.01.
 	LearnRate float64
-	// UseGradientDescent switches the optimiser from L-BFGS to plain
-	// gradient descent (ablation support).
-	UseGradientDescent bool
 	// WarmStart, when non-nil, seeds restart 0 from a previously fitted
 	// model instead of a random draw: α and the prototypes are copied
 	// into the initial parameter vector, so a refit on drifted data
@@ -273,9 +266,6 @@ func (o *Options) fill(rows, cols int) error {
 			"ifair: PairwiseFairness enumerates all %d·(%d−1)/2 record pairs, beyond the %d-row support limit; use SampledFairness or NeighborFairness, whose pair budgets are rows·PairSamples",
 			rows, rows, MaxPairwiseRows)
 	}
-	if o.NearZero <= 0 {
-		o.NearZero = 0.01
-	}
 	if o.PairSamples <= 0 {
 		o.PairSamples = 16
 	}
@@ -309,9 +299,6 @@ func (o *Options) fill(rows, cols int) error {
 		}
 	}
 	if o.BatchSize > 0 {
-		if o.ForceNumericalGradient {
-			return errors.New("ifair: mini-batch training (BatchSize > 0) requires the analytic gradient; unset ForceNumericalGradient")
-		}
 		if o.Epochs <= 0 {
 			o.Epochs = 30
 		}
@@ -321,6 +308,3 @@ func (o *Options) fill(rows, cols int) error {
 	}
 	return nil
 }
-
-// analyticGradient reports whether the fast analytic-gradient path applies.
-func (o *Options) analyticGradient() bool { return !o.ForceNumericalGradient }

@@ -157,7 +157,7 @@ func RestartsLedger(ctx context.Context, n, workers int, ledger RestartLedger, f
 	}
 	best = -1
 	for r := 0; r < n; r++ {
-		if errs[r] != nil || math.IsNaN(losses[r]) {
+		if errs[r] != nil || math.IsNaN(losses[r]) || math.IsInf(losses[r], 0) {
 			continue
 		}
 		if best == -1 || losses[r] < losses[best] {

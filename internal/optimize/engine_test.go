@@ -21,58 +21,50 @@ func bowl(x, grad []float64) float64 {
 }
 
 func TestCallbackOrderingAndMonotonicity(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func(Objective, []float64, Settings) (Result, error)
-	}{
-		{"lbfgs", LBFGS},
-		{"gd", GradientDescent},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var events []Iteration
-			s := Settings{
-				MaxIterations: 50,
-				Callback: func(it Iteration) bool {
-					events = append(events, it)
-					return false
-				},
+	t.Run("lbfgs", func(t *testing.T) {
+		var events []Iteration
+		s := Settings{
+			MaxIterations: 50,
+			Callback: func(it Iteration) bool {
+				events = append(events, it)
+				return false
+			},
+		}
+		res, err := LBFGS(ObjectiveFunc(bowl), []float64{10, -4, 7}, s)
+		if err != nil {
+			t.Fatalf("optimizer error: %v", err)
+		}
+		if len(events) == 0 {
+			t.Fatal("callback never invoked")
+		}
+		for i, it := range events {
+			if it.Iter != i {
+				t.Fatalf("event %d has Iter=%d, want %d (callbacks must fire once per iteration, in order)", i, it.Iter, i)
 			}
-			res, err := tc.run(ObjectiveFunc(bowl), []float64{10, -4, 7}, s)
-			if err != nil {
-				t.Fatalf("optimizer error: %v", err)
+			if it.Step <= 0 {
+				t.Errorf("event %d has non-positive step %v", i, it.Step)
 			}
-			if len(events) == 0 {
-				t.Fatal("callback never invoked")
-			}
-			for i, it := range events {
-				if it.Iter != i {
-					t.Fatalf("event %d has Iter=%d, want %d (callbacks must fire once per iteration, in order)", i, it.Iter, i)
+			if i > 0 {
+				if it.F > events[i-1].F {
+					t.Errorf("event %d loss %v rose above previous %v", i, it.F, events[i-1].F)
 				}
-				if it.Step <= 0 {
-					t.Errorf("event %d has non-positive step %v", i, it.Step)
-				}
-				if i > 0 {
-					if it.F > events[i-1].F {
-						t.Errorf("event %d loss %v rose above previous %v", i, it.F, events[i-1].F)
-					}
-					if it.Evals <= events[i-1].Evals {
-						t.Errorf("event %d Evals=%d did not increase from %d", i, it.Evals, events[i-1].Evals)
-					}
+				if it.Evals <= events[i-1].Evals {
+					t.Errorf("event %d Evals=%d did not increase from %d", i, it.Evals, events[i-1].Evals)
 				}
 			}
-			last := events[len(events)-1]
-			if last.F != res.F {
-				t.Errorf("last callback F=%v, result F=%v: final event must describe the returned point", last.F, res.F)
-			}
-			if last.Iter+1 != res.Iterations {
-				t.Errorf("last callback Iter=%d, result Iterations=%d", last.Iter, res.Iterations)
-			}
-		})
-	}
+		}
+		last := events[len(events)-1]
+		if last.F != res.F {
+			t.Errorf("last callback F=%v, result F=%v: final event must describe the returned point", last.F, res.F)
+		}
+		if last.Iter+1 != res.Iterations {
+			t.Errorf("last callback Iter=%d, result Iterations=%d", last.Iter, res.Iterations)
+		}
+	})
 }
 
-// quartic needs many iterations under either optimizer, so a stop
-// request mid-run is observable.
+// quartic needs many L-BFGS iterations, so a stop request mid-run is
+// observable.
 func quartic(x, grad []float64) float64 {
 	var f float64
 	for i := range x {
@@ -84,39 +76,31 @@ func quartic(x, grad []float64) float64 {
 }
 
 func TestCallbackStopsRun(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func(Objective, []float64, Settings) (Result, error)
-	}{
-		{"lbfgs", LBFGS},
-		{"gd", GradientDescent},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			calls := 0
-			s := Settings{
-				MaxIterations: 500,
-				GradTol:       1e-14,
-				FuncTol:       1e-300,
-				Callback: func(Iteration) bool {
-					calls++
-					return calls >= 2
-				},
-			}
-			res, err := tc.run(ObjectiveFunc(quartic), []float64{100, -40, 70, 5}, s)
-			if err != nil {
-				t.Fatalf("optimizer error: %v", err)
-			}
-			if res.Status != Stopped {
-				t.Fatalf("status = %v, want Stopped", res.Status)
-			}
-			if calls != 2 {
-				t.Fatalf("callback invoked %d times after requesting stop at 2", calls)
-			}
-			if res.Iterations != 2 {
-				t.Fatalf("Iterations = %d, want 2", res.Iterations)
-			}
-		})
-	}
+	t.Run("lbfgs", func(t *testing.T) {
+		calls := 0
+		s := Settings{
+			MaxIterations: 500,
+			GradTol:       1e-14,
+			FuncTol:       1e-300,
+			Callback: func(Iteration) bool {
+				calls++
+				return calls >= 2
+			},
+		}
+		res, err := LBFGS(ObjectiveFunc(quartic), []float64{100, -40, 70, 5}, s)
+		if err != nil {
+			t.Fatalf("optimizer error: %v", err)
+		}
+		if res.Status != Stopped {
+			t.Fatalf("status = %v, want Stopped", res.Status)
+		}
+		if calls != 2 {
+			t.Fatalf("callback invoked %d times after requesting stop at 2", calls)
+		}
+		if res.Iterations != 2 {
+			t.Fatalf("Iterations = %d, want 2", res.Iterations)
+		}
+	})
 }
 
 func TestStoppedStatusString(t *testing.T) {
@@ -207,6 +191,23 @@ func TestRestartsErrorPolicy(t *testing.T) {
 		if !containsStr(err.Error(), frag) {
 			t.Errorf("joined error missing %q: %v", frag, err)
 		}
+	}
+
+	// −Inf would undercut every finite loss; it must not win either.
+	losses := []float64{5, math.Inf(-1), 3}
+	best, err = Restarts(context.Background(), 3, 2, func(_ context.Context, r int) (float64, error) {
+		return losses[r], nil
+	})
+	if err != nil || best != 2 {
+		t.Fatalf("losses %v: best=%d err=%v, want 2", losses, best, err)
+	}
+
+	// Only +Inf losses: no winner, the joined error instead.
+	best, err = Restarts(context.Background(), 2, 2, func(_ context.Context, r int) (float64, error) {
+		return math.Inf(1), nil
+	})
+	if err == nil || !containsStr(err.Error(), "non-finite final loss") {
+		t.Fatalf("all +Inf losses: best=%d err=%v, want the joined non-finite error", best, err)
 	}
 }
 

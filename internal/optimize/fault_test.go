@@ -33,14 +33,29 @@ func assertFinite(t *testing.T, x []float64) {
 	}
 }
 
-func TestGradientDescentDivergedOnStickyNaN(t *testing.T) {
+// nanGradient wraps obj so every evaluation on which fuse fires keeps its
+// finite value but returns a NaN gradient — the subtle poisoning that, if
+// accepted, would corrupt every later iterate.
+func nanGradient(obj optimize.Objective, fuse *faultinject.Fuse) optimize.Objective {
+	return optimize.ObjectiveFunc(func(x, grad []float64) float64 {
+		f := obj.Eval(x, grad)
+		if fuse.Trip() {
+			for i := range grad {
+				grad[i] = math.NaN()
+			}
+		}
+		return f
+	})
+}
+
+func TestLBFGSDivergedOnStickyNaN(t *testing.T) {
 	// From the 3rd evaluation on, every evaluation explodes — the iterates
 	// can never get back to finite territory, so the run must stop with
 	// Diverged and hand back the last finite point.
 	obj := faultinject.PoisonObjective(sphere, faultinject.NewStickyFuse(3), faultinject.NaN())
-	res, err := optimize.GradientDescent(obj, []float64{3, -2}, optimize.Settings{MaxIterations: 50})
+	res, err := optimize.LBFGS(obj, []float64{3, -2}, optimize.Settings{MaxIterations: 50})
 	if err != nil {
-		t.Fatalf("GradientDescent: %v", err)
+		t.Fatalf("LBFGS: %v", err)
 	}
 	if res.Status != optimize.Diverged {
 		t.Fatalf("Status = %v, want Diverged", res.Status)
@@ -51,39 +66,31 @@ func TestGradientDescentDivergedOnStickyNaN(t *testing.T) {
 	}
 }
 
-func TestGradientDescentDivergedOnStickyInf(t *testing.T) {
+func TestLBFGSDivergedOnStickyInf(t *testing.T) {
 	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
 		obj := faultinject.PoisonObjective(sphere, faultinject.NewStickyFuse(2), inf)
-		res, err := optimize.GradientDescent(obj, []float64{1.5}, optimize.Settings{MaxIterations: 50})
+		res, err := optimize.LBFGS(obj, []float64{1.5}, optimize.Settings{MaxIterations: 50})
 		if err != nil {
-			t.Fatalf("GradientDescent(inf=%v): %v", inf, err)
+			t.Fatalf("LBFGS(inf=%v): %v", inf, err)
 		}
 		// −Inf is the treacherous case: it passes any naive decrease test.
 		if res.Status != optimize.Diverged {
 			t.Fatalf("inf=%v: Status = %v, want Diverged", inf, res.Status)
 		}
 		assertFinite(t, res.X)
+		if math.IsInf(res.F, 0) {
+			t.Fatalf("inf=%v: returned F = %v is not finite", inf, res.F)
+		}
 	}
 }
 
-func TestGradientDescentNonFiniteInitialPoint(t *testing.T) {
-	obj := faultinject.PoisonObjective(sphere, faultinject.NewFuse(1), faultinject.NaN())
-	res, err := optimize.GradientDescent(obj, []float64{1, 2}, optimize.Settings{MaxIterations: 10})
-	if err == nil {
-		t.Fatal("want error for non-finite initial objective")
-	}
-	if res.Status != optimize.Diverged {
-		t.Fatalf("Status = %v, want Diverged", res.Status)
-	}
-}
-
-func TestGradientDescentRecoversFromTransientFault(t *testing.T) {
+func TestLBFGSRecoversFromTransientFault(t *testing.T) {
 	// A single poisoned evaluation — a one-shot fuse — must not kill the
 	// run: the line search backs off, re-evaluates cleanly and converges.
 	obj := faultinject.PoisonObjective(sphere, faultinject.NewFuse(2), faultinject.NaN())
-	res, err := optimize.GradientDescent(obj, []float64{3, -2}, optimize.Settings{MaxIterations: 200})
+	res, err := optimize.LBFGS(obj, []float64{3, -2}, optimize.Settings{MaxIterations: 200})
 	if err != nil {
-		t.Fatalf("GradientDescent: %v", err)
+		t.Fatalf("LBFGS: %v", err)
 	}
 	if res.Status != optimize.Converged && res.Status != optimize.SmallImprovement {
 		t.Fatalf("Status = %v, want convergence despite the transient fault", res.Status)
@@ -91,64 +98,107 @@ func TestGradientDescentRecoversFromTransientFault(t *testing.T) {
 	assertFinite(t, res.X)
 }
 
-func TestGradientDescentPoisonedGradientKeepsLastFinitePoint(t *testing.T) {
+func TestLBFGSPoisonedGradientKeepsLastFinitePoint(t *testing.T) {
 	// The function value stays finite and acceptable while the gradient is
-	// NaN — the subtle poisoning that, if accepted, would corrupt every
-	// later iterate. The run must stop at the previous point.
-	// Eval 1 is the initial point; from eval 2 on — every line-search
-	// trial — the gradient is poisoned, so the first accepted step hits it.
-	fuse := faultinject.NewStickyFuse(2)
-	obj := optimize.ObjectiveFunc(func(x, grad []float64) float64 {
-		f := sphere.Eval(x, grad)
-		if fuse.Trip() {
-			for i := range grad {
-				grad[i] = math.NaN()
-			}
-		}
-		return f
-	})
-	res, err := optimize.GradientDescent(obj, []float64{2, 1}, optimize.Settings{MaxIterations: 50})
+	// NaN. Eval 1 is the initial point; from eval 2 on — every line-search
+	// trial — the gradient is poisoned, so no step may be accepted and the
+	// run must stop at the initial point.
+	x0 := []float64{2, 1}
+	res, err := optimize.LBFGS(nanGradient(sphere, faultinject.NewStickyFuse(2)), x0, optimize.Settings{MaxIterations: 50})
 	if err != nil {
-		t.Fatalf("GradientDescent: %v", err)
+		t.Fatalf("LBFGS: %v", err)
 	}
 	if res.Status != optimize.Diverged {
 		t.Fatalf("Status = %v, want Diverged", res.Status)
 	}
 	assertFinite(t, res.X)
+	if res.X[0] != x0[0] || res.X[1] != x0[1] || res.GradNorm != 4 {
+		t.Fatalf("X = %v, GradNorm = %v; want the initial point %v and its gradient norm 4", res.X, res.GradNorm, x0)
+	}
+}
+
+// FuzzLBFGSNonFinite runs L-BFGS on the sphere with a poisoned evaluation
+// — one-shot, or sticky from the fuse on — that returns NaN, +Inf or −Inf
+// (value and gradient) or a finite value with a NaN gradient. Whatever the
+// schedule and start, the result is finite unless the start itself was
+// poisoned (an error, with Status Diverged), and a sticky poison that
+// fires always ends the run with Status Diverged.
+func FuzzLBFGSNonFinite(f *testing.F) {
+	f.Add(uint8(3), true, uint8(0), 3.0, -2.0)
+	f.Add(uint8(2), true, uint8(1), 1.5, 0.0)
+	f.Add(uint8(2), true, uint8(2), 1.5, 0.0)
+	f.Add(uint8(2), true, uint8(3), 2.0, 1.0)
+	f.Add(uint8(2), false, uint8(0), 3.0, -2.0)
+	f.Add(uint8(1), false, uint8(2), 1.0, 2.0)
+	f.Fuzz(func(t *testing.T, at uint8, sticky bool, poison uint8, x0, x1 float64) {
+		start := []float64{x0, x1}
+		for _, v := range start {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("start point must be finite")
+			}
+		}
+		// Sphere runs take a handful of evaluations; fuses beyond 16
+		// would rarely fire. A fuse at 0 never fires.
+		fuse := faultinject.NewFuse(int(at % 16))
+		if sticky {
+			fuse = faultinject.NewStickyFuse(int(at % 16))
+		}
+		var obj optimize.Objective
+		switch poison % 4 {
+		case 0:
+			obj = faultinject.PoisonObjective(sphere, fuse, math.NaN())
+		case 1:
+			obj = faultinject.PoisonObjective(sphere, fuse, math.Inf(1))
+		case 2:
+			obj = faultinject.PoisonObjective(sphere, fuse, math.Inf(-1))
+		default:
+			obj = nanGradient(sphere, fuse)
+		}
+		res, err := optimize.LBFGS(obj, start, optimize.Settings{MaxIterations: 50})
+		if err != nil {
+			if res.Evals != 1 || res.Status != optimize.Diverged {
+				t.Fatalf("error %v after %d evals with Status %v; only a poisoned start may fail, as Diverged", err, res.Evals, res.Status)
+			}
+			return
+		}
+		assertFinite(t, res.X)
+		if math.IsNaN(res.F) || math.IsInf(res.F, 0) || math.IsNaN(res.GradNorm) || math.IsInf(res.GradNorm, 0) {
+			t.Fatalf("F = %v, GradNorm = %v: not finite", res.F, res.GradNorm)
+		}
+		if sticky && at%16 > 0 && res.Evals >= int(at%16) && res.Status != optimize.Diverged {
+			t.Fatalf("sticky poison fired at eval %d of %d, Status = %v, want Diverged", at%16, res.Evals, res.Status)
+		}
+	})
 }
 
 func TestSnapshotSinkSeesEveryAcceptedIteration(t *testing.T) {
-	run := func(name string, opt func(optimize.Objective, []float64, optimize.Settings) (optimize.Result, error)) {
-		var iters []int
-		var lastX []float64
-		settings := optimize.Settings{
-			MaxIterations: 40,
-			Snapshot: func(it optimize.Iteration, x []float64) {
-				iters = append(iters, it.Iter)
-				lastX = append(lastX[:0], x...) // must copy, not retain
-			},
-		}
-		res, err := opt(sphere, []float64{4, -3}, settings)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(iters) != res.Iterations {
-			t.Fatalf("%s: snapshot saw %d iterations, optimizer reports %d", name, len(iters), res.Iterations)
-		}
-		for i, it := range iters {
-			if it != i {
-				t.Fatalf("%s: snapshot iteration sequence %v not contiguous", name, iters)
-			}
-		}
-		// The final snapshot is the final iterate.
-		for i := range lastX {
-			if lastX[i] != res.X[i] {
-				t.Fatalf("%s: last snapshot %v != result %v", name, lastX, res.X)
-			}
+	var iters []int
+	var lastX []float64
+	settings := optimize.Settings{
+		MaxIterations: 40,
+		Snapshot: func(it optimize.Iteration, x []float64) {
+			iters = append(iters, it.Iter)
+			lastX = append(lastX[:0], x...) // must copy, not retain
+		},
+	}
+	res, err := optimize.LBFGS(sphere, []float64{4, -3}, settings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(iters) != res.Iterations {
+		t.Fatalf("snapshot saw %d iterations, optimizer reports %d", len(iters), res.Iterations)
+	}
+	for i, it := range iters {
+		if it != i {
+			t.Fatalf("snapshot iteration sequence %v not contiguous", iters)
 		}
 	}
-	run("lbfgs", optimize.LBFGS)
-	run("gd", optimize.GradientDescent)
+	// The final snapshot is the final iterate.
+	for i := range lastX {
+		if lastX[i] != res.X[i] {
+			t.Fatalf("last snapshot %v != result %v", lastX, res.X)
+		}
+	}
 }
 
 // fakeLedger records every Lookup/Record for assertion.
@@ -274,11 +324,12 @@ func TestRestartsLedgerDoesNotRecordCancelled(t *testing.T) {
 }
 
 func TestKillerCancelsAtExactPoint(t *testing.T) {
-	// An ill-conditioned quadratic keeps gradient descent zigzagging for
-	// many iterations, so iteration 5 is guaranteed to be reached.
-	ellipse := optimize.ObjectiveFunc(func(x, grad []float64) float64 {
-		grad[0], grad[1] = x[0], 100*x[1]
-		return 0.5*x[0]*x[0] + 50*x[1]*x[1]
+	// Rosenbrock's curved valley takes L-BFGS dozens of iterations, so
+	// iteration 5 is guaranteed to be reached.
+	rosenbrock := optimize.ObjectiveFunc(func(x, grad []float64) float64 {
+		a, b := x[1]-x[0]*x[0], 1-x[0]
+		grad[0], grad[1] = -400*x[0]*a-2*b, 200*a
+		return 100*a*a + b*b
 	})
 	killer, ctx := faultinject.NewKiller(context.Background(), 0, 5)
 	settings := optimize.Settings{
@@ -286,9 +337,9 @@ func TestKillerCancelsAtExactPoint(t *testing.T) {
 		GradTol:       1e-12,
 		Callback:      optimize.ContextCallback(ctx, killer, 0),
 	}
-	res, err := optimize.GradientDescent(ellipse, []float64{1, 1}, settings)
+	res, err := optimize.LBFGS(rosenbrock, []float64{-1.2, 1}, settings)
 	if err != nil {
-		t.Fatalf("GradientDescent: %v", err)
+		t.Fatalf("LBFGS: %v", err)
 	}
 	if !killer.Fired() {
 		t.Fatal("killer never fired")

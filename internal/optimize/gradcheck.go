@@ -8,9 +8,8 @@ import (
 // NumericalGradient fills grad with a central-difference approximation of
 // ∇f at x. f must not mutate x. The step h defaults to 1e-6 when h <= 0.
 //
-// The iFair core uses this both to validate its analytic gradients in tests
-// and as the training gradient for distance settings (general Minkowski p)
-// whose analytic derivative is not implemented.
+// It is the reference the tests check every analytic gradient against
+// (see CheckGradient); no training path uses it.
 func NumericalGradient(f func(x []float64) float64, x []float64, grad []float64, h float64) {
 	if h <= 0 {
 		h = 1e-6

@@ -1,9 +1,9 @@
 // Package optimize implements the unconstrained optimisation substrate the
 // paper relies on: the limited-memory BFGS algorithm of Liu & Nocedal
-// (reference [21] of the paper) with a strong-Wolfe line search, a plain
-// gradient-descent fallback used for ablations, and a finite-difference
-// gradient checker used to validate every analytic gradient in the
-// repository.
+// (reference [21] of the paper) with a strong-Wolfe line search for
+// full-batch training, mini-batch SGD for datasets too large for it, and
+// a finite-difference gradient checker used to validate every analytic
+// gradient in the repository.
 package optimize
 
 import (
@@ -91,8 +91,8 @@ type Settings struct {
 	Memory int
 	// Callback, when non-nil, is invoked after every accepted outer
 	// iteration with that iteration's progress. Returning true stops the
-	// run at the current point with Status Stopped. Both LBFGS and
-	// GradientDescent honour it, so cancellation and tracing work
+	// run at the current point with Status Stopped. Both LBFGS and SGD
+	// (once per epoch) honour it, so cancellation and tracing work
 	// identically across optimizers.
 	Callback func(Iteration) (stop bool)
 	// Snapshot, when non-nil, is invoked after every accepted outer
@@ -100,7 +100,7 @@ type Settings struct {
 	// and the current iterate. It is the checkpoint sink: a crash-safe
 	// training run persists x from here. Implementations must not retain
 	// x beyond the call (the optimizer reuses the buffer); copy what you
-	// keep. Both LBFGS and GradientDescent honour it.
+	// keep. Both LBFGS and SGD (once per epoch) honour it.
 	Snapshot func(it Iteration, x []float64)
 }
 
@@ -124,6 +124,14 @@ var ErrEmptyProblem = errors.New("optimize: empty parameter vector")
 
 // LBFGS minimises obj starting from x0 using limited-memory BFGS with a
 // strong-Wolfe line search. x0 is not modified.
+//
+// Non-finite territory is never entered: a line-search trial whose value
+// or gradient holds a NaN or ±Inf is rejected like an overlong step
+// (−Inf included, though it would pass any decrease test). When the
+// search then finds no acceptable step, the run stops with Status
+// Diverged and the last finite iterate — poisoned parameters are never
+// returned. A non-finite value or gradient at x0 is an error, also with
+// Status Diverged.
 func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 	settings.fill()
 	n := len(x0)
@@ -140,8 +148,8 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 	}
 
 	f := eval(x, grad)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return Result{X: x, F: f, Status: LineSearchFailed, Evals: evals},
+	if !finite(f, grad) {
+		return Result{X: x, F: f, Status: Diverged, Evals: evals},
 			errors.New("optimize: objective is not finite at the initial point")
 	}
 
@@ -199,8 +207,11 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 				step0 = math.Min(1, 1/gn)
 			}
 		}
-		step, fNew, ok := wolfeLineSearch(eval, x, f, grad, dir, step0, xNew, gNew)
+		step, fNew, ok, sawNonFinite := wolfeLineSearch(eval, x, f, grad, dir, step0, xNew, gNew)
 		if !ok {
+			if sawNonFinite {
+				return result(Diverged, iter), nil
+			}
 			return result(LineSearchFailed, iter), nil
 		}
 
@@ -243,105 +254,10 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 	return result(MaxIterations, settings.MaxIterations), nil
 }
 
-// GradientDescent minimises obj with a backtracking (Armijo) line search.
-// It exists as the ablation comparator for L-BFGS (BenchmarkAblationOptimizer)
-// and as a simple, robust fallback.
-//
-// Non-finite territory is rejected the same way the L-BFGS path rejects
-// it: a NaN/±Inf function value never passes the acceptance test, a
-// NaN/Inf gradient at an otherwise acceptable point stops the run, and in
-// both cases the result carries the last finite iterate with Status
-// Diverged — poisoned parameters are never returned.
-func GradientDescent(obj Objective, x0 []float64, settings Settings) (Result, error) {
-	settings.fill()
-	n := len(x0)
-	if n == 0 {
-		return Result{}, ErrEmptyProblem
-	}
-	x := append([]float64(nil), x0...)
-	grad := make([]float64, n)
-	evals := 0
-	eval := func(p, g []float64) float64 {
-		evals++
-		return obj.Eval(p, g)
-	}
-	f := eval(x, grad)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return Result{X: x, F: f, Status: Diverged, Evals: evals},
-			errors.New("optimize: objective is not finite at the initial point")
-	}
-	xNew := make([]float64, n)
-	gNew := make([]float64, n)
-	step := 1.0
-	result := func(status Status, iter int) Result {
-		return Result{X: x, F: f, GradNorm: infNorm(grad), Iterations: iter, Evals: evals, Status: status}
-	}
-	for iter := 0; iter < settings.MaxIterations; iter++ {
-		gn := infNorm(grad)
-		if gn <= settings.GradTol {
-			return result(Converged, iter), nil
-		}
-		g2 := dot(grad, grad)
-		accepted := false
-		sawNonFinite := false
-		for try := 0; try < 50; try++ {
-			for i := range x {
-				xNew[i] = x[i] - step*grad[i]
-			}
-			fNew := eval(xNew, gNew)
-			if math.IsNaN(fNew) || math.IsInf(fNew, 0) {
-				// The step left the finite region (−Inf included: it
-				// would "improve" every acceptance test while being
-				// garbage). Back off like any other rejected step.
-				sawNonFinite = true
-				step /= 2
-				if step < 1e-18 {
-					break
-				}
-				continue
-			}
-			if fNew <= f-1e-4*step*g2 {
-				if !allFinite(gNew) {
-					// The point looks fine but its gradient is poisoned;
-					// continuing would write NaN into every later
-					// iterate. Keep the last finite point.
-					return result(Diverged, iter), nil
-				}
-				improvement := f - fNew
-				copy(x, xNew)
-				copy(grad, gNew)
-				f = fNew
-				accepted = true
-				used := step
-				step *= 1.5
-				it := Iteration{Iter: iter, F: f, GradNorm: infNorm(grad), Step: used, Evals: evals}
-				if settings.Snapshot != nil {
-					settings.Snapshot(it, x)
-				}
-				if settings.Callback != nil {
-					if settings.Callback(it) {
-						return result(Stopped, iter+1), nil
-					}
-				}
-				if improvement <= settings.FuncTol*(1+math.Abs(f)) {
-					return result(SmallImprovement, iter+1), nil
-				}
-				break
-			}
-			step /= 2
-			if step < 1e-18 {
-				break
-			}
-		}
-		if !accepted {
-			status := LineSearchFailed
-			if sawNonFinite {
-				status = Diverged
-			}
-			return result(status, iter), nil
-		}
-	}
-	return result(MaxIterations, settings.MaxIterations), nil
+// finite reports whether an evaluation's value f and gradient g are all
+// finite.
+func finite(f float64, g []float64) bool {
+	return !math.IsNaN(f) && !math.IsInf(f, 0) && allFinite(g)
 }
 
 // allFinite reports whether every entry of v is finite.
@@ -356,13 +272,14 @@ func allFinite(v []float64) bool {
 
 // wolfeLineSearch finds a step length satisfying the strong Wolfe
 // conditions along dir from x, writing the accepted point and gradient into
-// xOut and gOut. It returns the step, the new function value and whether an
-// acceptable step was found.
+// xOut and gOut. It returns the step, the new function value, whether an
+// acceptable step was found and, when none was, whether any trial
+// evaluated to a NaN or ±Inf value or gradient.
 func wolfeLineSearch(
 	eval func(x, g []float64) float64,
 	x []float64, f0 float64, g0 []float64, dir []float64,
 	step0 float64, xOut, gOut []float64,
-) (step, fNew float64, ok bool) {
+) (step, fNew float64, ok, sawNonFinite bool) {
 	const (
 		c1       = 1e-4
 		c2       = 0.9
@@ -370,7 +287,7 @@ func wolfeLineSearch(
 	)
 	d0 := dot(g0, dir) // must be < 0
 	if d0 >= 0 {
-		return 0, f0, false
+		return 0, f0, false, false
 	}
 
 	lo, hi := 0.0, math.Inf(1)
@@ -381,12 +298,15 @@ func wolfeLineSearch(
 		}
 		fNew = eval(xOut, gOut)
 		switch {
-		case math.IsNaN(fNew) || math.IsInf(fNew, 0) || fNew > f0+c1*step*d0:
+		case !finite(fNew, gOut):
+			sawNonFinite = true
+			hi = step
+		case fNew > f0+c1*step*d0:
 			hi = step // too long
 		default:
 			dNew := dot(gOut, dir)
 			if math.Abs(dNew) <= -c2*d0 {
-				return step, fNew, true // strong Wolfe satisfied
+				return step, fNew, true, false // strong Wolfe satisfied
 			}
 			if dNew >= 0 {
 				hi = step
@@ -408,10 +328,11 @@ func wolfeLineSearch(
 		xOut[i] = x[i] + step*dir[i]
 	}
 	fNew = eval(xOut, gOut)
-	if !math.IsNaN(fNew) && fNew < f0 {
-		return step, fNew, true
+	fin := finite(fNew, gOut)
+	if fin && fNew < f0 {
+		return step, fNew, true, false
 	}
-	return 0, f0, false
+	return 0, f0, false, sawNonFinite || !fin
 }
 
 func dot(a, b []float64) float64 {

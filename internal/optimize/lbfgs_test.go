@@ -81,8 +81,12 @@ func TestLBFGSEmptyProblem(t *testing.T) {
 
 func TestLBFGSNonFiniteStart(t *testing.T) {
 	obj := ObjectiveFunc(func(x, g []float64) float64 { return math.NaN() })
-	if _, err := LBFGS(obj, []float64{1}, Settings{}); err == nil {
+	res, err := LBFGS(obj, []float64{1}, Settings{})
+	if err == nil {
 		t.Fatal("expected error for NaN objective at start")
+	}
+	if res.Status != Diverged {
+		t.Fatalf("Status = %v, want Diverged", res.Status)
 	}
 }
 
@@ -152,23 +156,6 @@ func TestLBFGSMonotoneOverall(t *testing.T) {
 	}
 }
 
-func TestGradientDescentQuadratic(t *testing.T) {
-	obj := quadratic([]float64{2, 5}, []float64{1, -1})
-	res, err := GradientDescent(obj, []float64{10, 10}, Settings{MaxIterations: 2000, FuncTol: 1e-16, GradTol: 1e-7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-1) > 1e-3 || math.Abs(res.X[1]+1) > 1e-3 {
-		t.Fatalf("x = %v, want [1 -1] (status %v)", res.X, res.Status)
-	}
-}
-
-func TestGradientDescentEmptyProblem(t *testing.T) {
-	if _, err := GradientDescent(ObjectiveFunc(func(x, g []float64) float64 { return 0 }), nil, Settings{}); err != ErrEmptyProblem {
-		t.Fatalf("err = %v, want ErrEmptyProblem", err)
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	cases := map[Status]string{
 		Converged:        "converged",
@@ -184,20 +171,19 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-func TestLBFGSBeatsGradientDescentOnIllConditioned(t *testing.T) {
-	// On a badly conditioned quadratic, L-BFGS should need far fewer
-	// evaluations than gradient descent for the same tolerance.
+func TestLBFGSIllConditionedQuadratic(t *testing.T) {
+	// A condition number of 1000 costs steepest descent thousands of
+	// evaluations at this tolerance; the quasi-Newton curvature model
+	// brings L-BFGS to the minimum in a few dozen.
 	obj := quadratic([]float64{1, 1000}, []float64{0, 0})
-	x0 := []float64{100, 1}
-	lb, err := LBFGS(obj, x0, Settings{GradTol: 1e-6, FuncTol: 1e-16})
+	res, err := LBFGS(obj, []float64{100, 1}, Settings{GradTol: 1e-6, FuncTol: 1e-16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := GradientDescent(obj, x0, Settings{GradTol: 1e-6, FuncTol: 1e-16, MaxIterations: 10000})
-	if err != nil {
-		t.Fatal(err)
+	if res.Status != Converged {
+		t.Fatalf("status = %v, want converged", res.Status)
 	}
-	if lb.Evals >= gd.Evals {
-		t.Fatalf("L-BFGS evals %d ≥ GD evals %d; expected quasi-Newton speedup", lb.Evals, gd.Evals)
+	if res.Evals > 50 {
+		t.Fatalf("L-BFGS needed %d evals, want ≤ 50", res.Evals)
 	}
 }

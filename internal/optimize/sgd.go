@@ -71,12 +71,11 @@ func (s *SGDSettings) fill() {
 // the trajectory — that sum is the per-epoch Iteration.F reported to
 // Callback/Snapshot and tested against FuncTol.
 //
-// Divergence is hardened the same way the GradientDescent fallback is: a
-// non-finite batch loss or gradient never updates the parameters —
-// the iterate reverts to the last finite point, the learning rate is
-// halved and the epoch continues. When the rate collapses the run stops
-// with Status Diverged carrying the last finite iterate, never poisoned
-// parameters.
+// Divergence is hardened as in LBFGS: a non-finite batch loss or
+// gradient never updates the parameters — the iterate reverts to the
+// last finite point, the learning rate is halved and the epoch
+// continues. When the rate collapses the run stops with Status Diverged
+// carrying the last finite iterate, never poisoned parameters.
 //
 // x0 is not modified.
 func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error) {
@@ -147,9 +146,9 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 			fB := obj.EvalBatch(b, x, grad)
 			evals++
 			if math.IsNaN(fB) || math.IsInf(fB, 0) || !allFinite(grad) {
-				// Reject the poisoned region exactly like the GD
-				// fallback rejects a bad step: back off to the last
-				// finite iterate and shrink the rate.
+				// Reject the poisoned region as the L-BFGS line search
+				// rejects a bad trial: back off to the last finite
+				// iterate and shrink the rate.
 				copy(x, xGood)
 				lr /= 2
 				sawNonFinite = true

@@ -84,6 +84,19 @@ func TestLBFGSDivergedOnStickyInf(t *testing.T) {
 	}
 }
 
+func TestLBFGSNonFiniteInitialPoint(t *testing.T) {
+	// A well-behaved objective whose first evaluation is poisoned: there is
+	// no finite point to fall back on, so the run is an error with Diverged.
+	obj := faultinject.PoisonObjective(sphere, faultinject.NewFuse(1), faultinject.NaN())
+	res, err := optimize.LBFGS(obj, []float64{1, 2}, optimize.Settings{MaxIterations: 10})
+	if err == nil {
+		t.Fatal("want error for non-finite initial objective")
+	}
+	if res.Status != optimize.Diverged {
+		t.Fatalf("Status = %v, want Diverged", res.Status)
+	}
+}
+
 func TestLBFGSRecoversFromTransientFault(t *testing.T) {
 	// A single poisoned evaluation — a one-shot fuse — must not kill the
 	// run: the line search backs off, re-evaluates cleanly and converges.

@@ -79,6 +79,13 @@ func TestLBFGSEmptyProblem(t *testing.T) {
 	}
 }
 
+func TestLBFGSZeroLengthInitialPoint(t *testing.T) {
+	// A non-nil but empty x0 is the same empty problem as nil.
+	if _, err := LBFGS(ObjectiveFunc(func(x, g []float64) float64 { return 0 }), []float64{}, Settings{}); err != ErrEmptyProblem {
+		t.Fatalf("err = %v, want ErrEmptyProblem", err)
+	}
+}
+
 func TestLBFGSNonFiniteStart(t *testing.T) {
 	obj := ObjectiveFunc(func(x, g []float64) float64 { return math.NaN() })
 	res, err := LBFGS(obj, []float64{1}, Settings{})

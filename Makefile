@@ -92,7 +92,9 @@ race:
 # Fuzz the internal/par chunk planner (partition cover/disjointness),
 # the checkpoint decoder and the ingest shard decoder (arbitrary bytes
 # never panic, corruption is always reported as ErrCorrupt, accepted
-# frames re-encode canonically), plus the CSV row validator and the
+# frames re-encode canonically), the ingest manifest decoder (never
+# panics, rejections wrap ErrCorrupt, an accepted manifest survives a
+# re-encode unchanged), plus the CSV row validator and the
 # in-memory CSV loader built on it (never panic, accepted rows are
 # full-width and finite, loaded datasets are consistent), and the serving
 # row decoder against encoding/json (same accept/reject decision, same
@@ -105,6 +107,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkCover -fuzztime=$(FUZZTIME) ./internal/par/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=$(FUZZTIME) ./internal/server/

@@ -198,6 +198,24 @@ func rankingDatasets(cfg pipeline.StudyConfig) []*dataset.Dataset {
 	}
 }
 
+// studies memoises each classification dataset's trade-off study, so
+// fig3 and table3 in one invocation fit the grid once. cfg and records
+// are fixed for the whole invocation, so the dataset name is the key.
+var studies = map[string][]pipeline.ClassificationResult{}
+
+// tradeoffStudy returns ds's TradeoffStudy result, fitting it on first use.
+func tradeoffStudy(ctx context.Context, ds *dataset.Dataset, cfg pipeline.StudyConfig) ([]pipeline.ClassificationResult, error) {
+	if results, ok := studies[ds.Name]; ok {
+		return results, nil
+	}
+	results, err := pipeline.TradeoffStudyContext(ctx, ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	studies[ds.Name] = results
+	return results, nil
+}
+
 func header(title string) {
 	fmt.Printf("\n=== %s ===\n", title)
 }
@@ -239,7 +257,7 @@ func runFig3(ctx context.Context, cfg pipeline.StudyConfig, records int) error {
 	header("Figure 3: utility (AUC) vs individual fairness (yNN) trade-off")
 	var rows [][]string
 	for _, ds := range classificationDatasets(cfg, records) {
-		results, err := pipeline.TradeoffStudyContext(ctx, ds, cfg)
+		results, err := tradeoffStudy(ctx, ds, cfg)
 		if err != nil {
 			return err
 		}
@@ -291,10 +309,11 @@ func runTable3(ctx context.Context, cfg pipeline.StudyConfig, records int) error
 	header("Table III: classification detail under three tuning criteria")
 	var csvRows [][]string
 	for _, ds := range classificationDatasets(cfg, records) {
-		rows, err := pipeline.Table3Context(ctx, ds, cfg)
+		results, err := tradeoffStudy(ctx, ds, cfg)
 		if err != nil {
 			return err
 		}
+		rows := pipeline.Table3Rows(results)
 		fmt.Printf("\n-- %s --\n", ds.Name)
 		fmt.Printf("%-13s %-10s %6s %6s %7s %7s %6s\n", "Tuning", "Method", "Acc", "AUC", "EqOpp", "Parity", "yNN")
 		for i, row := range rows {

@@ -41,6 +41,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/csv"
 	"flag"
@@ -236,15 +237,14 @@ func run() error {
 			model.K(), model.Dims(), model.Loss)
 	}
 	if *saveModel != "" {
-		f, err := os.Create(*saveModel)
-		if err != nil {
+		// Publish atomically: a served models/<name>@vN.json is never
+		// truncated by a failed encode or a kill mid-write, and the
+		// ".json.tmp" staging name never parses as a model file.
+		var buf bytes.Buffer
+		if err := model.Encode(&buf); err != nil {
 			return err
 		}
-		if err := model.Encode(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := checkpoint.WriteFileAtomic(checkpoint.OSFS{}, *saveModel+".tmp", *saveModel, buf.Bytes()); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "saved model to %s\n", *saveModel)

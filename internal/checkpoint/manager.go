@@ -303,44 +303,13 @@ func (m *Manager) flushLocked() error {
 	m.seq++
 	final := filepath.Join(m.cfg.Dir, snapshotName(m.seq))
 	tmp := final + ".tmp"
-	if err := m.writeFileAtomic(tmp, final, data); err != nil {
+	if err := WriteFileAtomic(m.fs, tmp, final, data); err != nil {
 		m.writeErrors++
-		return err
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	m.sinceFlush = 0
 	m.lastFlush = time.Now()
 	m.pruneLocked()
-	return nil
-}
-
-// writeFileAtomic writes data to tmp, fsyncs, renames it to final and
-// fsyncs the directory.
-func (m *Manager) writeFileAtomic(tmp, final string, data []byte) error {
-	f, err := m.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		m.fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		m.fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		m.fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: close %s: %w", tmp, err)
-	}
-	if err := m.fs.Rename(tmp, final); err != nil {
-		m.fs.Remove(tmp)
-		return fmt.Errorf("checkpoint: rename %s: %w", final, err)
-	}
-	if err := m.fs.SyncDir(m.cfg.Dir); err != nil {
-		return fmt.Errorf("checkpoint: fsync dir %s: %w", m.cfg.Dir, err)
-	}
 	return nil
 }
 

@@ -10,19 +10,21 @@
 // unfinished ones from their derived seeds, so the resumed model is
 // bit-identical to the one an uninterrupted run would have produced.
 //
-// Snapshots are written atomically (temp file + fsync + rename + directory
-// fsync) and framed with a magic header, an explicit payload length and a
-// CRC-64 checksum, so a torn, truncated or bit-flipped file is detected at
-// load time and the loader falls back to the previous good snapshot
-// instead of crashing or resuming from garbage.
+// The package also owns the on-disk rules of every durable file in this
+// module — training snapshots, ingest shards and manifests, synced model
+// files, drift profiles and saved models. Frame and Unframe are the one
+// envelope (magic header, explicit payload length, CRC-64 checksum), so
+// a torn, truncated or bit-flipped file is detected at load time and the
+// loader falls back to a previous good copy instead of crashing or
+// resuming from garbage. WriteFileAtomic is the one crash-safe publish
+// (temp file + fsync + rename + directory fsync), and FS is the
+// filesystem seam fault-injection tests substitute under both.
 package checkpoint
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"math"
 )
 
@@ -34,8 +36,6 @@ const magic = "IFAIRCKPT1\n"
 // truncated frame, checksum mismatch or an inconsistent payload. Loaders
 // match it with errors.Is and fall back to an older snapshot.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // State is the decoded content of one snapshot: the identity of the
 // training run plus everything needed to resume it.
@@ -101,33 +101,16 @@ func Encode(s *State) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode snapshot: %w", err)
 	}
-	buf := make([]byte, 0, len(magic)+8+len(payload)+8)
-	buf = append(buf, magic...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint64(buf, crc64.Checksum(payload, crcTable))
-	return buf, nil
+	return Frame(magic, payload), nil
 }
 
 // Decode verifies the frame and checksum and unmarshals the payload. Any
 // truncation, bit flip or inconsistency yields an error wrapping
 // ErrCorrupt — never a panic and never a silently wrong State.
 func Decode(data []byte) (*State, error) {
-	if len(data) < len(magic)+16 {
-		return nil, corruptf("truncated: %d bytes is shorter than the smallest valid snapshot", len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, corruptf("bad magic header")
-	}
-	n := binary.BigEndian.Uint64(data[len(magic) : len(magic)+8])
-	want := uint64(len(data) - len(magic) - 16)
-	if n != want {
-		return nil, corruptf("payload length %d does not match frame size %d", n, want)
-	}
-	payload := data[len(magic)+8 : len(data)-8]
-	sum := binary.BigEndian.Uint64(data[len(data)-8:])
-	if got := crc64.Checksum(payload, crcTable); got != sum {
-		return nil, corruptf("checksum mismatch: computed %016x, stored %016x", got, sum)
+	payload, err := Unframe(data, magic)
+	if err != nil {
+		return nil, corruptf("%v", err)
 	}
 	var s State
 	if err := json.Unmarshal(payload, &s); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -218,6 +219,40 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadProfile(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSaveProfileFailureKeepsPrevious pins the atomic publish: an encode
+// failure (a NaN cannot cross JSON) must leave the previously saved
+// profile byte-identical and no staging file behind.
+func TestSaveProfileFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "credit.profile")
+	if err := SaveProfile(path, NewProfile(gaussData(3, 200, 3, 0), 0, 50, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := NewProfile(gaussData(4, 200, 3, 0), 0, 50, 1)
+	bad.Baseline.Mean[0] = math.NaN()
+	if err := SaveProfile(path, bad); err == nil {
+		t.Fatal("SaveProfile of a NaN baseline succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed save changed the previous profile: %d bytes, was %d", len(after), len(before))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("failed save left %d files in the directory, want only the profile", len(entries))
 	}
 }
 

@@ -11,12 +11,14 @@
 package drift
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 
+	"repro/internal/checkpoint"
 	"repro/internal/mat"
 	"repro/internal/stats"
 )
@@ -180,17 +182,15 @@ func DecodeProfile(r io.Reader) (*Profile, error) {
 	return &p, nil
 }
 
-// SaveProfile writes the profile to path (truncating).
+// SaveProfile publishes the profile at path with
+// checkpoint.WriteFileAtomic, staged in path+".tmp": a failed encode or
+// a crash mid-write leaves the previous file at path as it was.
 func SaveProfile(path string, p *Profile) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
 		return err
 	}
-	if err := p.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return checkpoint.WriteFileAtomic(checkpoint.OSFS{}, path+".tmp", path, buf.Bytes())
 }
 
 // LoadProfile reads a profile from path.

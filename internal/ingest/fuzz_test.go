@@ -3,9 +3,11 @@ package ingest_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/ingest"
 	"repro/internal/stats"
@@ -59,6 +61,58 @@ func FuzzShardDecode(f *testing.F) {
 		}
 		if string(data) != string(data2) {
 			t.Fatalf("accepted frame is not canonical: re-encode changed bytes")
+		}
+	})
+}
+
+// FuzzManifestDecode asserts the manifest decoder's contract on
+// arbitrary bytes. The manifest is the ingest's commit point, so a
+// reader must be able to treat any file it rejects as untrusted: the
+// decoder never panics, every rejection wraps ErrCorrupt, and an
+// accepted manifest re-encodes to a frame that decodes to an equal
+// Manifest. With framed set, the input is a payload wrapped in a valid
+// frame, which lets the fuzzer reach the JSON and consistency checks
+// behind the checksum.
+func FuzzManifestDecode(f *testing.F) {
+	valid, err := ingest.EncodeManifest(goldenManifest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := checkpoint.Unframe(valid, "IFAIRMANI1\n")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, false)
+	f.Add([]byte{}, false)
+	f.Add([]byte("IFAIRMANI1\n"), false)
+	f.Add(faultinject.Truncate(valid, len(valid)/2), false)
+	f.Add(faultinject.FlipBit(valid, len(valid)*4), false)
+	f.Add(payload, true)
+	f.Add([]byte(`{"cols":1,"feature_names":["a"],"shard_rows":1,"shards":[],"moments":[{"n":0}]}`), true)
+	f.Add([]byte(`{"cols":1}`), true)
+	f.Add([]byte(`not json`), true)
+
+	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
+		if framed {
+			data = checkpoint.Frame("IFAIRMANI1\n", data)
+		}
+		got, err := ingest.DecodeManifest(data)
+		if err != nil {
+			if !errors.Is(err, ingest.ErrCorrupt) {
+				t.Fatalf("DecodeManifest error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		data2, err := ingest.EncodeManifest(got)
+		if err != nil {
+			t.Fatalf("re-Encode of accepted manifest failed: %v", err)
+		}
+		got2, err := ingest.DecodeManifest(data2)
+		if err != nil {
+			t.Fatalf("re-Decode of accepted manifest failed: %v", err)
+		}
+		if !reflect.DeepEqual(got, got2) {
+			t.Fatalf("manifest changed across a re-encode:\n  first  %+v\n  second %+v", got, got2)
 		}
 	})
 }

@@ -379,7 +379,7 @@ func (st *runState) seal() error {
 	st.manifest.Shards = append(st.manifest.Shards, ShardInfo{
 		Index: idx,
 		Rows:  rows,
-		CRC:   fmt.Sprintf("%016x", crcSum(buf)),
+		CRC:   fmt.Sprintf("%016x", checkpoint.Checksum(buf)),
 	})
 	st.manifest.GoodRows = st.goodRows
 	st.manifest.BadRows = st.badRows
@@ -431,36 +431,12 @@ func (st *runState) writeQuarantine() error {
 	return st.writeFileAtomic(quarantineName, []byte(sb.String()))
 }
 
-// writeFileAtomic writes data to base+".tmp" in the store directory,
-// fsyncs, renames onto base and fsyncs the directory — the checkpoint
-// package's torn-write discipline.
+// writeFileAtomic publishes data as base in the store directory through
+// checkpoint.WriteFileAtomic, staging it in base+".tmp".
 func (st *runState) writeFileAtomic(base string, data []byte) error {
 	final := filepath.Join(st.cfg.Dir, base)
-	tmp := final + ".tmp"
-	f, err := st.fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ingest: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		st.fsys.Remove(tmp)
-		return fmt.Errorf("ingest: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		st.fsys.Remove(tmp)
-		return fmt.Errorf("ingest: fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		st.fsys.Remove(tmp)
-		return fmt.Errorf("ingest: close %s: %w", tmp, err)
-	}
-	if err := st.fsys.Rename(tmp, final); err != nil {
-		st.fsys.Remove(tmp)
-		return fmt.Errorf("ingest: rename %s: %w", final, err)
-	}
-	if err := st.fsys.SyncDir(st.cfg.Dir); err != nil {
-		return fmt.Errorf("ingest: fsync dir %s: %w", st.cfg.Dir, err)
+	if err := checkpoint.WriteFileAtomic(st.fsys, final+".tmp", final, data); err != nil {
+		return fmt.Errorf("ingest: %w", err)
 	}
 	return nil
 }
@@ -593,7 +569,7 @@ func (st *runState) verifyShard(i int, wantCRC string) (*Shard, bool) {
 	}
 	if wantCRC != "" {
 		want, perr := strconv.ParseUint(wantCRC, 16, 64)
-		if perr != nil || crcSum(raw) != want {
+		if perr != nil || checkpoint.Checksum(raw) != want {
 			st.cfg.Logf("ingest: shard %d file checksum does not match manifest", i)
 			return nil, false
 		}
@@ -634,7 +610,7 @@ func (st *runState) adoptShard(sh *Shard, rows int) {
 	st.manifest.Shards = append(st.manifest.Shards, ShardInfo{
 		Index: sh.Index,
 		Rows:  rows,
-		CRC:   fmt.Sprintf("%016x", crcSum(raw)),
+		CRC:   fmt.Sprintf("%016x", checkpoint.Checksum(raw)),
 	})
 	st.manifest.GoodRows = st.goodRows
 	st.manifest.BadRows = st.badRows
@@ -725,7 +701,7 @@ func (st *runState) rebuildManifest() *Manifest {
 			break
 		}
 		good = sh.GoodRows
-		man.Shards = append(man.Shards, ShardInfo{Index: i, Rows: sh.Rows(), CRC: fmt.Sprintf("%016x", crcSum(raw))})
+		man.Shards = append(man.Shards, ShardInfo{Index: i, Rows: sh.Rows(), CRC: fmt.Sprintf("%016x", checkpoint.Checksum(raw))})
 		man.GoodRows = sh.GoodRows
 		man.BadRows = sh.BadRows
 		man.InputRows = sh.InputRows

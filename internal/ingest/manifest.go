@@ -1,12 +1,12 @@
 package ingest
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 
+	"repro/internal/checkpoint"
 	"repro/internal/stats"
 )
 
@@ -23,8 +23,9 @@ type ShardInfo struct {
 
 // Manifest is the shard store's table of contents: the resolved schema
 // identity, the durable shard list, and the cumulative counters and
-// moments through the last durable shard. It is framed and checksummed
-// like a shard, written atomically after every sealed shard, and is the
+// moments through the last durable shard. Like a shard it is wrapped in
+// checkpoint.Frame (under its own magic) and published with
+// checkpoint.WriteFileAtomic after every sealed shard, and it is the
 // single commit point of the ingest: a shard not referenced here (or
 // adoptable as the unique next orphan) does not exist.
 type Manifest struct {
@@ -68,20 +69,15 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: encode manifest: %w", err)
 	}
-	buf := make([]byte, 0, len(manifestMagic)+8+len(payload)+8)
-	buf = append(buf, manifestMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint64(buf, crcSum(payload))
-	return buf, nil
+	return checkpoint.Frame(manifestMagic, payload), nil
 }
 
 // DecodeManifest verifies the frame and checksum and unmarshals the
 // payload; every failure wraps ErrCorrupt.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	payload, err := unframe(data, manifestMagic, "manifest")
+	payload, err := checkpoint.Unframe(data, manifestMagic)
 	if err != nil {
-		return nil, err
+		return nil, corruptf("manifest frame: %v", err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(payload, &m); err != nil {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/checkpoint"
 )
 
 // Column declares one raw CSV attribute by its header name, which must
@@ -303,5 +305,5 @@ func (l *Layout) fingerprint() string {
 	for _, src := range l.srcs {
 		fmt.Fprintf(&sb, "%d:%s:%s:%t|", src.col, src.name, src.level, src.prot)
 	}
-	return fmt.Sprintf("%016x", crcSum([]byte(sb.String())))
+	return fmt.Sprintf("%016x", checkpoint.Checksum([]byte(sb.String())))
 }

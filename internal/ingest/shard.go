@@ -8,9 +8,11 @@
 // against a Schema (arity, numeric parse, finite values, known
 // categorical levels), quarantines bad rows with row-numbered reasons
 // under a configurable error budget, and appends good rows to
-// fixed-size shards framed exactly like checkpoint snapshots
-// (magic + length + CRC-64/ECMA) and written atomically (temp file +
-// fsync + rename + directory fsync). Every shard carries the cumulative
+// fixed-size shards. Shards, the manifest and the quarantine log are
+// durable files in the sense of internal/checkpoint: they are written
+// with its crash-safe checkpoint.WriteFileAtomic, and shards and the
+// manifest carry its checkpoint.Frame envelope (magic + length +
+// CRC-64/ECMA) under their own magics. Every shard carries the cumulative
 // row counters and per-column Welford moments of the whole prefix of
 // the input it closes, so a killed-and-restarted ingest resumes from
 // the last durable shard and produces a shard set bit-identical to an
@@ -21,9 +23,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"math"
 
+	"repro/internal/checkpoint"
 	"repro/internal/stats"
 )
 
@@ -38,10 +40,6 @@ const manifestMagic = "IFAIRMANI1\n"
 // payload. Readers match it with errors.Is; the ingest pipeline responds
 // by re-encoding the shard from its source rows, never by training on it.
 var ErrCorrupt = errors.New("ingest: corrupt shard")
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
-func crcSum(b []byte) uint64 { return crc64.Checksum(b, crcTable) }
 
 // corruptf wraps ErrCorrupt with detail.
 func corruptf(format string, args ...any) error {
@@ -168,13 +166,7 @@ func EncodeShard(s *Shard) ([]byte, error) {
 	for _, b := range s.Protected {
 		payload = append(payload, boolByte(b))
 	}
-
-	buf := make([]byte, 0, len(shardMagic)+8+len(payload)+8)
-	buf = append(buf, shardMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint64(buf, crcSum(payload))
-	return buf, nil
+	return checkpoint.Frame(shardMagic, payload), nil
 }
 
 func boolByte(b bool) byte {
@@ -188,9 +180,9 @@ func boolByte(b bool) byte {
 // Any truncation, bit flip or internal inconsistency yields an error
 // wrapping ErrCorrupt — never a panic and never a silently wrong Shard.
 func DecodeShard(data []byte) (*Shard, error) {
-	payload, err := unframe(data, shardMagic, "shard")
+	payload, err := checkpoint.Unframe(data, shardMagic)
 	if err != nil {
-		return nil, err
+		return nil, corruptf("shard frame: %v", err)
 	}
 	r := payloadReader{b: payload}
 	idx := r.uint32()
@@ -287,28 +279,6 @@ func DecodeShard(data []byte) (*Shard, error) {
 		return nil, corruptf("shard body truncated")
 	}
 	return s, nil
-}
-
-// unframe strips and verifies the magic || length || payload || CRC-64
-// envelope shared by shard and manifest files.
-func unframe(data []byte, magic, kind string) ([]byte, error) {
-	if len(data) < len(magic)+16 {
-		return nil, corruptf("truncated: %d bytes is shorter than the smallest valid %s", len(data), kind)
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, corruptf("bad %s magic header", kind)
-	}
-	n := binary.BigEndian.Uint64(data[len(magic) : len(magic)+8])
-	want := uint64(len(data) - len(magic) - 16)
-	if n != want {
-		return nil, corruptf("%s payload length %d does not match frame size %d", kind, n, want)
-	}
-	payload := data[len(magic)+8 : len(data)-8]
-	sum := binary.BigEndian.Uint64(data[len(data)-8:])
-	if got := crcSum(payload); got != sum {
-		return nil, corruptf("%s checksum mismatch: computed %016x, stored %016x", kind, got, sum)
-	}
-	return payload, nil
 }
 
 // payloadReader is a bounds-checked sequential reader over a payload;

@@ -101,7 +101,7 @@ func (st *Stream) Shard(i int) (*Shard, error) {
 		return nil, corruptf("shard %d unreadable: %v", i, err)
 	}
 	want, perr := strconv.ParseUint(si.CRC, 16, 64)
-	if perr != nil || crcSum(raw) != want {
+	if perr != nil || checkpoint.Checksum(raw) != want {
 		return nil, corruptf("shard %d file checksum does not match manifest", i)
 	}
 	sh, err := DecodeShard(raw)

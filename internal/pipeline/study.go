@@ -334,12 +334,21 @@ func Table3(ds *dataset.Dataset, cfg StudyConfig) ([]Table3Row, error) {
 	return Table3Context(context.Background(), ds, cfg)
 }
 
-// Table3Context is Table3 with cancellation.
+// Table3Context is Table3 with cancellation: TradeoffStudyContext
+// followed by Table3Rows.
 func Table3Context(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) ([]Table3Row, error) {
 	results, err := TradeoffStudyContext(ctx, ds, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return Table3Rows(results), nil
+}
+
+// Table3Rows selects Table III from a TradeoffStudy result: the Full
+// Data baseline, then the best LFR, iFair-a and iFair-b configuration
+// under each tuning criterion. It fits nothing, so a caller that already
+// holds the Fig. 3 point cloud gets Table III from the same grid.
+func Table3Rows(results []ClassificationResult) []Table3Row {
 	var rows []Table3Row
 	// Baseline row (criterion-independent).
 	for _, r := range results {
@@ -365,5 +374,5 @@ func Table3Context(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) ([
 			}
 		}
 	}
-	return rows, nil
+	return rows
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -22,10 +21,6 @@ import (
 // an in-flight download a loadable model — the invariant that makes the
 // sync/hot-reload race safe.
 const syncTmpSuffix = ".sync-tmp"
-
-// syncCRCTable is the checksum table for manifest entries (same
-// polynomial as internal/checkpoint's snapshot framing).
-var syncCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // ManifestEntry describes one model file a replica can pull: its name,
 // size and content checksum. CRC64 is hex-encoded because JSON numbers
@@ -88,7 +83,7 @@ func (c *crcCache) sum(path string, modTime time.Time, size int64) (uint64, erro
 	if err != nil {
 		return 0, err
 	}
-	crc := crc64.Checksum(data, syncCRCTable)
+	crc := checkpoint.Checksum(data)
 	c.mu.Lock()
 	c.m[path] = struct {
 		key crcCacheKey
@@ -178,8 +173,8 @@ type SyncStats struct {
 // Syncer pulls a model directory into convergence with a source
 // replica's registry contents: it fetches the source manifest, downloads
 // files whose bytes differ locally, verifies each download against the
-// manifest checksum, and installs it with the checkpoint package's
-// atomic discipline (temp file + fsync + rename + directory fsync). A
+// manifest checksum (checkpoint.Checksum), and installs it with
+// checkpoint.WriteFileAtomic, staged under the ".sync-tmp" suffix. A
 // byte-identical file is never rewritten, so its mtime — and therefore
 // the registry entry and micro-batcher instance serving it — survives a
 // re-sync untouched.
@@ -326,36 +321,13 @@ func (s *Syncer) fetchFile(ctx context.Context, entry ManifestEntry) error {
 	if int64(len(data)) != entry.Size {
 		return fmt.Errorf("sync: %s: got %d bytes, manifest says %d", entry.File, len(data), entry.Size)
 	}
-	if got := fmt.Sprintf("%016x", crc64.Checksum(data, syncCRCTable)); got != entry.CRC64 {
+	if got := fmt.Sprintf("%016x", checkpoint.Checksum(data)); got != entry.CRC64 {
 		return fmt.Errorf("sync: %s: checksum %s does not match manifest %s", entry.File, got, entry.CRC64)
 	}
 
 	final := filepath.Join(s.Dir, entry.File)
-	tmp := final + syncTmpSuffix
-	f, err := s.fs().Create(tmp)
-	if err != nil {
-		return fmt.Errorf("sync: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		_ = s.fs().Remove(tmp)
-		return fmt.Errorf("sync: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = s.fs().Remove(tmp)
-		return fmt.Errorf("sync: fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fs().Remove(tmp)
-		return fmt.Errorf("sync: close %s: %w", tmp, err)
-	}
-	if err := s.fs().Rename(tmp, final); err != nil {
-		_ = s.fs().Remove(tmp)
-		return fmt.Errorf("sync: rename %s: %w", final, err)
-	}
-	if err := s.fs().SyncDir(s.Dir); err != nil {
-		return fmt.Errorf("sync: fsync dir %s: %w", s.Dir, err)
+	if err := checkpoint.WriteFileAtomic(s.fs(), final+syncTmpSuffix, final, data); err != nil {
+		return fmt.Errorf("sync: %w", err)
 	}
 	return nil
 }

@@ -101,7 +101,10 @@ race:
 # float64 bits on accept), and the kernel's row forward pass against a
 # naive Defs. 3/7/8 reference (memberships a distribution, x̃ inside the
 # prototype range), and L-BFGS under injected NaN/±Inf evaluations (the
-# result stays finite, a sticky poison always ends as Diverged).
+# result stays finite, a sticky poison always ends as Diverged), and the
+# kd-tree against a brute-force scan (Neighbors, Query and
+# AllNeighborsWorkers return the same lists on tie-heavy data, zero
+# columns included).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkCover -fuzztime=$(FUZZTIME) ./internal/par/
@@ -113,6 +116,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzForward -fuzztime=$(FUZZTIME) ./internal/kernel/
 	$(GO) test -run='^$$' -fuzz=FuzzLBFGSNonFinite -fuzztime=$(FUZZTIME) ./internal/optimize/
+	$(GO) test -run='^$$' -fuzz=FuzzKDTreeMatchesBruteForce -fuzztime=$(FUZZTIME) ./internal/knn/
 
 cover:
 	$(GO) test -cover ./...

@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	neighbours := repro.NewNeighbourIndex(test.NonProtectedX()).AllNeighbors(10)
+	neighbours := repro.NewKDTree(test.NonProtectedX()).AllNeighbors(10)
 
 	fmt.Printf("%-12s %6s %6s %6s %8s %7s\n", "data", "Acc", "AUC", "yNN", "Parity", "EqOpp")
 	report := func(name string, trainX, testX *repro.Matrix) {

@@ -128,7 +128,7 @@ func meanConsistency(ds *repro.Dataset, queryIdx []int, scores []float64) float6
 		for i, r := range q.Rows {
 			norm[i] = (scores[r] - lo) / (hi - lo)
 		}
-		neighbours := repro.NewNeighbourIndex(sub.NonProtectedX()).AllNeighbors(10)
+		neighbours := repro.NewKDTree(sub.NonProtectedX()).AllNeighbors(10)
 		sum += repro.Consistency(norm, neighbours)
 	}
 	return sum / float64(len(queryIdx))

@@ -292,15 +292,9 @@ var FitLogistic = linmodel.FitLogistic
 // FitLinear trains a ridge-regularised linear regression.
 var FitLinear = linmodel.FitLinear
 
-// NeighbourIndex is an exact k-nearest-neighbour index over matrix rows,
-// used to compute the consistency metric's neighbour sets.
-type NeighbourIndex = knn.Index
-
-// NewNeighbourIndex builds an index over the rows of x.
-var NewNeighbourIndex = knn.NewIndex
-
-// KDTree is an exact k-d tree alternative to NeighbourIndex with
-// logarithmic query time; it returns identical neighbour lists.
+// KDTree is the exact k-nearest-neighbour index over matrix rows: the
+// consistency metric's neighbour sets and NeighborFairness training pairs
+// both come from it. Ties in distance are broken by the lower row index.
 type KDTree = knn.KDTree
 
 // NewKDTree builds a k-d tree over the rows of x.

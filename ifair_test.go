@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -223,16 +224,34 @@ func TestFacadeSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFacadeKDTreeMatchesIndex: the facade's tree returns the lists an
+// exhaustive index scan ordered by (squared distance, row index) returns.
 func TestFacadeKDTreeMatchesIndex(t *testing.T) {
 	ds := Credit(ClassificationConfig{Records: 80, Seed: 5})
 	tree := NewKDTree(ds.X)
-	brute := NewNeighbourIndex(ds.X)
+	m := ds.X.Rows()
 	for i := 0; i < 10; i++ {
-		a := tree.Neighbors(i, 5)
-		b := brute.Neighbors(i, 5)
-		for j := range b {
-			if a[j] != b[j] {
-				t.Fatal("KD-tree neighbours differ from brute force")
+		want := make([]int, 0, m-1)
+		for j := 0; j < m; j++ {
+			if j != i {
+				want = append(want, j)
+			}
+		}
+		dist := func(j int) (d float64) {
+			for c, v := range ds.X.Row(i) {
+				e := v - ds.X.At(j, c)
+				d += e * e
+			}
+			return d
+		}
+		sort.SliceStable(want, func(a, b int) bool { return dist(want[a]) < dist(want[b]) })
+		got := tree.Neighbors(i, 5)
+		if len(got) != 5 {
+			t.Fatalf("row %d: %d neighbours, want 5", i, len(got))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("row %d: KD-tree neighbours %v differ from brute force %v", i, got, want[:5])
 			}
 		}
 	}

@@ -269,10 +269,7 @@ func buildPairs(x *mat.Dense, opts Options, rng *rand.Rand) []pair {
 func buildNeighborPairs(x *mat.Dense, opts Options, rng *rand.Rand) []pair {
 	m := x.Rows()
 	k := opts.NeighborK
-	tree := opts.prebuiltNeighbors
-	if tree == nil {
-		tree = knn.NewKDTree(nonProtectedMatrix(x, opts.Protected))
-	}
+	tree := knn.NewKDTree(nonProtectedMatrix(x, opts.Protected))
 	neigh := tree.AllNeighborsWorkers(k, opts.Workers)
 	pairs := make([]pair, 0, m*opts.PairSamples)
 	scratch := make([]int, k)

@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"repro/internal/checkpoint"
-	"repro/internal/knn"
 )
 
 // InitStrategy selects how the attribute-weight vector α is initialised,
@@ -238,15 +237,6 @@ type Options struct {
 	WarmStart *Model
 	// Seed makes training deterministic.
 	Seed int64
-
-	// prebuiltNeighbors, when non-nil, is a kd-tree over the
-	// non-protected subspace of the training matrix, built incrementally
-	// during a shard sweep (FitStream). buildNeighborPairs uses it
-	// instead of re-projecting and re-indexing the full matrix. It is
-	// not part of the problem identity: the tree indexes the same values
-	// nonProtectedMatrix would produce, so pairs — and the fitted model
-	// — are bit-identical with or without it.
-	prebuiltNeighbors *knn.KDTree
 }
 
 func (o *Options) fill(rows, cols int) error {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/ingest"
-	"repro/internal/knn"
 	"repro/internal/mat"
 )
 
@@ -24,15 +23,15 @@ func FitStream(st *ingest.Stream, opts Options) (*Model, *mat.Dense, error) {
 //   - The training matrix is filled in one shard sweep, each shard
 //     CRC-verified as it is read; a corrupt shard aborts the fit with
 //     ingest.ErrCorrupt rather than training on garbage.
-//   - Under NeighborFairness, the kd-tree over the non-protected
-//     subspace is built incrementally during the same sweep via
-//     knn.Builder, so no second projection copy of the matrix is made.
 //
-// One standardised M×N matrix is still resident for the optimizer (the
-// objective's scratch is BatchSize-bounded when opts.BatchSize > 0);
-// everything else — decoding, standardising, neighbour indexing — holds
-// O(ShardRows·N). The fitted model matches an in-memory fit over the
-// same rows to the precision of the streaming moments.
+// The filled matrix then goes to FitContext, so under NeighborFairness
+// the kd-tree over the non-protected subspace is built exactly as for an
+// in-memory fit. One standardised M×N matrix is resident for the
+// optimizer (the objective's scratch is BatchSize-bounded when
+// opts.BatchSize > 0), plus the non-protected projection the neighbour
+// tree indexes; decoding and standardising hold O(ShardRows·N). The
+// fitted model matches an in-memory fit over the same rows to the
+// precision of the streaming moments.
 //
 // The returned matrix is the standardised training data, for callers
 // that transform the training set after fitting.
@@ -51,42 +50,16 @@ func FitStreamContext(ctx context.Context, st *ingest.Stream, opts Options) (*Mo
 		}
 	}
 
-	// The neighbour index is only needed when neighbour pairs will
-	// actually be built; it indexes exactly the values
-	// nonProtectedMatrix(x, Protected) would hold, so the pair list is
-	// bit-identical to the non-streaming build.
-	needTree := opts.Fairness == NeighborFairness && opts.Mu > 0 && rows >= 2
-	idx := nonProtectedIndices(cols, opts.Protected)
-	var builder *knn.Builder
-	if needTree && len(idx) < cols {
-		builder = knn.NewBuilder(rows, len(idx))
-	}
-
 	x := mat.NewDense(rows, cols)
-	proj := make([]float64, len(idx))
 	err := st.Sweep(func(row int, raw []float64) error {
 		dst := x.Row(row)
 		for j, v := range raw {
 			dst[j] = (v - means[j]) / stds[j]
 		}
-		if builder != nil {
-			for c, j := range idx {
-				proj[c] = dst[j]
-			}
-			builder.Append(proj)
-		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	switch {
-	case builder != nil:
-		opts.prebuiltNeighbors = builder.Build()
-	case needTree:
-		// Nothing is protected: the subspace is the matrix itself, so
-		// index it directly instead of copying.
-		opts.prebuiltNeighbors = knn.NewKDTree(x)
 	}
 
 	model, err := FitContext(ctx, x, opts)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/ingest"
-	"repro/internal/knn"
 	"repro/internal/stats"
 )
 
@@ -50,11 +49,10 @@ func streamTestStore(t *testing.T, rows, shardRows int) *ingest.Stream {
 }
 
 // TestFitStreamMatchesInMemoryFit is the acceptance bar for the streaming
-// path: fitting from the shard store (shard-sweep fill, sweep-built
-// neighbour index, CRC verification per shard) must land on the same
-// objective value as an in-memory fit over the same rows and the same
-// standardisation transform, to 1e-9 on clean data — the streaming
-// machinery introduces zero numerical drift. The standardisation moments
+// path: fitting from the shard store (shard-sweep fill, CRC verification
+// per shard) must land on the same objective value as an in-memory fit
+// over the same rows and the same standardisation transform, to 1e-9 on
+// clean data — the streaming machinery introduces zero numerical drift. The standardisation moments
 // themselves are checked against the batch helpers in internal/ingest's
 // TestIngestClean.
 func TestFitStreamMatchesInMemoryFit(t *testing.T) {
@@ -119,38 +117,52 @@ func TestFitStreamEmptyStore(t *testing.T) {
 	}
 }
 
-// TestFitPrebuiltTreeBitIdentical: supplying a prebuilt kd-tree over the
-// non-protected subspace must not perturb a single bit of the fit — the
-// pair list, and therefore the whole deterministic optimisation, is
-// identical with and without it.
-func TestFitPrebuiltTreeBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := randomData(rng, 120, 4)
+// TestNeighborFairnessAllColumnsProtected: with every column protected
+// the non-protected subspace has no columns, so all records are at
+// distance 0 from each other. FitStream and FitContext must still fit,
+// to the same model, and each record's partners must come from the
+// lowest indices other than its own — never a self-pair.
+func TestNeighborFairnessAllColumnsProtected(t *testing.T) {
+	st := streamTestStore(t, 40, 16)
+	all := make([]int, st.Cols())
+	for j := range all {
+		all[j] = j
+	}
 	opts := Options{
-		K: 3, Lambda: 1, Mu: 1, Protected: []int{3},
-		Fairness: NeighborFairness, Seed: 11,
+		K: 2, Lambda: 1, Mu: 1, Protected: all,
+		Fairness: NeighborFairness, PairSamples: 3, NeighborK: 5,
+		MaxIterations: 20, Seed: 3,
 	}
-	plain, err := Fit(x, opts)
+	streamed, x, err := FitStream(st, opts)
 	if err != nil {
-		t.Fatalf("plain fit: %v", err)
+		t.Fatalf("FitStream: %v", err)
 	}
-	withTree := opts
-	withTree.prebuiltNeighbors = knn.NewKDTree(nonProtectedMatrix(x, opts.Protected))
-	pre, err := Fit(x, withTree)
+	inMemory, err := FitContext(context.Background(), x, opts)
 	if err != nil {
-		t.Fatalf("prebuilt fit: %v", err)
+		t.Fatalf("FitContext: %v", err)
 	}
-	if plain.Loss != pre.Loss {
-		t.Fatalf("losses differ: %v vs %v", plain.Loss, pre.Loss)
+	if streamed.Loss != inMemory.Loss {
+		t.Fatalf("streamed loss %v != in-memory loss %v", streamed.Loss, inMemory.Loss)
 	}
-	for i := range plain.Alpha {
-		if plain.Alpha[i] != pre.Alpha[i] {
-			t.Fatalf("alpha[%d] differs: %v vs %v", i, plain.Alpha[i], pre.Alpha[i])
+
+	if err := opts.fill(x.Rows(), x.Cols()); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[pair]bool)
+	for _, pr := range buildPairs(x, opts, rand.New(rand.NewSource(1))) {
+		if pr.i == pr.j {
+			t.Fatalf("self-pair %v", pr)
 		}
-	}
-	for i, v := range plain.Prototypes.Data() {
-		if pre.Prototypes.Data()[i] != v {
-			t.Fatalf("prototype cell %d differs: %v vs %v", i, v, pre.Prototypes.Data()[i])
+		// The pool is the NeighborK lowest indices other than pr.i.
+		if limit := opts.NeighborK; pr.j > limit || (pr.j == limit && pr.i > limit) {
+			t.Fatalf("pair %v: %d is not among %d's %d lowest-index neighbours", pr, pr.j, pr.i, opts.NeighborK)
 		}
+		if seen[pr] {
+			t.Fatalf("duplicate pair %v", pr)
+		}
+		seen[pr] = true
+	}
+	if len(seen) != x.Rows()*opts.PairSamples {
+		t.Fatalf("%d pairs, want %d", len(seen), x.Rows()*opts.PairSamples)
 	}
 }

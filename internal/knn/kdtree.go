@@ -1,3 +1,11 @@
+// Package knn provides exact k-nearest-neighbour search over row vectors.
+//
+// The paper's individual-fairness metric yNN (Sec. V-C) is defined through
+// the k = 10 nearest neighbours of each record computed on the original,
+// non-protected attribute values, and NeighborFairness training pairs each
+// record with neighbours from the same subspace. Both take their neighbour
+// sets from the one KDTree here, so the pairs training constrains and the
+// ones yNN reports come from a single code path.
 package knn
 
 import (
@@ -10,9 +18,10 @@ import (
 // KDTree is a k-d tree over matrix rows for exact nearest-neighbour
 // queries. For the low-to-moderate dimensionalities of the encoded
 // datasets it answers kNN queries in roughly logarithmic time per probe,
-// replacing the brute-force scan for large record counts while returning
-// exactly the same neighbours (including the deterministic index
-// tie-break).
+// and it returns exactly what an exhaustive scan ordered by (squared
+// Euclidean distance, index) returns: the index tie-break is part of the
+// contract. A matrix with no columns is valid: every distance is 0, so
+// the neighbours are the lowest indices.
 type KDTree struct {
 	data *mat.Dense
 	// nodes is a heap-like implicit tree stored as index permutations:
@@ -241,7 +250,8 @@ func (h *neighHeap) reset(k int) {
 }
 
 // Neighbors returns the k nearest rows to row i, excluding i itself,
-// matching Index.Neighbors exactly.
+// ordered by increasing squared Euclidean distance with ties broken by
+// index. If fewer than k other rows exist, all of them are returned.
 func (t *KDTree) Neighbors(i, k int) []int {
 	m := t.data.Rows()
 	if i < 0 || i >= m {
@@ -260,10 +270,26 @@ func (t *KDTree) Neighbors(i, k int) []int {
 		return []int{}
 	}
 	h := &neighHeap{k: k}
-	t.search(t.root, t.data.Row(i), i, h)
+	t.nearest(t.data.Row(i), i, h)
 	out := make([]int, len(h.idx))
 	h.sortInto(out)
 	return out
+}
+
+// nearest fills h with the best rows for query, skipping row exclude
+// (−1 skips none).
+func (t *KDTree) nearest(query []float64, exclude int, h *neighHeap) {
+	if t.dims == 0 {
+		// No columns, so no tree: every distance is 0 and the
+		// (distance, index) order is the index order.
+		for j := 0; j < t.data.Rows() && !h.full(); j++ {
+			if j != exclude {
+				h.push(0, j)
+			}
+		}
+		return
+	}
+	t.search(t.root, query, exclude, h)
 }
 
 // search walks the tree, pruning subtrees whose splitting plane is further
@@ -312,7 +338,7 @@ func (t *KDTree) Query(q []float64, k int) []int {
 		return []int{}
 	}
 	h := &neighHeap{k: k}
-	t.search(t.root, q, -1, h)
+	t.nearest(q, -1, h)
 	out := make([]int, len(h.idx))
 	h.sortInto(out)
 	return out
@@ -356,7 +382,7 @@ func (t *KDTree) AllNeighborsWorkers(k, workers int) [][]int {
 			dst := flat[i*keff : (i+1)*keff : (i+1)*keff]
 			h.reset(keff)
 			if keff > 0 {
-				t.search(t.root, t.data.Row(i), i, h)
+				t.nearest(t.data.Row(i), i, h)
 				h.sortInto(dst)
 			}
 			out[i] = dst

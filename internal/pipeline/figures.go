@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fairrank"
 	"repro/internal/ifair"
-	"repro/internal/knn"
 	"repro/internal/lfr"
 	"repro/internal/linmodel"
 	"repro/internal/metrics"
@@ -50,7 +49,7 @@ func Fig2StudyContext(ctx context.Context, cfg StudyConfig) ([]Fig2Cell, error) 
 	} {
 		ds := dataset.SyntheticMixture(variant, 100, cfg.Seed)
 		all := allIndices(ds.Rows())
-		neighbours := knn.NewIndex(ds.NonProtectedX()).AllNeighbors(10)
+		neighbours := yNNNeighbours(ds, all)
 
 		evalRep := func(rep Representation) (Fig2Cell, error) {
 			if err := rep.Fit(ctx, ds.Subset(all)); err != nil {

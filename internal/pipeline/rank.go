@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fairrank"
 	"repro/internal/ifair"
-	"repro/internal/knn"
 	"repro/internal/linmodel"
 	"repro/internal/metrics"
 )
@@ -69,9 +68,7 @@ func scoreQuery(ds *dataset.Dataset, q dataset.Query, pred, norm []float64) (map
 
 	// Consistency: k = 10 nearest neighbours within the query pool,
 	// computed on original non-protected attributes (Sec. V-C).
-	sub := ds.Subset(q.Rows)
-	neighbours := knn.NewIndex(sub.NonProtectedX()).AllNeighbors(10)
-	ynn = metrics.Consistency(norm, neighbours)
+	ynn = metrics.Consistency(norm, yNNNeighbours(ds, q.Rows))
 	return
 }
 

@@ -127,9 +127,10 @@ bench:
 # Training benchmarks, archived as JSON for cross-commit comparison:
 # the parallel-restart protocol (1/2/4 workers) plus the scale suite
 # (m=10k full-batch L-BFGS reference, m=10k/100k neighbor-pair SGD; add
-# IFAIR_BENCH_1M=1 for the m=1e6 variant).
+# IFAIR_BENCH_1M=1 for the m=1e6 variant), the ingest pipeline and the
+# neighbour search (kd-tree build plus all-neighbours).
 bench-fit:
-	$(GO) test -run='^$$' -bench='FitParallelRestarts|FitLarge|Ingest' -benchmem -timeout 30m . \
+	$(GO) test -run='^$$' -bench='FitParallelRestarts|FitLarge|Ingest|KDTreeAllNeighbors' -benchmem -timeout 30m . \
 		| $(GO) run ./cmd/benchjson -out BENCH_fit.json
 
 # Serving-path benchmarks (fused compute kernel, end-to-end HTTP
@@ -148,12 +149,13 @@ bench-compare:
 		-benchtime=30x -benchmem . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_serve.json
 
-# Training-regression gate: one pass of the scale benchmarks compared
-# against the archived BENCH_fit.json baseline — both allocation churn
-# and final_loss drift fail the gate (upward drift only; wall-time is
-# not gated because it is machine-dependent).
+# Training-regression gate: one pass of the scale, ingest and kd-tree
+# neighbour-search benchmarks compared against the archived
+# BENCH_fit.json baseline — both allocation churn and final_loss drift
+# fail the gate (upward drift only; wall-time is not gated because it is
+# machine-dependent).
 bench-fit-compare:
-	$(GO) test -run='^$$' -bench='FitLarge|Ingest' -benchtime=1x -benchmem -timeout 30m . \
+	$(GO) test -run='^$$' -bench='FitLarge|Ingest|KDTreeAllNeighbors' -benchtime=1x -benchmem -timeout 30m . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_fit.json -gate allocs/op,final_loss
 
 # Regenerate every table and figure (trimmed grid; add FULL=1 for the

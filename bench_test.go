@@ -415,6 +415,34 @@ func BenchmarkFitLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkKDTreeAllNeighbors measures the NeighborFairness neighbour
+// search on its own: the kd-tree build plus every record's exact kNN list
+// over the synthetic mixture's non-protected columns, with Workers = 2.
+// The m=10k, k=16 row is the perfbench train workload's shape; the
+// m=100k, k=6 row is BenchmarkFitLarge's m=100k neighbour pool. allocs/op
+// is gated by make bench-fit-compare.
+func BenchmarkKDTreeAllNeighbors(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		m, k int
+	}{
+		{"m=10k/k=16", 10_000, 16},
+		{"m=100k/k=6", 100_000, 6},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			x := dataset.SyntheticMixture(dataset.VariantRandom, v.m, 1).NonProtectedX()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				neigh := NewKDTree(x).AllNeighborsWorkers(v.k, 2)
+				if len(neigh) != v.m || len(neigh[0]) != v.k {
+					b.Fatalf("got %d lists of %d, want %d of %d", len(neigh), len(neigh[0]), v.m, v.k)
+				}
+			}
+		})
+	}
+}
+
 // ingestBenchCSV builds an in-memory CSV: 4 numeric features plus a
 // boolean label, with ~2% defective rows so the quarantine path is part
 // of what is measured.

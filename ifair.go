@@ -297,7 +297,9 @@ var FitLinear = linmodel.FitLinear
 // both come from it. Ties in distance are broken by the lower row index.
 type KDTree = knn.KDTree
 
-// NewKDTree builds a k-d tree over the rows of x.
+// NewKDTree builds a k-d tree over the rows of x. The tree copies the
+// coordinates into its own tree-order storage, so x is not retained and
+// may be modified afterwards.
 var NewKDTree = knn.NewKDTree
 
 // ---- metrics ----

@@ -25,8 +25,12 @@ type Model struct {
 	TakeRoot bool
 	Kernel   Kernel
 
-	// Loss is the final training objective value (for best-of-restarts
-	// selection and reporting).
+	// Loss is the optimiser's final objective value, used for
+	// best-of-restarts selection and reporting. For an L-BFGS fit it is
+	// the training objective at the returned parameters. For an SGD fit
+	// it is the last epoch's summed batch losses, accumulated along the
+	// trajectory as optimize.SGD documents, so it differs from the
+	// objective evaluated at the returned parameters.
 	Loss float64
 }
 

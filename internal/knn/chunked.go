@@ -6,13 +6,13 @@ import (
 	"repro/internal/mat"
 )
 
-// Builder fills a KDTree's backing matrix row by row from rows that
+// Builder collects a KDTree's input matrix row by row from rows that
 // arrive in chunks. The matrix is preallocated once from the known row
 // count, each appended row is copied into place, and Build hands the
-// matrix to NewKDTree (which retains, not copies, its input) in a single
-// call at the end. Only the perfbench module uses it, to time the tree
-// build as its own layer; the library fits build their trees with
-// NewKDTree directly.
+// matrix to NewKDTree in a single call at the end; NewKDTree copies the
+// coordinates into tree order, so the tree does not retain the matrix.
+// Only the perfbench module uses it, to time the tree build as its own
+// layer; the library fits build their trees with NewKDTree directly.
 type Builder struct {
 	data *mat.Dense
 	next int

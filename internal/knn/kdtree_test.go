@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -126,8 +127,8 @@ func TestKDTreeSingleRow(t *testing.T) {
 
 func TestKDTreeEmpty(t *testing.T) {
 	tree := NewKDTree(mat.NewDense(0, 0))
-	if tree.root != -1 {
-		t.Fatal("empty tree should have no root")
+	if len(tree.perm) != 0 || len(tree.split) != 0 {
+		t.Fatal("empty tree should have no rows and no nodes")
 	}
 }
 
@@ -141,12 +142,25 @@ func TestKDTreeOutOfRangePanics(t *testing.T) {
 }
 
 func TestKDTreeNegativeKPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewKDTree(mat.NewDense(2, 1)).Neighbors(0, -2)
+	tree, empty := NewKDTree(mat.NewDense(2, 1)), NewKDTree(mat.NewDense(0, 1))
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Neighbors", func() { tree.Neighbors(0, -2) }},
+		{"Query", func() { tree.Query([]float64{0}, -1) }},
+		{"AllNeighborsWorkers", func() { tree.AllNeighborsWorkers(-1, 1) }},
+		{"AllNeighborsWorkers on an empty tree", func() { empty.AllNeighborsWorkers(-1, 2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a negative k did not panic", c.name)
+				}
+			}()
+			c.call()
+		}()
+	}
 }
 
 func TestKDTreeDuplicatePoints(t *testing.T) {
@@ -222,6 +236,91 @@ func TestKDTreeAllColumnsConstant(t *testing.T) {
 	}
 }
 
+// TestKDTreeExactAtScale checks the bucketed tree against the exhaustive
+// scan across bucket boundaries (m around leafSize) and at several bucket
+// levels (m = 1000 and 20000), on integer-grid data with a few rows per
+// cell where every seventh row also duplicates an earlier one, so distance
+// ties and zero-distance neighbours on both sides of a split are the
+// common case. Neighbors, Query (on a row and off the grid) and
+// AllNeighborsWorkers with 1 and 3 workers must return exactly
+// bruteQuery's lists. To keep the run short, m = 20000 compares a
+// strided subset of rows and runs AllNeighborsWorkers at k = 16 only, and
+// k ≥ m−1 (an O(m·k) query under sorted insertion) runs only up to
+// m = 1000, on a strided subset there.
+func TestKDTreeExactAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, m := range []int{1, leafSize - 1, leafSize, leafSize + 1, 1000, 20000} {
+		for _, n := range []int{0, 1, 2, 3, 8} {
+			span := max(3, int(math.Ceil(math.Pow(float64(m)/4, 1/float64(max(n, 1))))))
+			data := mat.NewDense(m, n)
+			for i := 0; i < m; i++ {
+				row := data.Row(i)
+				if i%7 == 6 {
+					copy(row, data.Row(rng.Intn(i)))
+					continue
+				}
+				for j := range row {
+					row[j] = float64(rng.Intn(span))
+				}
+			}
+			tree := NewKDTree(data)
+			ks, stride := []int{1, 10, 16, m - 1, m + 2}, 1
+			if m > 1000 {
+				ks, stride = ks[:3], m/20
+			}
+			all := map[int][][]int{}
+			for _, k := range ks {
+				if k < 0 || (m > 1000 && k != 16) || m*min(k, m) > 200_000 {
+					continue
+				}
+				serial := tree.AllNeighborsWorkers(k, 1)
+				if got := tree.AllNeighborsWorkers(k, 3); !sameLists(got, serial) {
+					t.Fatalf("m=%d n=%d k=%d: AllNeighborsWorkers differs between 1 and 3 workers", m, n, k)
+				}
+				all[k] = serial
+			}
+			off := make([]float64, n)
+			for i := 0; i < m; i += stride {
+				row := data.Row(i)
+				for j, v := range row {
+					off[j] = v + 0.5
+				}
+				excl, incl, offq := bruteQuery(data, row, i, m), bruteQuery(data, row, -1, m), bruteQuery(data, off, -1, m)
+				for _, k := range ks {
+					if k < 0 || (k > 16 && i%50 != 0) {
+						continue
+					}
+					check := func(what string, got, want []int) {
+						t.Helper()
+						if want = want[:min(k, len(want))]; !sameInts(got, want) {
+							t.Fatalf("m=%d n=%d k=%d row %d: %s = %v, want %v", m, n, k, i, what, got, want)
+						}
+					}
+					check("Neighbors", tree.Neighbors(i, k), excl)
+					check("Query on the row", tree.Query(row, k), incl)
+					check("Query off the grid", tree.Query(off, k), offq)
+					if lists, ok := all[k]; ok {
+						check("AllNeighborsWorkers", lists[i], excl)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameLists reports whether two sets of neighbour lists are equal.
+func sameLists(got, want [][]int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if !sameInts(got[i], want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestAllNeighborsWorkersBitIdentical checks the parallel fan-out
 // returns exactly the serial lists for every worker count.
 func TestAllNeighborsWorkersBitIdentical(t *testing.T) {
@@ -250,8 +349,8 @@ func TestAllNeighborsWorkersBitIdentical(t *testing.T) {
 
 // TestKDTreeBuildAllocs is the allocation-regression gate for the
 // in-place build: construction must allocate a constant handful of
-// slices (the row permutation plus four node arrays), never per-node
-// copies. Race-gated like internal/kernel's pooled-scratch assertions.
+// slices (the row permutation and its inverse, the split values and the
+// tree-order coordinates), never per-node copies. Race-gated like internal/kernel's pooled-scratch assertions.
 func TestKDTreeBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -265,8 +364,8 @@ func TestKDTreeBuildAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		NewKDTree(data)
 	})
-	// 1 tree struct + 1 row permutation + 4 node arrays, with a little
-	// headroom; the copying build needed ~2 allocations per node (40k+).
+	// 1 tree struct + 4 slices, with a little headroom; the copying
+	// build needed ~2 allocations per node (40k+).
 	if allocs > 8 {
 		t.Fatalf("build of %d rows allocated %.0f objects, want ≤ 8", m, allocs)
 	}

@@ -104,9 +104,6 @@ func (b *ProfileBuilder) ObserveRow(row []float64) {
 	b.ref.observe(b.rng, b.rows, row)
 }
 
-// Rows returns the number of rows observed so far.
-func (b *ProfileBuilder) Rows() int { return b.rows }
-
 // Build emits the Profile, standardising the retained state with the
 // given per-column transform (zero stds are treated as 1, matching
 // stats.ApplyStandardize). Pass the ingest store's MeanStd so the profile

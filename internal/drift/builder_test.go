@@ -53,8 +53,8 @@ func TestProfileBuilderMatchesBatchProfile(t *testing.T) {
 	for _, row := range raw {
 		b.ObserveRow(row)
 	}
-	if b.Rows() != m {
-		t.Fatalf("Rows() = %d, want %d", b.Rows(), m)
+	if b.rows != m {
+		t.Fatalf("observed rows = %d, want %d", b.rows, m)
 	}
 	got, err := b.Build(means, stds)
 	if err != nil {

@@ -156,7 +156,3 @@ func (c *Consistency) Reset() {
 	c.acc = stats.Welford{}
 	c.mu.Unlock()
 }
-
-// Scale returns the reference distance scale (exported for tests and
-// metrics).
-func (c *Consistency) Scale() float64 { return c.scale }

@@ -168,8 +168,8 @@ func TestReservoirUniformity(t *testing.T) {
 		r.Add(float64(i))
 		streamSum += float64(i)
 	}
-	if r.Seen() != 10000 || len(r.Values()) != 500 {
-		t.Fatalf("seen %d kept %d", r.Seen(), len(r.Values()))
+	if r.seen != 10000 || len(r.Values()) != 500 {
+		t.Fatalf("seen %d kept %d", r.seen, len(r.Values()))
 	}
 	var keptSum float64
 	for _, v := range r.Values() {
@@ -348,8 +348,8 @@ func TestConsistencyCollapsedTransformScoresZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Scale() != 0 {
-		t.Fatalf("collapsed transform scale %g, want 0", c.Scale())
+	if c.scale != 0 {
+		t.Fatalf("collapsed transform scale %g, want 0", c.scale)
 	}
 	// A served transform away from the collapse point scores 0...
 	if got := c.Observe([]float64{0, 0}, []float64{3, 3}); got != 0 {
@@ -366,8 +366,8 @@ func TestConsistencyDeterministic(t *testing.T) {
 	refT := gaussData(5, 200, 3, 0)
 	a, _ := NewConsistency(refX, refT, 5, 123)
 	b, _ := NewConsistency(refX, refT, 5, 123)
-	if a.Scale() != b.Scale() {
-		t.Fatalf("seeded scale diverged: %g vs %g", a.Scale(), b.Scale())
+	if a.scale != b.scale {
+		t.Fatalf("seeded scale diverged: %g vs %g", a.scale, b.scale)
 	}
 	probes := gaussData(6, 50, 3, 0)
 	for i := 0; i < probes.Rows(); i++ {

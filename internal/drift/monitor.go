@@ -47,9 +47,6 @@ func (r *Reservoir) Add(x float64) {
 // Values returns the current sample (aliased, not copied).
 func (r *Reservoir) Values() []float64 { return r.vals }
 
-// Seen returns the number of values offered so far.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // Reset empties the reservoir, keeping capacity and RNG state.
 func (r *Reservoir) Reset() {
 	r.vals = r.vals[:0]
@@ -124,9 +121,6 @@ func NewMonitor(base *Baseline, windowCap int, seed int64) *Monitor {
 // DefaultWindow is the per-feature reservoir capacity used when a
 // Monitor is built with windowCap <= 0.
 const DefaultWindow = 2048
-
-// Dims returns the feature count the monitor expects.
-func (m *Monitor) Dims() int { return m.base.Dims }
 
 // Observe folds one served row into the live window. Rows of the wrong
 // width are ignored (the serving handler has already rejected them).

@@ -7,11 +7,6 @@ import (
 	"repro/internal/mat"
 )
 
-// FitStream is FitStreamContext with a background context.
-func FitStream(st *ingest.Stream, opts Options) (*Model, *mat.Dense, error) {
-	return FitStreamContext(context.Background(), st, opts)
-}
-
 // FitStreamContext trains an iFair model directly from a completed shard
 // store, replacing the load-everything-then-standardise path for data
 // that arrived through internal/ingest:

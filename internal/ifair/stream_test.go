@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ingest"
+	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
@@ -64,33 +65,36 @@ func TestFitStreamMatchesInMemoryFit(t *testing.T) {
 		Seed:      7,
 	}
 
-	model, x, err := FitStream(st, opts)
+	model, x, err := FitStreamContext(context.Background(), st, opts)
 	if err != nil {
-		t.Fatalf("FitStream: %v", err)
+		t.Fatalf("FitStreamContext: %v", err)
 	}
 
-	matz, err := st.Materialize()
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
+	full := mat.NewDense(st.Rows(), st.Cols())
+	if err := st.Sweep(func(r int, row []float64) error {
+		copy(full.Row(r), row)
+		return nil
+	}); err != nil {
+		t.Fatalf("sweep: %v", err)
 	}
-	rows := make([][]float64, matz.X.Rows())
+	rows := make([][]float64, full.Rows())
 	for i := range rows {
-		rows[i] = matz.X.Row(i) // aliases matz.X storage
+		rows[i] = full.Row(i) // aliases full's storage
 	}
 	means, stds := st.MeanStd()
 	stats.ApplyStandardize(rows, means, stds)
-	ref, err := Fit(matz.X, opts)
+	ref, err := Fit(full, opts)
 	if err != nil {
 		t.Fatalf("in-memory Fit: %v", err)
 	}
 
 	// Same transform, different plumbing: the matrices are bit-identical.
-	if x.Rows() != matz.X.Rows() || x.Cols() != matz.X.Cols() {
-		t.Fatalf("matrix shape %dx%d, want %dx%d", x.Rows(), x.Cols(), matz.X.Rows(), matz.X.Cols())
+	if x.Rows() != full.Rows() || x.Cols() != full.Cols() {
+		t.Fatalf("matrix shape %dx%d, want %dx%d", x.Rows(), x.Cols(), full.Rows(), full.Cols())
 	}
 	for i, v := range x.Data() {
-		if v != matz.X.Data()[i] {
-			t.Fatalf("standardised cell %d: stream %v, in-memory %v", i, v, matz.X.Data()[i])
+		if v != full.Data()[i] {
+			t.Fatalf("standardised cell %d: stream %v, in-memory %v", i, v, full.Data()[i])
 		}
 	}
 	if model.Loss == 0 || ref.Loss == 0 {
@@ -112,14 +116,14 @@ func TestFitStreamEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open stream: %v", err)
 	}
-	if _, _, err := FitStream(st, Options{K: 2, Lambda: 1}); err != ErrNoData {
+	if _, _, err := FitStreamContext(context.Background(), st, Options{K: 2, Lambda: 1}); err != ErrNoData {
 		t.Fatalf("err = %v, want ErrNoData", err)
 	}
 }
 
 // TestNeighborFairnessAllColumnsProtected: with every column protected
 // the non-protected subspace has no columns, so all records are at
-// distance 0 from each other. FitStream and FitContext must still fit,
+// distance 0 from each other. FitStreamContext and FitContext must still fit,
 // to the same model, and each record's partners must come from the
 // lowest indices other than its own — never a self-pair.
 func TestNeighborFairnessAllColumnsProtected(t *testing.T) {
@@ -133,9 +137,9 @@ func TestNeighborFairnessAllColumnsProtected(t *testing.T) {
 		Fairness: NeighborFairness, PairSamples: 3, NeighborK: 5,
 		MaxIterations: 20, Seed: 3,
 	}
-	streamed, x, err := FitStream(st, opts)
+	streamed, x, err := FitStreamContext(context.Background(), st, opts)
 	if err != nil {
-		t.Fatalf("FitStream: %v", err)
+		t.Fatalf("FitStreamContext: %v", err)
 	}
 	inMemory, err := FitContext(context.Background(), x, opts)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
@@ -97,29 +98,26 @@ func TestIngestClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open stream: %v", err)
 	}
-	if st.Rows() != 100 || st.Cols() != 4 || st.NumShards() != 7 {
-		t.Fatalf("stream shape: rows %d cols %d shards %d", st.Rows(), st.Cols(), st.NumShards())
+	if st.Rows() != 100 || st.Cols() != 4 || len(st.man.Shards) != 7 {
+		t.Fatalf("stream shape: rows %d cols %d shards %d", st.Rows(), st.Cols(), len(st.man.Shards))
 	}
 	if got := st.ProtectedCols(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("protected cols = %v", got)
 	}
-	if !st.HasLabel() || st.HasScore() {
+	if !st.man.HasLabel || st.man.HasScore {
 		t.Fatal("stream outcome layout wrong")
 	}
 
 	// Streaming moments must match a batch pass over the materialized data.
-	m, err := st.Materialize()
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
-	if len(m.Labels) != 100 || len(m.Protected) != 100 {
-		t.Fatalf("materialized outcome lengths: %d labels, %d protected", len(m.Labels), len(m.Protected))
+	x, labels, protected := materialize(t, st)
+	if len(labels) != 100 || len(protected) != 100 {
+		t.Fatalf("materialized outcome lengths: %d labels, %d protected", len(labels), len(protected))
 	}
 	means, stds := st.MeanStd()
 	for j := 0; j < st.Cols(); j++ {
 		col := make([]float64, 100)
 		for i := 0; i < 100; i++ {
-			col[i] = m.X.At(i, j)
+			col[i] = x.At(i, j)
 		}
 		if d := math.Abs(means[j] - stats.Mean(col)); d > 1e-12 {
 			t.Errorf("col %d mean drift %g", j, d)
@@ -130,7 +128,7 @@ func TestIngestClean(t *testing.T) {
 	}
 	// Protected flag must mirror the first protected column (group=A).
 	for i := 0; i < 100; i++ {
-		if m.Protected[i] != (m.X.At(i, 1) >= 0.5) {
+		if protected[i] != (x.At(i, 1) >= 0.5) {
 			t.Fatalf("row %d protected flag mismatch", i)
 		}
 	}
@@ -278,9 +276,30 @@ func TestIngestInferredSchema(t *testing.T) {
 	if got := st.ProtectedCols(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("protected cols = %v", got)
 	}
-	if st.HasLabel() || st.HasScore() {
+	if st.man.HasLabel || st.man.HasScore {
 		t.Fatal("no outcome was declared")
 	}
+}
+
+// materialize decodes every shard of st into one matrix plus the per-row
+// labels and protected flags.
+func materialize(t *testing.T, st *Stream) (x *mat.Dense, labels, protected []bool) {
+	t.Helper()
+	x = mat.NewDense(st.Rows(), st.Cols())
+	row := 0
+	for i := range st.man.Shards {
+		sh, err := st.Shard(i)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		for r := 0; r < sh.Rows(); r++ {
+			copy(x.Row(row), sh.Data[r*sh.Cols:(r+1)*sh.Cols])
+			row++
+		}
+		labels = append(labels, sh.Labels...)
+		protected = append(protected, sh.Protected...)
+	}
+	return x, labels, protected
 }
 
 // recordingObserver captures every observed row for replay-equivalence

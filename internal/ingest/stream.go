@@ -6,8 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/checkpoint"
-	"repro/internal/mat"
-	"repro/internal/stats"
 )
 
 // Stream reads a completed shard store one shard at a time. Only the
@@ -46,9 +44,6 @@ func OpenStream(dir string, fsys checkpoint.FS) (*Stream, error) {
 // Rows returns the total validated row count across all shards.
 func (st *Stream) Rows() int { return int(st.man.GoodRows) }
 
-// BadRows returns how many input rows the ingest quarantined.
-func (st *Stream) BadRows() int { return int(st.man.BadRows) }
-
 // Cols returns the encoded feature width.
 func (st *Stream) Cols() int { return st.man.Cols }
 
@@ -60,18 +55,6 @@ func (st *Stream) FeatureNames() []string {
 // ProtectedCols returns the encoded protected column indices.
 func (st *Stream) ProtectedCols() []int {
 	return append([]int(nil), st.man.ProtectedCols...)
-}
-
-// HasLabel / HasScore report the store's outcome layout.
-func (st *Stream) HasLabel() bool { return st.man.HasLabel }
-func (st *Stream) HasScore() bool { return st.man.HasScore }
-
-// NumShards returns the shard count.
-func (st *Stream) NumShards() int { return len(st.man.Shards) }
-
-// Moments returns the cumulative per-column Welford state over all rows.
-func (st *Stream) Moments() []stats.Welford {
-	return append([]stats.Welford(nil), st.man.Moments...)
 }
 
 // MeanStd returns per-column means and standard deviations from the
@@ -131,49 +114,4 @@ func (st *Stream) Sweep(fn func(row int, x []float64) error) error {
 		rowBase += sh.Rows()
 	}
 	return nil
-}
-
-// Materialized is the full in-memory view of a shard store, for callers
-// (and tests) that fit in RAM: the same Dataset-shaped fields the
-// internal/dataset loaders produce.
-type Materialized struct {
-	X         *mat.Dense
-	Labels    []bool
-	Scores    []float64
-	Protected []bool
-}
-
-// Materialize decodes every shard into one dense matrix. It defeats the
-// O(shard) residency purpose and exists for parity testing and small
-// stores; large fits should use Sweep or ifair.FitStream instead.
-func (st *Stream) Materialize() (*Materialized, error) {
-	m := &Materialized{
-		X:         mat.NewDense(st.Rows(), st.Cols()),
-		Protected: make([]bool, 0, st.Rows()),
-	}
-	if st.man.HasLabel {
-		m.Labels = make([]bool, 0, st.Rows())
-	}
-	if st.man.HasScore {
-		m.Scores = make([]float64, 0, st.Rows())
-	}
-	row := 0
-	for i := range st.man.Shards {
-		sh, err := st.Shard(i)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < sh.Rows(); r++ {
-			copy(m.X.Row(row), sh.Data[r*sh.Cols:(r+1)*sh.Cols])
-			row++
-		}
-		m.Protected = append(m.Protected, sh.Protected...)
-		if sh.Labels != nil {
-			m.Labels = append(m.Labels, sh.Labels...)
-		}
-		if sh.Scores != nil {
-			m.Scores = append(m.Scores, sh.Scores...)
-		}
-	}
-	return m, nil
 }

@@ -39,9 +39,6 @@ func (b *Builder) Append(row []float64) {
 	b.next++
 }
 
-// Rows returns how many rows have been appended so far.
-func (b *Builder) Rows() int { return b.next }
-
 // Build constructs the tree. Every declared row must have been appended
 // — a partially filled matrix would index phantom zero rows.
 func (b *Builder) Build() *KDTree {

@@ -22,8 +22,8 @@ func TestBuilderMatchesWholeMatrixTree(t *testing.T) {
 	b := NewBuilder(m, n)
 	for i := 0; i < m; i++ {
 		b.Append(data.Row(i))
-		if got := b.Rows(); got != i+1 {
-			t.Fatalf("Rows() = %d after %d appends", got, i+1)
+		if got := b.next; got != i+1 {
+			t.Fatalf("%d rows appended, builder counts %d", i+1, got)
 		}
 	}
 	streamed := b.Build()

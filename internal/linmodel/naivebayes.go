@@ -103,16 +103,6 @@ func (g *GaussianNB) PredictProba(x *mat.Dense) []float64 {
 	return out
 }
 
-// Predict thresholds PredictProba at 0.5.
-func (g *GaussianNB) Predict(x *mat.Dense) []bool {
-	proba := g.PredictProba(x)
-	out := make([]bool, len(proba))
-	for i, p := range proba {
-		out[i] = p >= 0.5
-	}
-	return out
-}
-
 // logGauss is the log density of N(mean, variance) at v, dropping the
 // −½log(2π) constant, which is shared by both classes and cancels in the
 // likelihood ratio; the variance-dependent term does not cancel and stays.

@@ -35,22 +35,6 @@ func TestGaussianNBProbabilitiesValid(t *testing.T) {
 	}
 }
 
-func TestGaussianNBPredictMatchesThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x, y := separableData(rng, 80)
-	model, err := FitGaussianNB(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proba := model.PredictProba(x)
-	pred := model.Predict(x)
-	for i := range pred {
-		if pred[i] != (proba[i] >= 0.5) {
-			t.Fatal("Predict disagrees with PredictProba threshold")
-		}
-	}
-}
-
 func TestGaussianNBLearnsPrior(t *testing.T) {
 	// With uninformative features, predictions should follow the prior.
 	rng := rand.New(rand.NewSource(4))

@@ -177,38 +177,6 @@ func (m *Dense) MulVec(x []float64) []float64 {
 	return out
 }
 
-// Add returns a+b as a new matrix; AddInto is the non-allocating
-// variant.
-func Add(a, b *Dense) *Dense {
-	sameDims(a, b, "Add")
-	out := NewDense(a.rows, a.cols)
-	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a−b as a new matrix; SubInto is the non-allocating
-// variant.
-func Sub(a, b *Dense) *Dense {
-	sameDims(a, b, "Sub")
-	out := NewDense(a.rows, a.cols)
-	SubInto(out, a, b)
-	return out
-}
-
-// Scale returns c·a as a new matrix; ScaleInto is the non-allocating
-// variant.
-func Scale(c float64, a *Dense) *Dense {
-	out := NewDense(a.rows, a.cols)
-	ScaleInto(out, c, a)
-	return out
-}
-
-func sameDims(a, b *Dense, op string) {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("mat: %s dimension mismatch %d×%d vs %d×%d", op, a.rows, a.cols, b.rows, b.cols))
-	}
-}
-
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Dense) FrobeniusNorm() float64 {
 	var s float64

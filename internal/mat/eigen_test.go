@@ -118,5 +118,9 @@ func TestEigenSymTracePreserved(t *testing.T) {
 
 func randomSymmetric(rng *rand.Rand, n int) *Dense {
 	b := randomMatrix(rng, n, n)
-	return Scale(0.5, Add(b, b.T()))
+	s := sum(b, b.T())
+	for i := range s.data {
+		s.data[i] *= 0.5
+	}
+	return s
 }

@@ -2,16 +2,11 @@ package mat
 
 import "fmt"
 
-// In-place (destination-passing) variants of the allocating package
-// ops. Shared contract: dst is fully overwritten, is owned by the
-// caller, and is never retained. Each op panics on dimension mismatch,
-// like its allocating counterpart. Aliasing is stated per op: the
-// element-wise ops tolerate dst aliasing an operand because they read
-// each cell exactly once before writing it; MulInto does not, because
-// it re-reads operand rows while accumulating.
-
-// MulInto computes dst = a·b. dst must be a.Rows()×b.Cols() and must
-// NOT share backing storage with a or b.
+// MulInto computes dst = a·b, the destination-passing variant of Mul.
+// dst must be a.Rows()×b.Cols() and must NOT share backing storage with a
+// or b, because rows of the operands are re-read while accumulating. dst
+// is fully overwritten, is owned by the caller and is never retained. It
+// panics on dimension mismatch, like Mul.
 func MulInto(dst, a, b *Dense) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: MulInto dimension mismatch %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
@@ -34,31 +29,5 @@ func MulInto(dst, a, b *Dense) {
 				orow[j] += av * bv
 			}
 		}
-	}
-}
-
-// AddInto computes dst = a+b element-wise. dst may alias a and/or b.
-func AddInto(dst, a, b *Dense) {
-	sameDims(a, b, "AddInto")
-	sameDims(dst, a, "AddInto destination")
-	for i, v := range a.data {
-		dst.data[i] = v + b.data[i]
-	}
-}
-
-// SubInto computes dst = a−b element-wise. dst may alias a and/or b.
-func SubInto(dst, a, b *Dense) {
-	sameDims(a, b, "SubInto")
-	sameDims(dst, a, "SubInto destination")
-	for i, v := range a.data {
-		dst.data[i] = v - b.data[i]
-	}
-}
-
-// ScaleInto computes dst = c·a element-wise. dst may alias a.
-func ScaleInto(dst *Dense, c float64, a *Dense) {
-	sameDims(dst, a, "ScaleInto")
-	for i, v := range a.data {
-		dst.data[i] = c * v
 	}
 }

@@ -9,39 +9,18 @@ func fill(m *Dense, base float64) *Dense {
 	return m
 }
 
-// TestInPlaceOpsMatchAllocating checks each *Into op against its
-// allocating counterpart, bitwise.
+// TestInPlaceOpsMatchAllocating checks MulInto against Mul, bitwise.
 func TestInPlaceOpsMatchAllocating(t *testing.T) {
 	a := fill(NewDense(3, 4), 1)
-	b := fill(NewDense(3, 4), 0.5)
 	p := fill(NewDense(4, 2), -2)
-
 	mul := NewDense(3, 2)
 	MulInto(mul, a, p)
 	if want := Mul(a, p); !Equalish(mul, want, 0) {
 		t.Error("MulInto differs from Mul")
 	}
-
-	add := NewDense(3, 4)
-	AddInto(add, a, b)
-	if want := Add(a, b); !Equalish(add, want, 0) {
-		t.Error("AddInto differs from Add")
-	}
-
-	sub := NewDense(3, 4)
-	SubInto(sub, a, b)
-	if want := Sub(a, b); !Equalish(sub, want, 0) {
-		t.Error("SubInto differs from Sub")
-	}
-
-	sc := NewDense(3, 4)
-	ScaleInto(sc, 2.5, a)
-	if want := Scale(2.5, a); !Equalish(sc, want, 0) {
-		t.Error("ScaleInto differs from Scale")
-	}
 }
 
-// TestInPlaceOpsOverwriteStaleDst checks that every *Into destination is
+// TestInPlaceOpsOverwriteStaleDst checks that MulInto's destination is
 // fully overwritten, never accumulated into.
 func TestInPlaceOpsOverwriteStaleDst(t *testing.T) {
 	a := fill(NewDense(2, 2), 1)
@@ -50,29 +29,6 @@ func TestInPlaceOpsOverwriteStaleDst(t *testing.T) {
 	MulInto(dst, a, p)
 	if !Equalish(dst, a, 0) {
 		t.Error("MulInto accumulated into a stale destination")
-	}
-	dst = fill(NewDense(2, 2), 100)
-	ScaleInto(dst, 1, a)
-	if !Equalish(dst, a, 0) {
-		t.Error("ScaleInto kept stale destination values")
-	}
-}
-
-// TestAddSubIntoAliasing exercises the documented dst-may-alias-operand
-// contract of the elementwise ops.
-func TestAddSubIntoAliasing(t *testing.T) {
-	a := fill(NewDense(2, 3), 1)
-	b := fill(NewDense(2, 3), 10)
-	want := Add(a, b)
-	AddInto(a, a, b)
-	if !Equalish(a, want, 0) {
-		t.Error("AddInto(dst aliasing a) differs from Add")
-	}
-	a = fill(NewDense(2, 3), 1)
-	want = Sub(a, b)
-	SubInto(b, a, b)
-	if !Equalish(b, want, 0) {
-		t.Error("SubInto(dst aliasing b) differs from Sub")
 	}
 }
 
@@ -89,31 +45,17 @@ func mustPanic(t *testing.T, name string, f func()) {
 // TestInPlaceOpsPanicOnDims verifies the dimension checks.
 func TestInPlaceOpsPanicOnDims(t *testing.T) {
 	a := NewDense(3, 4)
-	b := NewDense(3, 4)
 	mustPanic(t, "MulInto(inner)", func() { MulInto(NewDense(3, 2), a, NewDense(5, 2)) })
 	mustPanic(t, "MulInto(dst)", func() { MulInto(NewDense(2, 2), a, NewDense(4, 2)) })
-	mustPanic(t, "AddInto(operands)", func() { AddInto(NewDense(3, 4), a, NewDense(2, 4)) })
-	mustPanic(t, "AddInto(dst)", func() { AddInto(NewDense(2, 4), a, b) })
-	mustPanic(t, "SubInto(dst)", func() { SubInto(NewDense(3, 3), a, b) })
-	mustPanic(t, "ScaleInto(dst)", func() { ScaleInto(NewDense(4, 3), 2, a) })
 }
 
-// TestInPlaceOpsZeroAlloc pins the point of the *Into variants: no
-// allocation when the destination is supplied.
+// TestInPlaceOpsZeroAlloc pins the point of MulInto: no allocation when
+// the destination is supplied.
 func TestInPlaceOpsZeroAlloc(t *testing.T) {
 	a := fill(NewDense(8, 8), 1)
 	b := fill(NewDense(8, 8), 2)
 	dst := NewDense(8, 8)
 	if n := testing.AllocsPerRun(50, func() { MulInto(dst, a, b) }); n != 0 {
 		t.Errorf("MulInto allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { AddInto(dst, a, b) }); n != 0 {
-		t.Errorf("AddInto allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { SubInto(dst, a, b) }); n != 0 {
-		t.Errorf("SubInto allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { ScaleInto(dst, 3, a) }); n != 0 {
-		t.Errorf("ScaleInto allocates %v/op, want 0", n)
 	}
 }

@@ -22,33 +22,11 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))
 }
 
-// AddScaled computes dst += c*src in place.
-func AddScaled(dst []float64, c float64, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mat: AddScaled length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += c * v
-	}
-}
-
 // ScaleVec computes dst = c*src, allocating dst.
 func ScaleVec(c float64, src []float64) []float64 {
 	out := make([]float64, len(src))
 	for i, v := range src {
 		out[i] = c * v
-	}
-	return out
-}
-
-// SubVec returns a−b as a new vector.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: SubVec length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
 	}
 	return out
 }
@@ -62,20 +40,6 @@ func SqDist(a, b []float64) float64 {
 	for i := range a {
 		d := a[i] - b[i]
 		s += d * d
-	}
-	return s
-}
-
-// WeightedSqDist returns Σ w[n]·(a[n]−b[n])², the squared weighted
-// Euclidean distance used by the iFair kernel (Def. 7 with p=2).
-func WeightedSqDist(a, b, w []float64) float64 {
-	if len(a) != len(b) || len(a) != len(w) {
-		panic(fmt.Sprintf("mat: WeightedSqDist length mismatch %d/%d/%d", len(a), len(b), len(w)))
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += w[i] * d * d
 	}
 	return s
 }

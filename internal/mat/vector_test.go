@@ -28,48 +28,15 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	dst := []float64{1, 2}
-	AddScaled(dst, 3, []float64{10, 20})
-	if dst[0] != 31 || dst[1] != 62 {
-		t.Fatalf("AddScaled = %v, want [31 62]", dst)
-	}
-}
-
-func TestScaleVecSubVec(t *testing.T) {
+func TestScaleVec(t *testing.T) {
 	if got := ScaleVec(2, []float64{1, -3}); got[1] != -6 {
 		t.Fatalf("ScaleVec = %v", got)
-	}
-	if got := SubVec([]float64{5, 5}, []float64{2, 7}); got[0] != 3 || got[1] != -2 {
-		t.Fatalf("SubVec = %v", got)
 	}
 }
 
 func TestSqDist(t *testing.T) {
 	if got := SqDist([]float64{0, 0}, []float64{3, 4}); got != 25 {
 		t.Fatalf("SqDist = %v, want 25", got)
-	}
-}
-
-func TestWeightedSqDistUnitWeightsMatchesSqDist(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomVec(rng, 6)
-		b := randomVec(rng, 6)
-		w := []float64{1, 1, 1, 1, 1, 1}
-		return math.Abs(WeightedSqDist(a, b, w)-SqDist(a, b)) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWeightedSqDistZeroWeightMasksCoordinate(t *testing.T) {
-	a := []float64{1, 100}
-	b := []float64{1, -100}
-	w := []float64{1, 0}
-	if got := WeightedSqDist(a, b, w); got != 0 {
-		t.Fatalf("masked distance = %v, want 0", got)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestLipschitzAuditScaling(t *testing.T) {
 	// Doubling all coordinates makes each violation equal the original
 	// distance.
 	orig := mat.FromRows([][]float64{{0, 0}, {3, 4}, {6, 8}})
-	trans := mat.Scale(2, orig)
+	trans := mat.FromRows([][]float64{{0, 0}, {6, 8}, {12, 16}})
 	res := LipschitzAudit(orig, trans, nil)
 	// Distances: 5, 10, 5 → violations 5, 10, 5.
 	if math.Abs(res.MaxViolation-10) > 1e-12 {

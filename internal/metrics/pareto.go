@@ -41,18 +41,3 @@ func dominates(a, b Point) bool {
 	}
 	return a.Utility > b.Utility || a.Fairness > b.Fairness
 }
-
-// BestBy returns the index of the point maximising score, or -1 for an
-// empty slice. It is the selection primitive behind the paper's three
-// hyper-parameter tuning criteria (max utility, max fairness, best harmonic
-// mean).
-func BestBy(points []Point, score func(Point) float64) int {
-	best := -1
-	var bestScore float64
-	for i, p := range points {
-		if s := score(p); best == -1 || s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
-}

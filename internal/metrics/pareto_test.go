@@ -81,23 +81,3 @@ func TestParetoFrontCorrectness(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBestBy(t *testing.T) {
-	pts := []Point{
-		{Utility: 0.9, Fairness: 0.1},
-		{Utility: 0.6, Fairness: 0.8},
-		{Utility: 0.3, Fairness: 0.95},
-	}
-	if got := BestBy(pts, func(p Point) float64 { return p.Utility }); got != 0 {
-		t.Fatalf("BestBy utility = %d, want 0", got)
-	}
-	if got := BestBy(pts, func(p Point) float64 { return p.Fairness }); got != 2 {
-		t.Fatalf("BestBy fairness = %d, want 2", got)
-	}
-	if got := BestBy(pts, func(p Point) float64 { return HarmonicMean(p.Utility, p.Fairness) }); got != 1 {
-		t.Fatalf("BestBy harmonic = %d, want 1", got)
-	}
-	if got := BestBy(nil, func(p Point) float64 { return 0 }); got != -1 {
-		t.Fatalf("BestBy empty = %d, want -1", got)
-	}
-}

@@ -57,9 +57,6 @@ func Chunks(total int) Plan {
 	return Plan{total: total, chunks: c}
 }
 
-// Total returns the number of work items the plan covers.
-func (p Plan) Total() int { return p.total }
-
 // NumChunks returns how many chunks Run will execute. It is derived
 // from the same partition as Bounds, so it can never over- or
 // under-count the chunks that actually run.

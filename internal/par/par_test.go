@@ -31,8 +31,8 @@ func TestChunksPlanInvariants(t *testing.T) {
 		if p.NumChunks() != wantChunks {
 			t.Fatalf("Chunks(%d).NumChunks() = %d, want %d", total, p.NumChunks(), wantChunks)
 		}
-		if p.Total() != max(total, 0) {
-			t.Fatalf("Chunks(%d).Total() = %d", total, p.Total())
+		if p.total != max(total, 0) {
+			t.Fatalf("Chunks(%d).total = %d", total, p.total)
 		}
 		prev := 0
 		for c := 0; c < p.NumChunks(); c++ {

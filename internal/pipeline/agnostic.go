@@ -24,19 +24,11 @@ type AgnosticRow struct {
 	YNN     float64
 }
 
-// AgnosticStudy fits one iFair-b representation per dataset and evaluates
-// it under two genuinely different downstream models: logistic regression
-// vs Gaussian naive Bayes for classification, pointwise linear regression
-// vs a pairwise (RankNet-style) ranker for ranking. Full Data rows are
-// included as the reference.
-//
-// AgnosticStudy is a convenience wrapper around AgnosticStudyContext with
-// a background context.
-func AgnosticStudy(ds *dataset.Dataset, cfg StudyConfig) ([]AgnosticRow, error) {
-	return AgnosticStudyContext(context.Background(), ds, cfg)
-}
-
-// AgnosticStudyContext is AgnosticStudy with cancellation.
+// AgnosticStudyContext fits one iFair-b representation per dataset and
+// evaluates it under two genuinely different downstream models: logistic
+// regression vs Gaussian naive Bayes for classification, pointwise linear
+// regression vs a pairwise (RankNet-style) ranker for ranking. Full Data
+// rows are included as the reference.
 func AgnosticStudyContext(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) ([]AgnosticRow, error) {
 	cfg.fill()
 	if ds.Task == dataset.Classification {

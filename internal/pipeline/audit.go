@@ -20,20 +20,12 @@ type AuditRow struct {
 	Result  metrics.AuditResult
 }
 
-// AuditStudy measures, for each representation method, how far transformed
-// pairwise distances stray from the original non-protected distances — the
-// empirical ε of Definition 1. Pairs are sampled (4 per record by default)
-// on the test split; the identity (Full Data) row is included as the
-// reference, whose only violations come from masking the protected
-// columns.
-//
-// AuditStudy is a convenience wrapper around AuditStudyContext with a
-// background context.
-func AuditStudy(ds *dataset.Dataset, cfg StudyConfig) ([]AuditRow, error) {
-	return AuditStudyContext(context.Background(), ds, cfg)
-}
-
-// AuditStudyContext is AuditStudy with cancellation.
+// AuditStudyContext measures, for each representation method, how far
+// transformed pairwise distances stray from the original non-protected
+// distances — the empirical ε of Definition 1. Pairs are sampled (4 per
+// record by default) on the test split; the identity (Full Data) row is
+// included as the reference, whose only violations come from masking the
+// protected columns.
 func AuditStudyContext(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) ([]AuditRow, error) {
 	cfg.fill()
 	split, err := dataset.ThreeWaySplit(ds.Rows(), cfg.TrainFrac, cfg.ValFrac, cfg.Seed)

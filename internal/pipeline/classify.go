@@ -41,18 +41,10 @@ type neighbourCache struct {
 	test, valid [][]int
 }
 
-// EvalClassification fits rep on the training portion of ds, trains a
-// logistic-regression classifier on the transformed training records and
+// EvalClassificationContext fits rep on the training portion of ds, trains
+// a logistic-regression classifier on the transformed training records and
 // evaluates every metric on the transformed test (and validation) records.
-//
-// EvalClassification is a convenience wrapper around
-// EvalClassificationContext with a background context.
-func EvalClassification(ds *dataset.Dataset, split dataset.Split, rep Representation, l2 float64) (ClassificationResult, error) {
-	return evalClassificationCached(context.Background(), ds, split, rep, l2, nil)
-}
-
-// EvalClassificationContext is EvalClassification with cancellation: ctx
-// propagates into the representation's fit.
+// ctx propagates into the representation's fit.
 func EvalClassificationContext(ctx context.Context, ds *dataset.Dataset, split dataset.Split, rep Representation, l2 float64) (ClassificationResult, error) {
 	return evalClassificationCached(ctx, ds, split, rep, l2, nil)
 }

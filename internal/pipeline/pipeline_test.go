@@ -125,7 +125,7 @@ func TestEvalClassificationAllMethods(t *testing.T) {
 		&IFairRep{Opts: ifair.Options{K: 4, Lambda: 1, Mu: 1, Init: ifair.InitMaskedProtected, Fairness: ifair.SampledFairness, MaxIterations: 20, Seed: 1}},
 	}
 	for _, rep := range reps {
-		res, err := EvalClassification(ds, split, rep, 0.01)
+		res, err := EvalClassificationContext(context.Background(), ds, split, rep, 0.01)
 		if err != nil {
 			t.Fatalf("%s: %v", rep.Name(), err)
 		}
@@ -262,7 +262,7 @@ func TestEvalRankingAllMethods(t *testing.T) {
 		&IFairRep{Opts: ifair.Options{K: 4, Lambda: 1, Mu: 1, Init: ifair.InitMaskedProtected, Fairness: ifair.SampledFairness, MaxIterations: 20, Seed: 1}},
 	}
 	for _, rep := range reps {
-		res, err := EvalRanking(ds, qsplit, rep, 0.01)
+		res, err := EvalRankingContext(context.Background(), ds, qsplit, rep, 0.01)
 		if err != nil {
 			t.Fatalf("%s: %v", rep.Name(), err)
 		}
@@ -283,7 +283,7 @@ func TestEvalRankingAllMethods(t *testing.T) {
 
 func TestEvalRankingRejectsClassificationDataset(t *testing.T) {
 	ds := smallCompas()
-	if _, err := EvalRanking(ds, dataset.Split{Train: []int{0}, Test: []int{1}}, FullData{}, 0.01); err == nil {
+	if _, err := EvalRankingContext(context.Background(), ds, dataset.Split{Train: []int{0}, Test: []int{1}}, FullData{}, 0.01); err == nil {
 		t.Fatal("expected error on classification dataset")
 	}
 }
@@ -297,7 +297,7 @@ func TestFullDataRankingIsNearPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalRanking(ds, qsplit, FullData{}, 1e-6)
+	res, err := EvalRankingContext(context.Background(), ds, qsplit, FullData{}, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestEvalFAIRIncreasesProtectedShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := EvalRanking(ds, qsplit, &MaskedData{}, 0.01)
+	base, err := EvalRankingContext(context.Background(), ds, qsplit, &MaskedData{}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestPostProcessStudyMonotoneProtectedShare(t *testing.T) {
 }
 
 func TestAuditStudyClassification(t *testing.T) {
-	rows, err := AuditStudy(smallCompas(), quickCfg())
+	rows, err := AuditStudyContext(context.Background(), smallCompas(), quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestAuditStudyClassification(t *testing.T) {
 }
 
 func TestAuditStudyRankingSkipsLFR(t *testing.T) {
-	rows, err := AuditStudy(smallXing(), quickCfg())
+	rows, err := AuditStudyContext(context.Background(), smallXing(), quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestAuditStudyRankingSkipsLFR(t *testing.T) {
 }
 
 func TestAgnosticStudyClassification(t *testing.T) {
-	rows, err := AgnosticStudy(smallCompas(), quickCfg())
+	rows, err := AgnosticStudyContext(context.Background(), smallCompas(), quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestAgnosticStudyClassification(t *testing.T) {
 }
 
 func TestAgnosticStudyRanking(t *testing.T) {
-	rows, err := AgnosticStudy(smallXing(), quickCfg())
+	rows, err := AgnosticStudyContext(context.Background(), smallXing(), quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestAgnosticFairnessTransfersToLogistic(t *testing.T) {
 	// documented finding, not a guarantee.)
 	cfg := quickCfg()
 	cfg.MaxIterations = 40
-	rows, err := AgnosticStudy(smallCompas(), cfg)
+	rows, err := AgnosticStudyContext(context.Background(), smallCompas(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestRepeatStudyAggregates(t *testing.T) {
 	gen := func(seed int64) *dataset.Dataset {
 		return dataset.Credit(dataset.ClassificationConfig{Records: 300, Seed: seed})
 	}
-	rows, err := RepeatStudy(gen, cfg, []int64{1, 2, 3})
+	rows, err := RepeatStudyContext(context.Background(), gen, cfg, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestRepeatStudyAggregates(t *testing.T) {
 }
 
 func TestRepeatStudyNeedsSeeds(t *testing.T) {
-	if _, err := RepeatStudy(func(int64) *dataset.Dataset { return smallCompas() }, quickCfg(), nil); err == nil {
+	if _, err := RepeatStudyContext(context.Background(), func(int64) *dataset.Dataset { return smallCompas() }, quickCfg(), nil); err == nil {
 		t.Fatal("expected error without seeds")
 	}
 }

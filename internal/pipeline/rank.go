@@ -94,18 +94,10 @@ func bounds(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// EvalRanking fits rep on the records of the training queries, trains a
-// linear-regression scoring model on the transformed features, and
-// evaluates the ranking metrics over the validation and test queries.
-//
-// EvalRanking is a convenience wrapper around EvalRankingContext with a
-// background context.
-func EvalRanking(ds *dataset.Dataset, qsplit dataset.Split, rep Representation, l2 float64) (RankingResult, error) {
-	return EvalRankingContext(context.Background(), ds, qsplit, rep, l2)
-}
-
-// EvalRankingContext is EvalRanking with cancellation: ctx propagates into
-// the representation's fit.
+// EvalRankingContext fits rep on the records of the training queries,
+// trains a linear-regression scoring model on the transformed features, and
+// evaluates the ranking metrics over the validation and test queries. ctx
+// propagates into the representation's fit.
 func EvalRankingContext(ctx context.Context, ds *dataset.Dataset, qsplit dataset.Split, rep Representation, l2 float64) (RankingResult, error) {
 	res := RankingResult{Method: rep.Name()}
 	if ds.Task != dataset.Ranking {

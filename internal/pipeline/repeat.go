@@ -24,17 +24,9 @@ type RepeatSummary struct {
 	LastFailedReason string
 }
 
-// RepeatStudy evaluates Full Data and iFair-b on freshly simulated data
-// for every seed and reports mean ± std of the headline metrics.
-//
-// RepeatStudy is a convenience wrapper around RepeatStudyContext with a
-// background context.
-func RepeatStudy(gen func(seed int64) *dataset.Dataset, cfg StudyConfig, seeds []int64) ([]RepeatSummary, error) {
-	return RepeatStudyContext(context.Background(), gen, cfg, seeds)
-}
-
-// RepeatStudyContext is RepeatStudy with cancellation: the seed loop
-// aborts with ctx.Err() once ctx is cancelled.
+// RepeatStudyContext evaluates Full Data and iFair-b on freshly simulated
+// data for every seed and reports mean ± std of the headline metrics. The
+// seed loop aborts with ctx.Err() once ctx is cancelled.
 func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Dataset, cfg StudyConfig, seeds []int64) ([]RepeatSummary, error) {
 	cfg.fill()
 	if len(seeds) == 0 {

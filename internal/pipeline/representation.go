@@ -133,8 +133,7 @@ func (s *SVDRep) Transform(x *mat.Dense) *mat.Dense {
 type LFRRep struct {
 	Opts lfr.Options
 
-	model *lfr.Model
-	kern  kernel.Kernel
+	kern kernel.Kernel
 }
 
 // Name implements Representation.
@@ -154,15 +153,12 @@ func (l *LFRRep) Fit(ctx context.Context, train *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	l.model, l.kern = model, kern
+	l.kern = kern
 	return nil
 }
 
 // Transform implements Representation.
 func (l *LFRRep) Transform(x *mat.Dense) *mat.Dense { return transformWith(l.kern, x) }
-
-// Model exposes the fitted LFR model (for its internal classifier).
-func (l *LFRRep) Model() *lfr.Model { return l.model }
 
 // IFairRep wraps the paper's iFair learner as a representation method.
 // Variant selects iFair-a (random α init) or iFair-b (near-zero protected
@@ -171,8 +167,7 @@ func (l *LFRRep) Model() *lfr.Model { return l.model }
 type IFairRep struct {
 	Opts ifair.Options
 
-	model *ifair.Model
-	kern  kernel.Kernel
+	kern kernel.Kernel
 }
 
 // Name implements Representation.
@@ -190,15 +185,12 @@ func (f *IFairRep) Fit(ctx context.Context, train *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	f.model, f.kern = model, kern
+	f.kern = kern
 	return nil
 }
 
 // Transform implements Representation.
 func (f *IFairRep) Transform(x *mat.Dense) *mat.Dense { return transformWith(f.kern, x) }
-
-// Model exposes the fitted iFair model.
-func (f *IFairRep) Model() *ifair.Model { return f.model }
 
 // CensoredRep wraps the adversarially censored autoencoder baseline of the
 // paper's Related Work (refs [9], [22]): group-level obfuscation with no

@@ -149,12 +149,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Replicas exposes the fleet state (for probes, tests and the CLI).
-func (rt *Router) Replicas() []*Replica { return rt.replicas }
-
-// Metrics exposes the router's metrics registry.
-func (rt *Router) Metrics() *server.Metrics { return rt.metrics }
-
 // available returns the replicas the balancer may use right now,
 // excluding any in tried.
 func (rt *Router) available(now time.Time, tried map[*Replica]bool) []*Replica {

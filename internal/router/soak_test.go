@@ -222,7 +222,7 @@ func TestRouterSoakSurvivesReplicaKill(t *testing.T) {
 	phase.Store(2)
 	f.downs[0].Store(true)
 	killedAt := time.Now()
-	victim := f.rt.Replicas()[0]
+	victim := f.rt.replicas[0]
 	for victim.Healthy() && time.Since(killedAt) < 2*time.Second {
 		time.Sleep(5 * time.Millisecond)
 	}

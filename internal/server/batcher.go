@@ -161,17 +161,6 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 	return b
 }
 
-// TransformRow transforms one row through the named model entry,
-// allocating the result row. TransformRowInto is the destination-passing
-// variant serving paths with a reusable buffer should call.
-func (b *Batcher) TransformRow(ctx context.Context, entry *Entry, row []float64) ([]float64, error) {
-	dst := make([]float64, entry.Model.Dims())
-	if err := b.TransformRowInto(ctx, entry, dst, row); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // TransformRowInto transforms one row through the named model entry into
 // dst (length Dims), coalescing with other concurrent rows for the same
 // (name, version). It blocks until the row's batch is flushed or ctx is

@@ -18,6 +18,17 @@ import (
 // wantRow is the reference transform of row through the model's checked
 // per-row API. A failure is reported with t.Errorf, which is safe from
 // any goroutine, and yields nil.
+// TransformRow transforms one row through the named model entry,
+// allocating the result row. TransformRowInto is the destination-passing
+// variant serving paths with a reusable buffer should call.
+func (b *Batcher) TransformRow(ctx context.Context, entry *Entry, row []float64) ([]float64, error) {
+	dst := make([]float64, entry.Model.Dims())
+	if err := b.TransformRowInto(ctx, entry, dst, row); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 func wantRow(t testing.TB, m *ifair.Model, row []float64) []float64 {
 	t.Helper()
 	out, err := m.TransformRowChecked(row)

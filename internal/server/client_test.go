@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -11,9 +12,102 @@ import (
 	"time"
 )
 
+// rowsRequest, transformResponse and probabilitiesResponse are the
+// transform and probabilities bodies as the single-row Client methods
+// below see them. They stay on encoding/json, so the tests check the
+// server's hand-written codec against an independent implementation.
+type rowsRequest struct {
+	Rows [][]float64 `json:"rows"`
+}
+
+type transformResponse struct {
+	Model   string      `json:"model"`
+	Version int         `json:"version"`
+	Rows    [][]float64 `json:"rows"`
+}
+
+type probabilitiesResponse struct {
+	Model         string      `json:"model"`
+	Version       int         `json:"version"`
+	Probabilities [][]float64 `json:"probabilities"`
+}
+
+// Transform sends one row through POST /v1/models/{name}/transform and
+// returns the transformed row.
+func (c *Client) Transform(ctx context.Context, model string, row []float64) ([]float64, error) {
+	var out transformResponse
+	err := c.post(ctx, "/v1/models/"+model+"/transform", rowsRequest{Rows: [][]float64{row}}, &out)
+	if err != nil {
+		return nil, err
+	}
+	if len(out.Rows) != 1 {
+		return nil, fmt.Errorf("server returned %d rows for 1", len(out.Rows))
+	}
+	return out.Rows[0], nil
+}
+
+// TransformKeyed sends one row through the transform endpoint with an
+// explicit canary routing key (the X-Canary-Key header) and returns the
+// transformed row plus the model version that served it. Under a canary
+// rollout the key — not the connection — decides the serving arm, so a
+// caller that reuses its key sees a consistent model version across
+// requests, retries and process restarts.
+func (c *Client) TransformKeyed(ctx context.Context, model, key string, row []float64) ([]float64, int, error) {
+	body, err := json.Marshal(rowsRequest{Rows: [][]float64{row}})
+	if err != nil {
+		return nil, 0, err
+	}
+	hdr := http.Header{CanaryKeyHeader: []string{key}}
+	data, err := c.do(ctx, http.MethodPost, "/v1/models/"+model+"/transform", body, hdr)
+	if err != nil {
+		return nil, 0, err
+	}
+	var out transformResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, 0, err
+	}
+	if len(out.Rows) != 1 {
+		return nil, 0, fmt.Errorf("server returned %d rows for 1", len(out.Rows))
+	}
+	return out.Rows[0], out.Version, nil
+}
+
+// Probabilities sends one row through POST
+// /v1/models/{name}/probabilities and returns its prototype-membership
+// distribution.
+func (c *Client) Probabilities(ctx context.Context, model string, row []float64) ([]float64, error) {
+	var out probabilitiesResponse
+	err := c.post(ctx, "/v1/models/"+model+"/probabilities", rowsRequest{Rows: [][]float64{row}}, &out)
+	if err != nil {
+		return nil, err
+	}
+	if len(out.Probabilities) != 1 {
+		return nil, fmt.Errorf("server returned %d rows for 1", len(out.Probabilities))
+	}
+	return out.Probabilities[0], nil
+}
+
+// post marshals once, then retries the round trip under the client's
+// backoff policy until success, a terminal status, retry exhaustion, or
+// ctx expiry — whichever is first.
+func (c *Client) post(ctx context.Context, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	data, err := c.do(ctx, http.MethodPost, path, body, nil)
+	if err != nil {
+		return err
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(data, out)
+}
+
 func TestClientTransformRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	defer s.Batcher().Close()
+	defer s.batcher.Close()
 	c := &Client{BaseURL: ts.URL}
 	row := []float64{1, 2, 3}
 	got, err := c.Transform(context.Background(), "credit", row)
@@ -246,7 +340,7 @@ func TestClientHonoursHTTPDateRetryAfter(t *testing.T) {
 
 func TestClientRawRoundTrips(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	defer s.Batcher().Close()
+	defer s.batcher.Close()
 	c := &Client{BaseURL: ts.URL}
 
 	body, err := json.Marshal(rowsRequest{Rows: [][]float64{{1, 2, 3}}})

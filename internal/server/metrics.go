@@ -61,42 +61,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Max returns the upper bound of the highest non-empty bucket (an upper
-// estimate of the maximum observation), or 0 with no observations.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := len(h.counts) - 1; i >= 0; i-- {
-		if h.counts[i] == 0 {
-			continue
-		}
-		if i < len(h.bounds) {
-			return h.bounds[i]
-		}
-		// +Inf bucket: the best finite statement is the mean of what
-		// landed there is unknown; report the last finite bound.
-		if len(h.bounds) > 0 {
-			return h.bounds[len(h.bounds)-1]
-		}
-		return 0
-	}
-	return 0
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // inside the bucket that contains it, the same estimator Prometheus'
 // histogram_quantile uses. Returns 0 with no observations.

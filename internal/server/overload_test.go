@@ -95,7 +95,7 @@ func TestOverloadSoak(t *testing.T) {
 				return
 			case <-time.After(time.Millisecond):
 			}
-			st := s.Limiter().Stats()
+			st := s.limiter.Stats()
 			if st.QueueDepth > maxQueue || st.Inflight > maxInflight {
 				queueOverCap.Add(1)
 			}

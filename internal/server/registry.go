@@ -104,10 +104,6 @@ func NewRegistry(dir string) *Registry {
 // counter registered in a Metrics table). Call before the first Reload.
 func (r *Registry) SetFailureCounter(c *Counter) { r.failures = c }
 
-// ReloadFailures returns how many file loads have failed across all
-// reloads so far.
-func (r *Registry) ReloadFailures() int64 { return r.failures.Value() }
-
 // parseModelFileName splits "credit@v3.json" into ("credit", 3) and
 // "credit.json" into ("credit", 1). Non-model files return ok=false.
 func parseModelFileName(base string) (name string, version int, ok bool) {
@@ -257,21 +253,6 @@ func (r *Registry) Pin(name string, version int) {
 	r.mu.Unlock()
 }
 
-// Unpin removes the pin for name, returning Get to newest-eligible.
-func (r *Registry) Unpin(name string) {
-	r.mu.Lock()
-	delete(r.pins, name)
-	r.mu.Unlock()
-}
-
-// Pinned reports the pinned version of name, if any.
-func (r *Registry) Pinned(name string) (int, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.pins[name]
-	return v, ok
-}
-
 // Quarantine bars a version of name from being served by Get or adopted
 // as a canary (a rolled-back version). Quarantine is in-memory and
 // survives Reload — a hot reload or Syncer re-install of the same file
@@ -284,13 +265,6 @@ func (r *Registry) Quarantine(name string, version int) {
 	}
 	r.quarantine[name][version] = true
 	r.mu.Unlock()
-}
-
-// Quarantined reports whether the given version of name is quarantined.
-func (r *Registry) Quarantined(name string, version int) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.quarantine[name][version]
 }
 
 // NewestEligible returns the newest loaded, non-quarantined version of

@@ -302,8 +302,8 @@ func TestRegistryKeepsLastGoodOnCorruptReload(t *testing.T) {
 	if got.Version != 2 || got.Model.K() != 3 {
 		t.Fatalf("served entry mangled: %+v", got)
 	}
-	if reg.ReloadFailures() != 1 {
-		t.Fatalf("ReloadFailures = %d, want 1", reg.ReloadFailures())
+	if reg.failures.Value() != 1 {
+		t.Fatalf("reload failures = %d, want 1", reg.failures.Value())
 	}
 
 	// Fixing the file recovers it on the next reload (the kept entry's
@@ -331,7 +331,7 @@ func TestRegistryCorruptNewFileStillDropped(t *testing.T) {
 	if _, ok := reg.Get("broken"); ok {
 		t.Fatal("corrupt never-loaded file was served")
 	}
-	if reg.ReloadFailures() != 1 {
-		t.Fatalf("ReloadFailures = %d, want 1", reg.ReloadFailures())
+	if reg.failures.Value() != 1 {
+		t.Fatalf("reload failures = %d, want 1", reg.failures.Value())
 	}
 }

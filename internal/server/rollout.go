@@ -621,14 +621,3 @@ func (rm *RolloutManager) Run(ctx context.Context) {
 		}
 	}
 }
-
-// Status summarises every tracked rollout (sorted by List order).
-func (rm *RolloutManager) Status() []RolloutStatus {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	out := make([]RolloutStatus, 0, len(rm.byName))
-	for _, ro := range rm.byName {
-		out = append(out, ro.Status())
-	}
-	return out
-}

@@ -28,6 +28,17 @@ import (
 // clients. The schedule derives from faultinject.Windows, so the whole
 // soak replays identically for a fixed seed. IFAIR_TEST_ROLLOUT=1 widens
 // the horizon and per-tick concurrency (set by `make test-rollout`).
+// Status summarises every tracked rollout, in no particular order.
+func (rm *RolloutManager) Status() []RolloutStatus {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	out := make([]RolloutStatus, 0, len(rm.byName))
+	for _, ro := range rm.byName {
+		out = append(out, ro.Status())
+	}
+	return out
+}
+
 func TestRolloutChaosSoak(t *testing.T) {
 	const (
 		soakSeed    = 7

@@ -23,6 +23,20 @@ import (
 
 // postJSONWithHeader posts a JSON body with one extra request header and
 // returns the status code (body drained and discarded).
+// Unpin removes the pin for name, returning Get to newest-eligible.
+func (r *Registry) Unpin(name string) {
+	r.mu.Lock()
+	delete(r.pins, name)
+	r.mu.Unlock()
+}
+
+// Quarantined reports whether the given version of name is quarantined.
+func (r *Registry) Quarantined(name string, version int) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.quarantine[name][version]
+}
+
 func postJSONWithHeader(t *testing.T, url string, body any, header, value string) (int, []byte) {
 	t.Helper()
 	buf, err := json.Marshal(body)

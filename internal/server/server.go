@@ -193,12 +193,6 @@ func (s *Server) Registry() *Registry { return s.registry }
 // Metrics exposes the metrics registry (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Batcher exposes the micro-batcher (for draining in tests).
-func (s *Server) Batcher() *Batcher { return s.batcher }
-
-// Limiter exposes the admission controller (for tests and gauges).
-func (s *Server) Limiter() *admission.Limiter { return s.limiter }
-
 // Rollouts exposes the canary rollout manager (nil when Config.Rollout
 // is unset); cmd/ifair-server runs its guard loop alongside the
 // registry watch.

@@ -448,7 +448,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Batcher().Close()
+	defer s.batcher.Close()
 	resp, body := postJSON(t, ts.URL+"/v1/models/m/transform", rowsRequest{Rows: [][]float64{{1, 2}}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%s), want 504 on server-side deadline expiry", resp.StatusCode, body)
@@ -472,7 +472,7 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Batcher().Close()
+	defer s.batcher.Close()
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/m/transform",
 		strings.NewReader(`{"rows":[[1,2]]}`))
@@ -515,7 +515,7 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Batcher().Close()
+	defer s.batcher.Close()
 
 	// Occupy the only slot: this request sits in the micro-batch window.
 	go func() {
@@ -527,7 +527,7 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Limiter().Stats().Inflight == 0 {
+	for s.limiter.Stats().Inflight == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first request never acquired the slot")
 		}
@@ -580,7 +580,7 @@ func TestQueueWaitCapSheds503(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	defer s.Batcher().Close()
+	defer s.batcher.Close()
 
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/models/m/transform", "application/json",
@@ -591,7 +591,7 @@ func TestQueueWaitCapSheds503(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Limiter().Stats().Inflight == 0 {
+	for s.limiter.Stats().Inflight == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first request never acquired the slot")
 		}

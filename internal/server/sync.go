@@ -162,14 +162,6 @@ func (s *Server) handleSyncFile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// SyncStats counts what a Syncer did across its lifetime.
-type SyncStats struct {
-	Synced  int64 // files downloaded and atomically installed
-	Skipped int64 // files already byte-identical locally
-	Pruned  int64 // local files removed because the source dropped them
-	Errors  int64 // failed sync passes
-}
-
 // Syncer pulls a model directory into convergence with a source
 // replica's registry contents: it fetches the source manifest, downloads
 // files whose bytes differ locally, verifies each download against the
@@ -191,15 +183,11 @@ type Syncer struct {
 	// convergence exact rather than additive.
 	Prune bool
 
-	// Counters are optional metric hooks (nil-safe via server.Counter).
+	// Counters are optional metric hooks; nil ones are skipped.
 	Counters struct {
 		Synced, Skipped, Pruned, Errors *Counter
 	}
 
-	stats struct {
-		sync.Mutex
-		SyncStats
-	}
 	crcs crcCache
 }
 
@@ -210,17 +198,8 @@ func (s *Syncer) fs() checkpoint.FS {
 	return s.FS
 }
 
-// Stats returns a snapshot of the syncer's counters.
-func (s *Syncer) Stats() SyncStats {
-	s.stats.Lock()
-	defer s.stats.Unlock()
-	return s.stats.SyncStats
-}
-
-func (s *Syncer) count(field *int64, metric *Counter, n int64) {
-	s.stats.Lock()
-	*field += n
-	s.stats.Unlock()
+// count adds n to an optional metric hook.
+func count(metric *Counter, n int64) {
 	if metric != nil {
 		metric.Add(n)
 	}
@@ -233,24 +212,24 @@ func (s *Syncer) count(field *int64, metric *Counter, n int64) {
 func (s *Syncer) SyncOnce(ctx context.Context) (synced, skipped int, err error) {
 	data, err := s.Source.GetRaw(ctx, "/v1/sync/manifest")
 	if err != nil {
-		s.count(&s.stats.Errors, s.Counters.Errors, 1)
+		count(s.Counters.Errors, 1)
 		return 0, 0, fmt.Errorf("sync: fetch manifest: %w", err)
 	}
 	var man Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
-		s.count(&s.stats.Errors, s.Counters.Errors, 1)
+		count(s.Counters.Errors, 1)
 		return 0, 0, fmt.Errorf("sync: decode manifest: %w", err)
 	}
 
 	if err := s.fs().MkdirAll(s.Dir, 0o755); err != nil {
-		s.count(&s.stats.Errors, s.Counters.Errors, 1)
+		count(s.Counters.Errors, 1)
 		return 0, 0, fmt.Errorf("sync: %w", err)
 	}
 	// Sweep temp files a crashed or failed earlier pass left behind; they
 	// were never visible to the registry, but they do hold disk.
 	locals, err := os.ReadDir(s.Dir)
 	if err != nil {
-		s.count(&s.stats.Errors, s.Counters.Errors, 1)
+		count(s.Counters.Errors, 1)
 		return 0, 0, fmt.Errorf("sync: %w", err)
 	}
 	localFiles := make(map[string]os.FileInfo)
@@ -298,14 +277,14 @@ func (s *Syncer) SyncOnce(ctx context.Context) (synced, skipped int, err error) 
 				errs = append(errs, fmt.Errorf("sync: prune %s: %w", name, err))
 				continue
 			}
-			s.count(&s.stats.Pruned, s.Counters.Pruned, 1)
+			count(s.Counters.Pruned, 1)
 		}
 	}
 
-	s.count(&s.stats.Synced, s.Counters.Synced, int64(synced))
-	s.count(&s.stats.Skipped, s.Counters.Skipped, int64(skipped))
+	count(s.Counters.Synced, int64(synced))
+	count(s.Counters.Skipped, int64(skipped))
 	if len(errs) > 0 {
-		s.count(&s.stats.Errors, s.Counters.Errors, 1)
+		count(s.Counters.Errors, 1)
 		return synced, skipped, fmt.Errorf("sync: %d file(s) failed: %w", len(errs), errors.Join(errs...))
 	}
 	return synced, skipped, nil

@@ -194,8 +194,8 @@ func TestSyncTornDownloadNeverVisible(t *testing.T) {
 	if reg.Len() != 0 {
 		t.Fatalf("registry loaded %d models from torn downloads, want 0", reg.Len())
 	}
-	if reg.ReloadFailures() != 0 {
-		t.Fatalf("registry counted %d load failures — a torn download became visible", reg.ReloadFailures())
+	if reg.failures.Value() != 0 {
+		t.Fatalf("registry counted %d load failures — a torn download became visible", reg.failures.Value())
 	}
 
 	// The disk heals: the next pass (no faults) converges exactly.
@@ -241,6 +241,7 @@ func TestSyncPruneRemovesDroppedModels(t *testing.T) {
 	dst := t.TempDir()
 	sy := newSyncer(ts, dst)
 	sy.Prune = true
+	sy.Counters.Pruned = new(Counter)
 	if err := os.WriteFile(filepath.Join(dst, "stale.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,8 @@ func TestSyncPruneRemovesDroppedModels(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dst, "stale.json")); !os.IsNotExist(err) {
 		t.Fatal("prune left a model the origin no longer has")
 	}
-	if st := sy.Stats(); st.Pruned != 1 {
-		t.Fatalf("pruned counter %d, want 1", st.Pruned)
+	if n := sy.Counters.Pruned.Value(); n != 1 {
+		t.Fatalf("pruned counter %d, want 1", n)
 	}
 }
 
@@ -304,8 +305,8 @@ func TestSyncRacesHotReload(t *testing.T) {
 	if _, _, err := reg.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if reg.ReloadFailures() != 0 {
-		t.Fatalf("%d reload failures — a torn download was visible as a model file", reg.ReloadFailures())
+	if reg.failures.Value() != 0 {
+		t.Fatalf("%d reload failures — a torn download was visible as a model file", reg.failures.Value())
 	}
 	want := dirContents(t, srcDir)
 	got := dirContents(t, dst)

@@ -40,32 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Covariance returns the population covariance of two equal-length samples.
-func Covariance(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("stats: Covariance length mismatch %d vs %d", len(xs), len(ys)))
-	}
-	if len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var s float64
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(len(xs))
-}
-
-// Correlation returns the Pearson correlation of two samples, or 0 if either
-// sample has zero variance.
-func Correlation(xs, ys []float64) float64 {
-	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 {
-		return 0
-	}
-	return Covariance(xs, ys) / (sx * sy)
-}
-
 // Gaussian2D samples from a bivariate normal with the given means, unit-like
 // variances and correlation rho, using the Cholesky factor of the 2×2
 // covariance matrix. It matches the paper's synthetic-data recipe: an

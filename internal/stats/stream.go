@@ -47,24 +47,6 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Merge folds another accumulator into this one, as if every observation
-// of o had been Added here. Merging the accumulators of a split stream
-// equals accumulating the whole stream (up to floating-point rounding).
-func (w *Welford) Merge(o Welford) {
-	if o.N == 0 {
-		return
-	}
-	if w.N == 0 {
-		*w = o
-		return
-	}
-	n := float64(w.N + o.N)
-	d := o.M - w.M
-	w.S += o.S + d*d*float64(w.N)*float64(o.N)/n
-	w.M += d * float64(o.N) / n
-	w.N += o.N
-}
-
 // psiFloor is the proportion floor used by PSI: empty bins would make the
 // log-ratio infinite, so both distributions are floored at this value (a
 // standard PSI convention).

@@ -41,56 +41,6 @@ func TestWelfordSmallN(t *testing.T) {
 	}
 }
 
-// Merging the accumulators of arbitrary splits of a stream must equal
-// accumulating the whole stream.
-func TestWelfordMergeEqualsWhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(400)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 10
-		}
-		var whole Welford
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		cut := rng.Intn(n + 1)
-		var a, b Welford
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.N != whole.N {
-			t.Fatalf("trial %d: merged N=%d want %d", trial, a.N, whole.N)
-		}
-		if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-			t.Fatalf("trial %d: merged mean %g want %g", trial, a.Mean(), whole.Mean())
-		}
-		if math.Abs(a.Variance()-whole.Variance()) > 1e-8*(1+whole.Variance()) {
-			t.Fatalf("trial %d: merged variance %g want %g", trial, a.Variance(), whole.Variance())
-		}
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(2)
-	saved := a
-	a.Merge(b) // merging empty is a no-op
-	if a != saved {
-		t.Fatalf("merge of empty changed accumulator: %+v vs %+v", a, saved)
-	}
-	b.Merge(a) // merging into empty copies
-	if b != saved {
-		t.Fatalf("merge into empty: %+v want %+v", b, saved)
-	}
-}
-
 func TestPSIIdentityAndSign(t *testing.T) {
 	p := []float64{0.25, 0.25, 0.25, 0.25}
 	if got := PSI(p, p); got != 0 {

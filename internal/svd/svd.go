@@ -72,63 +72,6 @@ func Compute(a *mat.Dense, rankTol float64) *SVD {
 // Rank returns the number of retained singular values.
 func (d *SVD) Rank() int { return len(d.S) }
 
-// Truncate returns the rank-k approximation A_k = U_k·diag(S_k)·V_kᵀ in the
-// original M×N space. If k exceeds the rank, the full reconstruction is
-// returned. This is what the SVD baseline feeds to downstream models: a
-// denoised version of the data with the same dimensionality, keeping the
-// yNN consistency metric comparable across representation methods.
-func (d *SVD) Truncate(k int) *mat.Dense {
-	if k < 0 {
-		panic(fmt.Sprintf("svd: negative rank %d", k))
-	}
-	if k > d.Rank() {
-		k = d.Rank()
-	}
-	m, _ := d.U.Dims()
-	n, _ := d.V.Dims()
-	out := mat.NewDense(m, n)
-	for i := 0; i < m; i++ {
-		urow := d.U.Row(i)
-		orow := out.Row(i)
-		for kk := 0; kk < k; kk++ {
-			c := urow[kk] * d.S[kk]
-			if c == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				orow[j] += c * d.V.At(j, kk)
-			}
-		}
-	}
-	return out
-}
-
-// Project returns the k-dimensional score matrix U_k·diag(S_k) (M×k), the
-// classic dimensionality-reduced coordinates.
-func (d *SVD) Project(k int) *mat.Dense {
-	if k < 0 {
-		panic(fmt.Sprintf("svd: negative rank %d", k))
-	}
-	if k > d.Rank() {
-		k = d.Rank()
-	}
-	m, _ := d.U.Dims()
-	out := mat.NewDense(m, k)
-	for i := 0; i < m; i++ {
-		urow := d.U.Row(i)
-		orow := out.Row(i)
-		for kk := 0; kk < k; kk++ {
-			orow[kk] = urow[kk] * d.S[kk]
-		}
-	}
-	return out
-}
-
-// ReduceRank is a convenience wrapper: rank-k reconstruction of a.
-func ReduceRank(a *mat.Dense, k int) *mat.Dense {
-	return Compute(a, 0).Truncate(k)
-}
-
 // Basis returns the first k right singular vectors as an N×k matrix. If k
 // exceeds the rank, all retained vectors are returned.
 func (d *SVD) Basis(k int) *mat.Dense {

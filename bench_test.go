@@ -251,31 +251,6 @@ func BenchmarkAblationFairnessLoss(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKernel compares the paper's exponential kernel against
-// the heavy-tailed inverse kernel (the paper's future-work direction).
-func BenchmarkAblationKernel(b *testing.B) {
-	x := ablationData(300)
-	for _, mode := range []struct {
-		name   string
-		kernel ifair.Kernel
-	}{{"Exp", ifair.ExpKernel}, {"Inverse", ifair.InverseKernel}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var loss float64
-			for i := 0; i < b.N; i++ {
-				model, err := ifair.Fit(x, ifair.Options{
-					K: 8, Lambda: 1, Mu: 1, Kernel: mode.kernel,
-					Fairness: ifair.SampledFairness, MaxIterations: 20, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				loss = model.Loss
-			}
-			b.ReportMetric(loss, "final_loss")
-		})
-	}
-}
-
 // BenchmarkAblationPrototypeCount sweeps K, the latent dimensionality.
 func BenchmarkAblationPrototypeCount(b *testing.B) {
 	x := ablationData(300)

@@ -71,15 +71,6 @@ const (
 // when the fairness loss is active.
 const MaxPairwiseRows = ifair.MaxPairwiseRows
 
-// Membership kernels (the paper's Def. 8 default plus the heavy-tailed
-// alternative from its future-work direction).
-const (
-	// ExpKernel weights prototypes as exp(−d) — the paper's softmax.
-	ExpKernel = ifair.ExpKernel
-	// InverseKernel weights prototypes as 1/(1+d).
-	InverseKernel = ifair.InverseKernel
-)
-
 // Fit learns an individually fair representation of x. It is a
 // convenience wrapper around FitContext with a background context.
 func Fit(x *Matrix, opts Options) (*Model, error) { return ifair.Fit(x, opts) }

@@ -265,20 +265,6 @@ func TestFacadeLipschitzAudit(t *testing.T) {
 	}
 }
 
-func TestFacadeKernelConstants(t *testing.T) {
-	ds := Credit(ClassificationConfig{Records: 80, Seed: 7})
-	model, err := Fit(ds.X, Options{K: 3, Lambda: 1, Mu: 1, Kernel: InverseKernel, Seed: 1, MaxIterations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Kernel != InverseKernel {
-		t.Fatal("kernel option not honoured")
-	}
-	if ExpKernel == InverseKernel {
-		t.Fatal("kernel constants must differ")
-	}
-}
-
 func TestFacadeSyntheticAndStudyTypes(t *testing.T) {
 	ds := SyntheticMixture(VariantCorrelatedX2, 60, 3)
 	if ds.Rows() != 60 {

@@ -4,7 +4,7 @@
 // its turn when the queue has room, and is shed — with a typed error the
 // HTTP layer maps to 429/503 + Retry-After — when the queue is full,
 // when it has waited longer than the queue-time cap, or when its own
-// deadline cannot be met anyway. Under overload the server's work stays
+// deadline has already passed. Under overload the server's work stays
 // bounded at MaxConcurrent + MaxQueue requests; everything beyond that
 // is refused in O(1) instead of accumulating.
 package admission
@@ -26,9 +26,9 @@ var (
 	// ErrQueueTimeout rejects a request that waited the full queue-time
 	// cap without a slot freeing up (HTTP 503).
 	ErrQueueTimeout = errors.New("admission: queue wait exceeded cap")
-	// ErrDeadline rejects a request whose own deadline leaves less than
-	// MinHeadroom of budget — serving it would compute a result nobody
-	// is still waiting for (HTTP 503).
+	// ErrDeadline rejects a request whose own deadline has already
+	// passed — serving it would compute a result nobody is still waiting
+	// for (HTTP 503).
 	ErrDeadline = errors.New("admission: request deadline cannot be met")
 )
 
@@ -46,10 +46,6 @@ type Config struct {
 	// it is shed; ≤ 0 means waiters are bounded only by their own
 	// context deadline.
 	MaxQueueWait time.Duration
-	// MinHeadroom sheds a request immediately when its context deadline
-	// is nearer than this — there would be no time left to serve it
-	// after any queueing. 0 sheds only already-expired requests.
-	MinHeadroom time.Duration
 }
 
 // Stats is a snapshot of a Limiter's counters and occupancy.
@@ -108,8 +104,8 @@ func NewLimiter(cfg Config) *Limiter {
 // it returns one of the Err* values above, or ctx.Err() when the
 // caller's context expired while queued.
 func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
-	// Deadline-infeasible requests are shed before they occupy anything.
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= l.cfg.MinHeadroom {
+	// Already-expired requests are shed before they occupy anything.
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= 0 {
 		l.mu.Lock()
 		l.stats.ShedDeadline++
 		l.mu.Unlock()

@@ -131,10 +131,10 @@ func TestQueueTimeCapSheds(t *testing.T) {
 }
 
 func TestDeadlineInfeasibleShedsImmediately(t *testing.T) {
-	l := NewLimiter(Config{MaxConcurrent: 1, MaxQueue: 4, MinHeadroom: 50 * time.Millisecond})
-	// 10ms of budget < 50ms headroom: shed without queueing, even though
+	l := NewLimiter(Config{MaxConcurrent: 1, MaxQueue: 4})
+	// A deadline already in the past: shed without queueing, even though
 	// a slot is free.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 	start := time.Now()
 	_, err := l.Acquire(ctx)

@@ -28,7 +28,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/optimize"
-	"repro/internal/par"
 )
 
 // Options configures Fit.
@@ -36,19 +35,9 @@ type Options struct {
 	// MaxRounds bounds the number of probe-and-project iterations.
 	// Default 20.
 	MaxRounds int
-	// StopMargin stops early once the probe's training accuracy is within
-	// this margin of the majority-class rate. Default 0.02.
-	StopMargin float64
-	// ProbeL2 is the probe's ridge strength. Default 1e-3.
-	ProbeL2 float64
 	// Seed is kept for API symmetry with the other learners (the
 	// procedure itself is deterministic).
 	Seed int64
-	// Workers is the number of goroutines applying each round's
-	// null-space projection (the X·(I−uuᵀ) and P·(I−uuᵀ) products).
-	// Values ≤ 1 run sequentially. Output rows are chunk-exclusive, so
-	// the result is bit-identical for every worker count.
-	Workers int
 	// Trace, when non-nil, observes training through the shared engine
 	// protocol: the whole procedure reports as restart 0, each
 	// probe-and-project round as one iteration event whose F is the
@@ -63,14 +52,16 @@ func (o *Options) fill() error {
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 20
 	}
-	if o.StopMargin <= 0 {
-		o.StopMargin = 0.02
-	}
-	if o.ProbeL2 <= 0 {
-		o.ProbeL2 = 1e-3
-	}
 	return nil
 }
+
+const (
+	// stopMargin stops the rounds once the probe's training accuracy is
+	// within this margin of the majority-class rate.
+	stopMargin = 0.02
+	// probeL2 is the probe's ridge strength.
+	probeL2 = 1e-3
+)
 
 // Model is a fitted censoring projection: TransformInto maps X to X·P where P
 // projects onto the subspace from which no linear probe recovered the
@@ -144,7 +135,7 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 			}
 			return nil, err
 		}
-		probe, err := linmodel.FitLogistic(current, protected, opts.ProbeL2)
+		probe, err := linmodel.FitLogistic(current, protected, probeL2)
 		if err != nil {
 			err = fmt.Errorf("adversarial: round %d probe: %w", rounds, err)
 			if opts.Trace != nil {
@@ -156,7 +147,7 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 		if opts.Trace != nil {
 			opts.Trace.Iteration(0, optimize.Iteration{Iter: rounds, F: probeAcc})
 		}
-		if probeAcc <= majority+opts.StopMargin {
+		if probeAcc <= majority+stopMargin {
 			censored = true
 			break
 		}
@@ -169,8 +160,8 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 		}
 		unit := mat.ScaleVec(1/norm, u)
 		elim := eliminator(unit)
-		proj = mulRows(proj, elim, opts.Workers)
-		current = mulRows(current, elim, opts.Workers)
+		proj = mat.Mul(proj, elim)
+		current = mat.Mul(current, elim)
 		rounds++
 	}
 	if opts.Trace != nil {
@@ -181,34 +172,6 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 		opts.Trace.RestartEnd(0, optimize.Result{F: probeAcc, Iterations: rounds, Status: status}, nil)
 	}
 	return &Model{P: proj, Rounds: rounds, ProbeAccuracy: probeAcc}, nil
-}
-
-// mulRows is mat.Mul with the output rows chunked over up to workers
-// goroutines via internal/par. Each output row is computed by exactly
-// one chunk with the same inner-loop order as mat.Mul, so the product
-// is bit-identical to the sequential one for every worker count.
-func mulRows(a, b *mat.Dense, workers int) *mat.Dense {
-	rows, inner := a.Dims()
-	if bi, _ := b.Dims(); inner != bi {
-		return mat.Mul(a, b) // delegate for the dimension-mismatch panic
-	}
-	out := mat.NewDense(rows, b.Cols())
-	par.Chunks(rows).Run(workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
-	return out
 }
 
 // eliminator returns I − uuᵀ for a unit vector u.

@@ -24,10 +24,6 @@ type Config struct {
 	// Interval is the wall-clock cadence: an observation also flushes
 	// when this much time passed since the last snapshot. Default 15s.
 	Interval time.Duration
-	// Keep is how many snapshot files are retained; older ones are
-	// pruned after each successful write. Default 2, so the newest
-	// snapshot being torn by a crash still leaves a good predecessor.
-	Keep int
 	// Strict makes Begin fail when a loaded snapshot does not match the
 	// resuming run (instead of silently starting fresh). CLI -resume
 	// sets it so a changed seed/data/options surfaces as an error.
@@ -84,9 +80,6 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 15 * time.Second
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = 2
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -313,8 +306,13 @@ func (m *Manager) flushLocked() error {
 	return nil
 }
 
-// pruneLocked removes snapshot files older than the Keep newest. Removal
-// failures are ignored: stale files cost disk, not correctness.
+// keepSnapshots is how many snapshot files are retained; older ones are
+// pruned after each successful write. Two, so the newest snapshot being
+// torn by a crash still leaves a good predecessor.
+const keepSnapshots = 2
+
+// pruneLocked removes snapshot files older than the keepSnapshots newest.
+// Removal failures are ignored: stale files cost disk, not correctness.
 func (m *Manager) pruneLocked() {
 	entries, err := m.fs.ReadDir(m.cfg.Dir)
 	if err != nil {
@@ -326,11 +324,11 @@ func (m *Manager) pruneLocked() {
 			seqs = append(seqs, seq)
 		}
 	}
-	if len(seqs) <= m.cfg.Keep {
+	if len(seqs) <= keepSnapshots {
 		return
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
-	for _, seq := range seqs[m.cfg.Keep:] {
+	for _, seq := range seqs[keepSnapshots:] {
 		m.fs.Remove(filepath.Join(m.cfg.Dir, snapshotName(seq)))
 	}
 }

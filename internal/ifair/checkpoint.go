@@ -25,11 +25,12 @@ var fingerprintTable = crc64.MakeTable(crc64.ECMA)
 func checkpointFingerprint(x *mat.Dense, o *Options) string {
 	h := crc64.New(fingerprintTable)
 	// nearzero, numgrad and gd name a constant and two retired training
-	// paths; they stay as literals so fingerprints, and the checkpoints
-	// they key, are unchanged.
-	fmt.Fprintf(h, "ifair|k=%d|lambda=%g|mu=%g|prot=%v|init=%d|pinit=%d|nearzero=%g|fair=%d|pairs=%d|neighk=%d|p=%g|root=%t|kernel=%d|numgrad=false|maxiter=%d|gd=false|batch=%d|epochs=%d|lr=%g|",
-		o.K, o.Lambda, o.Mu, o.Protected, o.Init, o.ProtoInit, nearZeroAlpha,
-		o.Fairness, o.PairSamples, o.NeighborK, o.P, o.TakeRoot, o.Kernel,
+	// paths, and pinit, p, root and kernel the one prototype
+	// initialisation and kernel geometry left; they stay as literals so
+	// fingerprints, and the checkpoints they key, are unchanged.
+	fmt.Fprintf(h, "ifair|k=%d|lambda=%g|mu=%g|prot=%v|init=%d|pinit=0|nearzero=%g|fair=%d|pairs=%d|neighk=%d|p=2|root=false|kernel=0|numgrad=false|maxiter=%d|gd=false|batch=%d|epochs=%d|lr=%g|",
+		o.K, o.Lambda, o.Mu, o.Protected, o.Init, nearZeroAlpha,
+		o.Fairness, o.PairSamples, o.NeighborK,
 		o.MaxIterations, o.BatchSize, o.Epochs, o.LearnRate)
 	// Mini-batch evaluations sum in chunk order (eval), which rounds
 	// differently from the serial pass older SGD snapshots were taken
@@ -89,13 +90,7 @@ func unpackModel(x []float64, n int, opts *Options) *Model {
 	}
 	protos := mat.NewDense(k, n)
 	copy(protos.Data(), x[n:])
-	return &Model{
-		Prototypes: protos,
-		Alpha:      append([]float64(nil), x[:n]...),
-		P:          opts.P,
-		TakeRoot:   opts.TakeRoot,
-		Kernel:     opts.Kernel,
-	}
+	return &Model{Prototypes: protos, Alpha: append([]float64(nil), x[:n]...), P: 2, Kernel: ExpKernel}
 }
 
 // ckptLedger adapts a checkpoint.Manager to optimize.RestartLedger for

@@ -166,19 +166,12 @@ func initialTheta(x *mat.Dense, opts Options, rng *rand.Rand) []float64 {
 		theta[j] = math.Sqrt(alpha)
 	}
 
-	// prototypes
+	// prototypes: jittered training records
 	for k := 0; k < opts.K; k++ {
 		row := theta[n+k*n : n+(k+1)*n]
-		switch opts.ProtoInit {
-		case InitUniform:
-			for j := range row {
-				row[j] = rng.Float64()
-			}
-		default: // InitDataPoints
-			src := x.Row(rng.Intn(m))
-			for j := range row {
-				row[j] = src[j] + 0.1*rng.NormFloat64()
-			}
+		src := x.Row(rng.Intn(m))
+		for j := range row {
+			row[j] = src[j] + 0.1*rng.NormFloat64()
 		}
 	}
 	return theta
@@ -207,11 +200,5 @@ func modelFromTheta(theta []float64, n int, opts Options) *Model {
 	}
 	protos := mat.NewDense(opts.K, n)
 	copy(protos.Data(), theta[n:])
-	return &Model{
-		Prototypes: protos,
-		Alpha:      alpha,
-		P:          opts.P,
-		TakeRoot:   opts.TakeRoot,
-		Kernel:     opts.Kernel,
-	}
+	return &Model{Prototypes: protos, Alpha: alpha, P: 2, Kernel: ExpKernel}
 }

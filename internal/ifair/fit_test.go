@@ -19,7 +19,6 @@ func TestFitValidation(t *testing.T) {
 		{"negative lambda", Options{K: 2, Lambda: -1}},
 		{"negative mu", Options{K: 2, Mu: -1}},
 		{"protected out of range", Options{K: 2, Lambda: 1, Protected: []int{7}}},
-		{"p below 1", Options{K: 2, Lambda: 1, P: 0.5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -27,17 +26,6 @@ func TestFitValidation(t *testing.T) {
 				t.Fatal("expected error")
 			}
 		})
-	}
-}
-
-// TestOptionsRejectNonFiniteP checks the exponent is validated up
-// front, not left to fail later as a non-finite objective.
-func TestOptionsRejectNonFiniteP(t *testing.T) {
-	for _, p := range []float64{math.NaN(), math.Inf(1)} {
-		opts := Options{K: 2, Lambda: 1, P: p}
-		if err := opts.fill(10, 3); err == nil {
-			t.Errorf("p=%v: options accepted a non-finite exponent", p)
-		}
 	}
 }
 

@@ -19,11 +19,12 @@ type Model struct {
 	// Alpha is the non-negative attribute weight vector of the distance
 	// kernel.
 	Alpha []float64
-	// P, TakeRoot and Kernel record the distance and membership
-	// configuration the model was trained with.
-	P        float64
-	TakeRoot bool
-	Kernel   Kernel
+	// P and Kernel record the model's geometry: the exponent of the
+	// Def. 7 distance, always 2 (squared, rootless), and the membership
+	// weighting, always ExpKernel. Validate rejects any other value, so a
+	// model can never be served with math it was not trained with.
+	P      float64
+	Kernel Kernel
 
 	// Loss is the optimiser's final objective value, used for
 	// best-of-restarts selection and reporting. For an L-BFGS fit it is
@@ -41,9 +42,9 @@ func (m *Model) K() int { return m.Prototypes.Rows() }
 func (m *Model) Dims() int { return m.Prototypes.Cols() }
 
 // Validate checks the internal consistency of a model — dimensions agree,
-// weights are non-negative and finite, the Minkowski exponent and kernel
-// are supported. Hand-built or deserialised models should be validated
-// before serving traffic; Fit always returns a valid model.
+// weights are non-negative and finite, P is 2 and Kernel is ExpKernel.
+// Hand-built or deserialised models should be validated before serving
+// traffic; Fit always returns a valid model.
 func (m *Model) Validate() error {
 	if m.Prototypes == nil {
 		return fmt.Errorf("ifair: model has no prototypes")
@@ -68,22 +69,13 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("ifair: non-finite prototype entry %d: %v", i, v)
 		}
 	}
-	if math.IsNaN(m.P) || math.IsInf(m.P, 0) || m.P < 1 {
-		return fmt.Errorf("ifair: minkowski exponent p=%v, want p ≥ 1", m.P)
+	if m.P != 2 {
+		return fmt.Errorf("ifair: distance exponent p=%v, want 2", m.P)
 	}
-	if m.Kernel < ExpKernel || m.Kernel > InverseKernel {
-		return fmt.Errorf("ifair: unknown kernel id %d", int(m.Kernel))
+	if m.Kernel != ExpKernel {
+		return fmt.Errorf("ifair: unknown kernel id %d, want %d (exp)", int(m.Kernel), int(ExpKernel))
 	}
 	return nil
-}
-
-// membership maps a Kernel to the kernel package's weighting; both the
-// training objective and Compile use it.
-func (k Kernel) membership() kernel.Membership {
-	if k == InverseKernel {
-		return kernel.Inverse
-	}
-	return kernel.Exp
 }
 
 // Compile compiles the model into an immutable serving kernel (see
@@ -100,22 +92,14 @@ func (m *Model) Compile(dtype kernel.DType) (*kernel.CompiledKernel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return kernel.Compile(kernel.Spec{
-		Prototypes: m.Prototypes,
-		Alpha:      m.Alpha,
-		P:          m.P,
-		TakeRoot:   m.TakeRoot,
-		Membership: m.Kernel.membership(),
-	})
+	return kernel.Compile(kernel.Spec{Prototypes: m.Prototypes, Alpha: m.Alpha})
 }
 
 // ProbabilitiesChecked returns the cluster-membership distribution u of
-// one record. Under the default ExpKernel this is Def. 8:
-// u_k = softmax_k(−d(x, v_k)); under InverseKernel the weights are
-// 1/(1 + d), normalised. An invalid model or a record of the wrong width
-// is reported as an error. It compiles a float64 kernel per call; paths
-// that evaluate many records should Compile once and call
-// CompiledKernel.ProbabilitiesInto.
+// one record, Def. 8: u_k = softmax_k(−d(x, v_k)). An invalid model or a
+// record of the wrong width is reported as an error. It compiles a
+// float64 kernel per call; paths that evaluate many records should
+// Compile once and call CompiledKernel.ProbabilitiesInto.
 func (m *Model) ProbabilitiesChecked(x []float64) ([]float64, error) {
 	kern, err := m.Compile(kernel.Float64)
 	if err != nil {

@@ -157,8 +157,11 @@ func TestValidate(t *testing.T) {
 		"nan alpha":        func(m *Model) { m.Alpha[1] = math.NaN() },
 		"inf prototype":    func(m *Model) { m.Prototypes.Set(0, 0, math.Inf(1)) },
 		"p below one":      func(m *Model) { m.P = 0.5 },
+		"p three":          func(m *Model) { m.P = 3 },
+		"zero p":           func(m *Model) { m.P = 0 },
 		"nan p":            func(m *Model) { m.P = math.NaN() },
 		"inf p":            func(m *Model) { m.P = math.Inf(1) },
+		"inverse kernel":   func(m *Model) { m.Kernel = Kernel(1) },
 		"unknown kernel":   func(m *Model) { m.Kernel = Kernel(9) },
 		"negative kernel":  func(m *Model) { m.Kernel = Kernel(-1) },
 		"empty prototypes": func(m *Model) { m.Prototypes = mat.NewDense(0, 0) },

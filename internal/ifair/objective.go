@@ -1,7 +1,6 @@
 package ifair
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 
@@ -22,9 +21,8 @@ type pair struct{ i, j int }
 // where α_n = a_n² keeps attribute weights non-negative under the
 // unconstrained optimizer.
 //
-// Gradients are analytic for every supported configuration — any Minkowski
-// exponent p ≥ 1, the optional 1/p root, and both membership kernels; the
-// tests check them against optimize.NumericalGradient.
+// Gradients are analytic; the tests check them against
+// optimize.CheckGradient's central differences.
 //
 // The full objective and the mini-batch sub-objective are one evaluation
 // (eval) over different evaluation lists: full holds every record and
@@ -32,7 +30,6 @@ type pair struct{ i, j int }
 type objective struct {
 	x     *mat.Dense // M×N training records
 	opts  Options
-	prm   kernel.Params // distance and membership configuration of opts
 	m, n  int
 	alpha []float64
 
@@ -64,8 +61,6 @@ type objective struct {
 	// largest list evaluated so far: M rows once the full objective has
 	// run, batch-bounded for a clone that only trains on mini-batches.
 	u        *mat.Dense // memberships
-	raw      *mat.Dense // rootless kernel distances s_ik (for the root chain)
-	gval     *mat.Dense // kernel weights g(D_ik) (InverseKernel backward)
 	xt       *mat.Dense // transformed records
 	g        *mat.Dense // upstream gradient ∂L/∂x̃
 	pairCoef []float64  // 4µ·e_p of each owned pair, from the loss pass
@@ -77,7 +72,7 @@ type objective struct {
 	workers   int
 	lossRec   par.Scalars   // per-chunk utility losses
 	lossPair  par.Scalars   // per-chunk fairness losses
-	q         [][]float64   // K-sized backward scratch, one per row chunk
+	q         [][]float64   // K-sized scratch per row chunk: distances (forward), then q (backward)
 	gradVPart *par.Partials // partial prototype gradients
 	gradAPart *par.Partials // partial α gradients
 
@@ -168,7 +163,6 @@ func newObjective(x *mat.Dense, opts Options, rng *rand.Rand) *objective {
 	o := &objective{
 		x:       x,
 		opts:    opts,
-		prm:     kernel.Params{P: opts.P, TakeRoot: opts.TakeRoot, Membership: opts.Kernel.membership()},
 		m:       m,
 		n:       n,
 		alpha:   make([]float64, n),
@@ -211,7 +205,6 @@ func (o *objective) clone() *objective {
 		order:    o.order,
 		blockOff: o.blockOff,
 		opts:     o.opts,
-		prm:      o.prm,
 		m:        o.m,
 		n:        o.n,
 		alpha:    make([]float64, o.n),
@@ -363,8 +356,7 @@ func (o *objective) Eval(theta, grad []float64) float64 {
 func (o *objective) reserve(rows, pairs int) {
 	if o.u == nil || rows > o.u.Rows() {
 		k := o.opts.K
-		o.u, o.raw, o.gval = mat.NewDense(rows, k), mat.NewDense(rows, k), mat.NewDense(rows, k)
-		o.xt, o.g = mat.NewDense(rows, o.n), mat.NewDense(rows, o.n)
+		o.u, o.xt, o.g = mat.NewDense(rows, k), mat.NewDense(rows, o.n), mat.NewDense(rows, o.n)
 	}
 	if pairs > len(o.pairCoef) {
 		o.pairCoef = make([]float64, pairs)
@@ -406,17 +398,13 @@ func (o *objective) sizeChunks(rows, pairs par.Plan) {
 //     and then backpropagation into per-chunk gradient partials — row
 //     e's backward reads only its own finished g row, so the two fuse.
 //
-// Derivation of pass 3: with raw distance s_ik = Σ_n α_n·|x_in − v_kn|^p,
-// kernel input D_ik = s_ik^{1/p} (or s_ik without the root), membership
-// weight g_ik = g(D_ik) and u = g/Σg, the chain rule gives for upstream
-// q_ik = ∂L/∂u_ik (here q_ik = (∂L/∂x̃_i)·v_k):
+// Derivation of pass 3: with distance d_ik = Σ_n α_n·(x_in − v_kn)² and
+// u_i = softmax(−d_i), the chain rule gives for upstream q_ik = ∂L/∂u_ik
+// (here q_ik = (∂L/∂x̃_i)·v_k):
 //
-//	∂L/∂D_ik = (g'(D_ik)/S_i)·(q_ik − Σ_l u_il·q_il)
-//	           with g'/S = −u        for g = exp(−D)
-//	           and  g'/S = −u·g      for g = 1/(1+D)
-//	∂D/∂s    = 1 (no root) or (1/p)·s^{1/p−1}
-//	∂s/∂v_kn = −α_n·p·|x_in − v_kn|^{p−1}·sign(x_in − v_kn)
-//	∂s/∂α_n  = |x_in − v_kn|^p
+//	∂L/∂d_ik = −u_ik·(q_ik − Σ_l u_il·q_il)
+//	∂d/∂v_kn = −2α_n·(x_in − v_kn)
+//	∂d/∂α_n  = (x_in − v_kn)²
 //	∂L/∂a_n  = ∂L/∂α_n · 2a_n                     (α = a²)
 //
 // plus the direct path ∂L/∂v_kn += Σ_i u_ik·(∂L/∂x̃_i)_n.
@@ -460,19 +448,19 @@ func (o *objective) forwardChunk(c, lo, hi int) {
 			ge = o.g.Row(e)
 		}
 		loss += o.forwardRecord(o.alpha, r.protos, o.x.Row(r.l.rows[e]),
-			o.u.Row(e), o.raw.Row(e), o.gval.Row(e), o.xt.Row(e), ge, e < r.l.nUtil)
+			o.u.Row(e), o.q[c], o.xt.Row(e), ge, e < r.l.nUtil)
 	}
 	o.lossRec[c] = loss
 }
 
 // forwardRecord runs kernel.Forward for one record — memberships into
-// ui, raw distances into ri, InverseKernel weights into gv and the
-// transform into xti — and returns its weighted utility loss (0 unless withUtil).
+// ui and the transform into xti, with raw as K-sized scratch for the
+// distances — and returns its weighted utility loss (0 unless withUtil).
 // When gi is non-nil it is zeroed and, with withUtil, receives the
 // utility upstream gradient; the fairness pass accumulates on top of it
 // afterwards.
-func (o *objective) forwardRecord(alpha, protos, xi, ui, ri, gv, xti, gi []float64, withUtil bool) float64 {
-	kernel.Forward(o.prm, protos, alpha, xi, ri, gv, ui, xti)
+func (o *objective) forwardRecord(alpha, protos, xi, ui, raw, xti, gi []float64, withUtil bool) float64 {
+	kernel.Forward(protos, alpha, xi, raw, ui, xti)
 	clear(gi)
 	var loss float64
 	if withUtil && o.opts.Lambda > 0 {
@@ -521,7 +509,7 @@ func (o *objective) backwardChunk(c, lo, hi int) {
 			o.fairnessBackward(&r.l.adj, e)
 		}
 		o.backwardRecord(o.alpha, r.protos, o.q[c], gradV, gradA,
-			o.x.Row(r.l.rows[e]), o.u.Row(e), o.raw.Row(e), o.gval.Row(e), o.g.Row(e))
+			o.x.Row(r.l.rows[e]), o.u.Row(e), o.g.Row(e))
 	}
 }
 
@@ -556,12 +544,11 @@ func (o *objective) fairnessBackward(adj *adjacency, i int) {
 	}
 }
 
-// backwardRecord backpropagates one record — given its forward rows ui,
-// ri, gvi and upstream gradient gi — into gradV and gradA, using q as
-// K-sized scratch.
-func (o *objective) backwardRecord(alpha, protos, q, gradV, gradA, xi, ui, ri, gvi, gi []float64) {
+// backwardRecord backpropagates one record — given its memberships ui
+// and upstream gradient gi — into gradV and gradA, using q as K-sized
+// scratch.
+func (o *objective) backwardRecord(alpha, protos, q, gradV, gradA, xi, ui, gi []float64) {
 	k := o.opts.K
-	p := o.opts.P
 	var qbar float64
 	for kk := 0; kk < k; kk++ {
 		q[kk] = mat.Dot(gi, protos[kk*o.n:(kk+1)*o.n])
@@ -569,42 +556,13 @@ func (o *objective) backwardRecord(alpha, protos, q, gradV, gradA, xi, ui, ri, g
 	}
 	for kk := 0; kk < k; kk++ {
 		uik := ui[kk]
-		centred := q[kk] - qbar
-		var dLdD float64
-		switch o.opts.Kernel {
-		case InverseKernel:
-			dLdD = -uik * gvi[kk] * centred
-		default:
-			dLdD = -uik * centred
-		}
-		dLds := dLdD
-		if o.opts.TakeRoot {
-			s := ri[kk]
-			if s < 1e-12 {
-				s = 1e-12
-			}
-			dLds *= math.Pow(s, 1/p-1) / p
-		}
+		dLdd := -uik * (q[kk] - qbar)
 		vk := protos[kk*o.n : (kk+1)*o.n]
 		gv := gradV[kk*o.n : (kk+1)*o.n]
-		if p == 2 {
-			for n := 0; n < o.n; n++ {
-				diff := xi[n] - vk[n]
-				gv[n] += uik*gi[n] - dLds*2*alpha[n]*diff
-				gradA[n] += dLds * diff * diff
-			}
-		} else {
-			for n := 0; n < o.n; n++ {
-				diff := xi[n] - vk[n]
-				ad := math.Abs(diff)
-				pow1 := math.Pow(ad, p-1)
-				sign := 1.0
-				if diff < 0 {
-					sign = -1
-				}
-				gv[n] += uik*gi[n] - dLds*alpha[n]*p*pow1*sign
-				gradA[n] += dLds * pow1 * ad
-			}
+		for n := 0; n < o.n; n++ {
+			diff := xi[n] - vk[n]
+			gv[n] += uik*gi[n] - dLdd*2*alpha[n]*diff
+			gradA[n] += dLdd * diff * diff
 		}
 	}
 }

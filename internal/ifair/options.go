@@ -14,7 +14,6 @@ package ifair
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/checkpoint"
 )
@@ -96,46 +95,22 @@ const MaxPairwiseRows = 20000
 // NeighborFairness when Options.NeighborK is unset.
 const DefaultNeighborK = 32
 
-// Kernel selects how kernel distances become membership weights. The
-// paper notes that "our framework is flexible and easily supports other
-// kernels and distance functions" and leaves exploring them to future
-// work; both options below are implemented with analytic gradients.
+// Kernel names a model's membership weighting. ExpKernel, the paper's
+// Def. 8, is the only one; the type remains because the model file and
+// the serving registry's listing carry it.
 type Kernel int
 
-const (
-	// ExpKernel is the paper's choice (Def. 8): u_ik ∝ exp(−d(x_i, v_k)).
-	// With the squared p = 2 distance this is the Gaussian kernel.
-	ExpKernel Kernel = iota
-	// InverseKernel uses the heavy-tailed Student-t style weighting
-	// u_ik ∝ 1/(1 + d(x_i, v_k)), which decays polynomially and therefore
-	// keeps distant prototypes relevant (useful when clusters overlap).
-	InverseKernel
-)
+// ExpKernel is the paper's choice (Def. 8): u_ik ∝ exp(−d(x_i, v_k)).
+// With the squared p = 2 distance this is the Gaussian kernel.
+const ExpKernel Kernel = 0
 
 // String implements fmt.Stringer.
 func (k Kernel) String() string {
-	switch k {
-	case ExpKernel:
+	if k == ExpKernel {
 		return "exp"
-	case InverseKernel:
-		return "inverse"
-	default:
-		return "unknown"
 	}
+	return "unknown"
 }
-
-// PrototypeInit selects how prototype vectors are initialised.
-type PrototypeInit int
-
-const (
-	// InitDataPoints seeds each prototype with a randomly chosen training
-	// record plus small Gaussian noise. This converges faster on
-	// standardised data and is the default.
-	InitDataPoints PrototypeInit = iota
-	// InitUniform draws every prototype coordinate uniformly from (0, 1),
-	// exactly as stated in Sec. V-B of the paper.
-	InitUniform
-)
 
 // Options configures Fit. The zero value is not valid: K must be set.
 type Options struct {
@@ -150,10 +125,10 @@ type Options struct {
 	// be empty (the paper explicitly allows l = N).
 	Protected []int
 
-	// Init selects iFair-a or iFair-b initialisation of α.
+	// Init selects iFair-a or iFair-b initialisation of α. Prototypes
+	// always start at randomly chosen training records plus small
+	// Gaussian noise.
 	Init InitStrategy
-	// ProtoInit selects prototype initialisation.
-	ProtoInit PrototypeInit
 
 	// Fairness selects the pairing strategy for L_fair.
 	Fairness FairnessMode
@@ -166,17 +141,6 @@ type Options struct {
 	// PairSamples distinct neighbours in the pool pair with all of them.
 	// Default DefaultNeighborK.
 	NeighborK int
-
-	// P is the Minkowski exponent of Def. 7 (p ≥ 1). Default 2. All
-	// exponents train with analytic gradients; note p values near 1 have
-	// subgradient kinks at exactly-equal coordinates.
-	P float64
-	// TakeRoot applies the 1/p root of Def. 7 literally instead of using
-	// the rootless form (the Gaussian-kernel convention used by the
-	// reference implementation).
-	TakeRoot bool
-	// Kernel selects the membership weighting (Def. 8 by default).
-	Kernel Kernel
 
 	// Workers is the number of goroutines evaluating the objective: the
 	// full objective of an L-BFGS fit and every mini-batch of an SGD fit
@@ -232,8 +196,7 @@ type Options struct {
 	// continues from the served representation rather than from scratch.
 	// The remaining Restarts−1 restarts stay random, so a warm start can
 	// only improve the best-of-N outcome. The model must match K and the
-	// data's column count. Its P/TakeRoot/Kernel are NOT copied — the
-	// refit trains under this Options' geometry.
+	// data's column count.
 	WarmStart *Model
 	// Seed makes training deterministic.
 	Seed int64
@@ -261,12 +224,6 @@ func (o *Options) fill(rows, cols int) error {
 	}
 	if o.NeighborK <= 0 {
 		o.NeighborK = DefaultNeighborK
-	}
-	if o.P == 0 {
-		o.P = 2
-	}
-	if math.IsNaN(o.P) || math.IsInf(o.P, 0) || o.P < 1 {
-		return fmt.Errorf("ifair: Minkowski exponent p = %v is not a metric (need p ≥ 1)", o.P)
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 1

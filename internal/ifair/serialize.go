@@ -10,7 +10,9 @@ import (
 )
 
 // modelJSON is the on-disk representation of a fitted model. The format is
-// versioned so future changes stay backward compatible.
+// versioned so future changes stay backward compatible. P, TakeRoot and
+// Kernel record the geometry; every model is written with p = 2, no root
+// and the exp kernel, and DecodeModel refuses a file that names another.
 type modelJSON struct {
 	Version    int       `json:"version"`
 	K          int       `json:"k"`
@@ -35,7 +37,6 @@ func (m *Model) Encode(w io.Writer) error {
 		K:          m.K(),
 		N:          m.Dims(),
 		P:          m.P,
-		TakeRoot:   m.TakeRoot,
 		Kernel:     int(m.Kernel),
 		Alpha:      m.Alpha,
 		Prototypes: m.Prototypes.Data(),
@@ -61,6 +62,9 @@ func DecodeModel(r io.Reader) (*Model, error) {
 	if len(mj.Prototypes) != mj.K*mj.N {
 		return nil, fmt.Errorf("ifair: prototype data length %d does not match K×N=%d", len(mj.Prototypes), mj.K*mj.N)
 	}
+	if mj.TakeRoot {
+		return nil, fmt.Errorf("ifair: model field take_root=true is not supported: distances are rootless")
+	}
 	p := mj.P
 	if p == 0 {
 		p = 2
@@ -69,13 +73,12 @@ func DecodeModel(r io.Reader) (*Model, error) {
 		Prototypes: mat.NewDenseData(mj.K, mj.N, mj.Prototypes),
 		Alpha:      mj.Alpha,
 		P:          p,
-		TakeRoot:   mj.TakeRoot,
 		Kernel:     Kernel(mj.Kernel),
 		Loss:       mj.Loss,
 	}
 	// Validate rejects the remaining inconsistencies a corrupt file can
-	// carry: negative or non-finite weights, non-finite prototypes, p < 1
-	// and unknown kernel ids.
+	// carry: negative or non-finite weights, non-finite prototypes, and a
+	// p or kernel other than the one geometry Forward computes.
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package ifair
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,7 +31,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatal("alpha changed in round trip")
 		}
 	}
-	if got.P != model.P || got.TakeRoot != model.TakeRoot || got.Loss != model.Loss {
+	if got.P != model.P || got.Kernel != model.Kernel || got.Loss != model.Loss {
 		t.Fatal("scalar fields changed in round trip")
 	}
 	// The decoded model must transform identically.
@@ -122,23 +124,48 @@ func TestDecodeModelRejectsUnknownKernel(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodePreservesKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := randomData(rng, 20, 3)
-	model, err := Fit(x, Options{K: 2, Lambda: 1, Mu: 1, Kernel: InverseKernel, Seed: 1, MaxIterations: 10})
-	if err != nil {
-		t.Fatal(err)
+// TestDecodeModelRejectsOtherGeometry: a file saved with a distance
+// exponent, root or kernel other than the one Forward computes must fail
+// to load with an error naming the field, never be served with the wrong
+// math.
+func TestDecodeModelRejectsOtherGeometry(t *testing.T) {
+	for _, tc := range []struct{ field, json string }{
+		{"p", `"p":1.5`},
+		{"p", `"p":3`},
+		{"take_root", `"p":2,"take_root":true`},
+		{"kernel", `"p":2,"kernel":1`},
+	} {
+		r := strings.NewReader(`{"version":1,"k":1,"n":1,` + tc.json + `,"alpha":[1],"prototypes":[0]}`)
+		if _, err := DecodeModel(r); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want an error naming %q", tc.json, err, tc.field)
+		}
 	}
+}
+
+// goldenModelSHA256 is the sha256 of Encode(goldenModel()), pinned
+// when the p, take_root and kernel options were removed from the model:
+// Encode must keep writing those keys exactly as before, so files saved
+// by older and newer builds stay byte-identical.
+const goldenModelSHA256 = "85de1dfc059430c9e1906451123f638858dfe7bba417d7b830e66c4f64062ddb"
+
+func goldenModel() *Model {
+	return &Model{
+		Prototypes: mat.NewDenseData(2, 3, []float64{0.5, -1.25, 2, 1e-3, 3.75, -0.125}),
+		Alpha:      []float64{0.25, 1, 0.0625},
+		P:          2,
+		Kernel:     ExpKernel,
+		Loss:       12.5,
+	}
+}
+
+func TestEncodeGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := model.Encode(&buf); err != nil {
+	if err := goldenModel().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kernel != InverseKernel {
-		t.Fatalf("kernel = %v, want inverse", got.Kernel)
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenModelSHA256 {
+		t.Fatalf("model bytes changed: sha256 %s, pinned %s\n%s", got, goldenModelSHA256, buf.String())
 	}
 }
 

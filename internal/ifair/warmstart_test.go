@@ -38,7 +38,7 @@ func TestWarmStartThetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := modelFromTheta(warmStartTheta(donor), 4, Options{K: 3, P: donor.P, Kernel: donor.Kernel})
+	got := modelFromTheta(warmStartTheta(donor), 4, Options{K: 3})
 	for j := range donor.Alpha {
 		if math.Abs(got.Alpha[j]-donor.Alpha[j]) > 1e-12 {
 			t.Fatalf("alpha[%d] = %g, want %g", j, got.Alpha[j], donor.Alpha[j])
@@ -153,6 +153,35 @@ func TestCheckpointFingerprintTracksEvaluationArithmetic(t *testing.T) {
 	for _, old := range []string{"727d780352c0d2db", "f0938ed2aa0b3762"} {
 		if got := checkpointFingerprint(x, &sgd); got == old {
 			t.Fatalf("SGD fingerprint %s still matches snapshots of an older batch regime", got)
+		}
+	}
+}
+
+// TestCheckpointFingerprintGolden pins the fingerprint of three option
+// sets — the defaults, a neighbour-pair L-BFGS fit and a sampled-pair SGD
+// fit — as they were before the prototype-initialisation and kernel
+// geometry options became constants, so snapshots written then still
+// resume.
+func TestCheckpointFingerprintGolden(t *testing.T) {
+	x := mat.NewDense(6, 2)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i)/3 - 1
+	}
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{K: 3}, "5ca2cc4ba263cd24"},
+		{Options{K: 4, Lambda: 0.5, Mu: 2, Protected: []int{1}, Init: InitMaskedProtected,
+			Fairness: NeighborFairness, PairSamples: 4, NeighborK: 5, MaxIterations: 20, Seed: 7}, "f6813ebe03ecf352"},
+		{Options{K: 2, Lambda: 1, Mu: 1, Fairness: SampledFairness, BatchSize: 3, Epochs: 2, LearnRate: 0.05}, "f14472b61d50e900"},
+	} {
+		o := tc.opts
+		if err := o.fill(6, 2); err != nil {
+			t.Fatal(err)
+		}
+		if got := checkpointFingerprint(x, &o); got != tc.want {
+			t.Errorf("%+v: fingerprint %s, pinned %s", tc.opts, got, tc.want)
 		}
 	}
 }

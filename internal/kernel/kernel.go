@@ -8,7 +8,8 @@
 // loop touches exactly one contiguous parameter block and no allocator.
 //
 // Forward is the one implementation of the row map itself (Defs. 3, 7
-// and 8: weighted Minkowski distances, memberships, prototype mix).
+// and 8: α-weighted squared distances, softmax memberships, prototype
+// mix).
 // CompiledKernel calls it per served row, and the iFair and LFR training
 // objectives call it per record, so a compiled kernel's output is
 // bit-identical to what training optimised, for every worker count.
@@ -38,16 +39,6 @@ type DType uint8
 // Float64 is the float64 representation every kernel is compiled to.
 const Float64 DType = 0
 
-// Membership selects how prototype distances become membership weights.
-type Membership uint8
-
-const (
-	// Exp is the softmax weighting u_k ∝ exp(−d_k) (iFair Def. 8, LFR).
-	Exp Membership = iota
-	// Inverse is the heavy-tailed weighting u_k ∝ 1/(1+d_k).
-	Inverse
-)
-
 // Kernel is the per-row compute interface the serving tier consumes.
 // Implementations are immutable after compilation and safe for
 // concurrent use; all methods follow the package aliasing contract.
@@ -67,8 +58,7 @@ type Kernel interface {
 }
 
 // Spec describes a prototype-mixture kernel to compile: K prototype
-// vectors, an optional attribute weight vector for the distance, the
-// Minkowski exponent, and the membership weighting.
+// vectors and an optional attribute weight vector for the distance.
 type Spec struct {
 	// Prototypes is the K×N prototype matrix (copied at compile time).
 	Prototypes *mat.Dense
@@ -76,27 +66,12 @@ type Spec struct {
 	// (length N); nil means unweighted (all ones). LFR compiles with nil
 	// and its training objective passes nil to Forward.
 	Alpha []float64
-	// P is the Minkowski exponent (≥ 1; 2 is the fast path).
-	P float64
-	// TakeRoot applies the 1/p root to distances.
-	TakeRoot bool
-	// Membership selects Exp (softmax) or Inverse weighting.
-	Membership Membership
-}
-
-// Params is the distance and membership configuration of the row
-// forward pass: the Minkowski exponent (≥ 1), the optional 1/p root and
-// the membership weighting.
-type Params struct {
-	P          float64
-	TakeRoot   bool
-	Membership Membership
 }
 
 // scratch is the pooled per-call workspace of a CompiledKernel. Every
 // field is sized at compile time, so Get never grows a slice.
 type scratch struct {
-	raw, g, u []float64 // K rootless distances, kernel weights, memberships
+	raw, u []float64 // K distances, memberships
 }
 
 // CompiledKernel is an immutable prototype-mixture kernel: the model
@@ -105,7 +80,6 @@ type scratch struct {
 // itself is safe for concurrent use and allocation-free per call.
 type CompiledKernel struct {
 	k, n int
-	prm  Params
 
 	// A contiguous row-major K×N prototype copy and the (possibly nil)
 	// weight vector.
@@ -139,27 +113,16 @@ func Compile(spec Spec) (*CompiledKernel, error) {
 			return nil, fmt.Errorf("kernel: non-finite prototype entry %d: %v", i, v)
 		}
 	}
-	p := spec.P
-	if p == 0 {
-		p = 2
-	}
-	if math.IsNaN(p) || math.IsInf(p, 0) || p < 1 {
-		return nil, fmt.Errorf("kernel: minkowski exponent p=%v, want p ≥ 1", p)
-	}
-	if spec.Membership != Exp && spec.Membership != Inverse {
-		return nil, fmt.Errorf("kernel: unknown membership weighting %d", spec.Membership)
-	}
 
 	ck := &CompiledKernel{
 		k: k, n: n,
-		prm:    Params{P: p, TakeRoot: spec.TakeRoot, Membership: spec.Membership},
 		protos: append([]float64(nil), spec.Prototypes.Data()...),
 	}
 	if spec.Alpha != nil {
 		ck.alpha = append([]float64(nil), spec.Alpha...)
 	}
 	ck.pool.New = func() any {
-		return &scratch{raw: make([]float64, k), g: make([]float64, k), u: make([]float64, k)}
+		return &scratch{raw: make([]float64, k), u: make([]float64, k)}
 	}
 	return ck, nil
 }
@@ -186,76 +149,46 @@ func (ck *CompiledKernel) checkRow(x []float64) error {
 // call. For record x (length N) and the K prototypes laid out row-major
 // in protos (K×N) it writes
 //
-//   - raw[k] = Σ_n α_n·|x_n − v_kn|^p, the rootless Def. 7 distance
-//     (alpha nil means all ones, as used by LFR);
-//   - u, the membership distribution over D_k = raw[k], or raw[k]^{1/p}
-//     under TakeRoot: softmax(−D) with a max-shift for Exp (Def. 8), or
-//     1/(1+D) normalised for Inverse;
-//   - g[k] = 1/(1+D_k), the unnormalised Inverse weights the iFair
-//     backward pass reads (Inverse only; g is untouched under Exp and
-//     may then be nil);
+//   - raw[k] = Σ_n α_n·(x_n − v_kn)², the Def. 7 distance in its rootless
+//     p = 2 form (alpha nil means all ones, as used by LFR);
+//   - u = softmax(−raw), with a max-shift (Def. 8);
 //   - xt = Σ_k u_k·v_k (Def. 3), when xt is non-nil.
 //
-// raw, g and u have length K and xt length N; none of them may alias x
-// or protos. Forward is stateless and allocates nothing; its operation
+// raw and u have length K and xt length N; none of them may alias x or
+// protos. Forward is stateless and allocates nothing; its operation
 // order is fixed, so the same inputs give the same bits on every path.
-func Forward(prm Params, protos, alpha, x, raw, g, u, xt []float64) {
+func Forward(protos, alpha, x, raw, u, xt []float64) {
 	n := len(x)
 	for k := range raw {
 		v := protos[k*n : (k+1)*n]
 		var s float64
-		switch {
-		case prm.P == 2 && alpha == nil:
+		if alpha == nil {
 			for j := range x {
 				d := x[j] - v[j]
 				s += d * d
 			}
-		case prm.P == 2:
+		} else {
 			for j := range x {
 				d := x[j] - v[j]
 				s += alpha[j] * d * d
 			}
-		case alpha == nil:
-			for j := range x {
-				s += math.Pow(math.Abs(x[j]-v[j]), prm.P)
-			}
-		default:
-			for j := range x {
-				s += alpha[j] * math.Pow(math.Abs(x[j]-v[j]), prm.P)
-			}
 		}
 		raw[k] = s
 	}
+	maxZ := math.Inf(-1)
+	for k, s := range raw {
+		u[k] = -s
+		if -s > maxZ {
+			maxZ = -s
+		}
+	}
 	var sum float64
-	if prm.Membership == Inverse {
-		for k, s := range raw {
-			if prm.TakeRoot {
-				s = math.Pow(s, 1/prm.P)
-			}
-			g[k] = 1 / (1 + s)
-			sum += g[k]
-		}
-		for k := range u {
-			u[k] = g[k] / sum
-		}
-	} else {
-		maxZ := math.Inf(-1)
-		for k, s := range raw {
-			if prm.TakeRoot {
-				s = math.Pow(s, 1/prm.P)
-			}
-			u[k] = -s
-			if -s > maxZ {
-				maxZ = -s
-			}
-		}
-		for k := range u {
-			u[k] = math.Exp(u[k] - maxZ)
-			sum += u[k]
-		}
-		for k := range u {
-			u[k] /= sum
-		}
+	for k := range u {
+		u[k] = math.Exp(u[k] - maxZ)
+		sum += u[k]
+	}
+	for k := range u {
+		u[k] /= sum
 	}
 	if xt == nil {
 		return
@@ -281,7 +214,7 @@ func (ck *CompiledKernel) ProbabilitiesInto(dst, x []float64) error {
 		return fmt.Errorf("kernel: destination has %d cells, want K=%d", len(dst), ck.k)
 	}
 	s := ck.pool.Get().(*scratch)
-	Forward(ck.prm, ck.protos, ck.alpha, x, s.raw, s.g, dst, nil)
+	Forward(ck.protos, ck.alpha, x, s.raw, dst, nil)
 	ck.pool.Put(s)
 	return nil
 }
@@ -297,7 +230,7 @@ func (ck *CompiledKernel) TransformRowInto(dst, x []float64) error {
 		return fmt.Errorf("kernel: destination has %d cells, want N=%d", len(dst), ck.n)
 	}
 	s := ck.pool.Get().(*scratch)
-	Forward(ck.prm, ck.protos, ck.alpha, x, s.raw, s.g, s.u, dst)
+	Forward(ck.protos, ck.alpha, x, s.raw, s.u, dst)
 	ck.pool.Put(s)
 	return nil
 }
@@ -320,7 +253,7 @@ func (ck *CompiledKernel) TransformInto(dst, x *mat.Dense, workers int) error {
 	if workers <= 1 {
 		s := ck.pool.Get().(*scratch)
 		for i := 0; i < rows; i++ {
-			Forward(ck.prm, ck.protos, ck.alpha, x.Row(i), s.raw, s.g, s.u, dst.Row(i))
+			Forward(ck.protos, ck.alpha, x.Row(i), s.raw, s.u, dst.Row(i))
 		}
 		ck.pool.Put(s)
 		return nil
@@ -328,7 +261,7 @@ func (ck *CompiledKernel) TransformInto(dst, x *mat.Dense, workers int) error {
 	par.Chunks(rows).Run(workers, func(_, lo, hi int) {
 		s := ck.pool.Get().(*scratch)
 		for i := lo; i < hi; i++ {
-			Forward(ck.prm, ck.protos, ck.alpha, x.Row(i), s.raw, s.g, s.u, dst.Row(i))
+			Forward(ck.protos, ck.alpha, x.Row(i), s.raw, s.u, dst.Row(i))
 		}
 		ck.pool.Put(s)
 	})

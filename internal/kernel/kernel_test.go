@@ -12,7 +12,7 @@ import (
 
 // randomModel builds a valid fitted-looking model with standardised-scale
 // parameters.
-func randomModel(rng *rand.Rand, k, n int, p float64, takeRoot bool, kern ifair.Kernel) *ifair.Model {
+func randomModel(rng *rand.Rand, k, n int) *ifair.Model {
 	protos := mat.NewDense(k, n)
 	for i := range protos.Data() {
 		protos.Data()[i] = rng.NormFloat64()
@@ -21,7 +21,7 @@ func randomModel(rng *rand.Rand, k, n int, p float64, takeRoot bool, kern ifair.
 	for i := range alpha {
 		alpha[i] = rng.Float64() * 2
 	}
-	return &ifair.Model{Prototypes: protos, Alpha: alpha, P: p, TakeRoot: takeRoot, Kernel: kern}
+	return &ifair.Model{Prototypes: protos, Alpha: alpha, P: 2, Kernel: ifair.ExpKernel}
 }
 
 func randomRow(rng *rand.Rand, n int) []float64 {
@@ -32,46 +32,41 @@ func randomRow(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
-// TestFloat64BitIdentity sweeps kernels, Minkowski exponents and rooting.
-// For each configuration the Float64 fused row transform must equal,
-// bit for bit, the prototype mix Σ_k u_k·v_k of the Float64 memberships.
-// Training calls the same Forward; the ifair and lfr package tests check
-// that it does so with the configuration Compile serves.
+// TestFloat64BitIdentity checks, over several random models, that the
+// Float64 fused row transform equals, bit for bit, the prototype mix
+// Σ_k u_k·v_k of the Float64 memberships. Training calls the same
+// Forward; the ifair and lfr package tests check that it does so with
+// the parameters Compile serves.
 func TestFloat64BitIdentity(t *testing.T) {
 	const k, n = 5, 9
 	rng := rand.New(rand.NewSource(7))
-	for _, membership := range []ifair.Kernel{ifair.ExpKernel, ifair.InverseKernel} {
-		for _, p := range []float64{2, 1.5, 3} {
-			for _, takeRoot := range []bool{false, true} {
-				m := randomModel(rng, k, n, p, takeRoot, membership)
-				k64, err := m.Compile(kernel.Float64)
-				if err != nil {
-					t.Fatalf("Compile(Float64): %v", err)
+	for model := 0; model < 6; model++ {
+		m := randomModel(rng, k, n)
+		k64, err := m.Compile(kernel.Float64)
+		if err != nil {
+			t.Fatalf("Compile(Float64): %v", err)
+		}
+		u64 := make([]float64, k)
+		x64, mix := make([]float64, n), make([]float64, n)
+		for trial := 0; trial < 20; trial++ {
+			x := randomRow(rng, n)
+			if err := k64.ProbabilitiesInto(u64, x); err != nil {
+				t.Fatalf("ProbabilitiesInto: %v", err)
+			}
+			if err := k64.TransformRowInto(x64, x); err != nil {
+				t.Fatalf("TransformRowInto: %v", err)
+			}
+			for j := range mix {
+				mix[j] = 0
+			}
+			for i, ui := range u64 {
+				for j, v := range m.Prototypes.Row(i) {
+					mix[j] += ui * v
 				}
-				u64 := make([]float64, k)
-				x64, mix := make([]float64, n), make([]float64, n)
-				for trial := 0; trial < 20; trial++ {
-					x := randomRow(rng, n)
-					if err := k64.ProbabilitiesInto(u64, x); err != nil {
-						t.Fatalf("ProbabilitiesInto: %v", err)
-					}
-					if err := k64.TransformRowInto(x64, x); err != nil {
-						t.Fatalf("TransformRowInto: %v", err)
-					}
-					for j := range mix {
-						mix[j] = 0
-					}
-					for i, ui := range u64 {
-						for j, v := range m.Prototypes.Row(i) {
-							mix[j] += ui * v
-						}
-					}
-					for j := range mix {
-						if x64[j] != mix[j] {
-							t.Fatalf("kernel=%v p=%v root=%v: x̃[%d] = %v, Σ u_k·v_k = %v",
-								membership, p, takeRoot, j, x64[j], mix[j])
-						}
-					}
+			}
+			for j := range mix {
+				if x64[j] != mix[j] {
+					t.Fatalf("model %d: x̃[%d] = %v, Σ u_k·v_k = %v", model, j, x64[j], mix[j])
 				}
 			}
 		}
@@ -83,7 +78,7 @@ func TestFloat64BitIdentity(t *testing.T) {
 // contract extended to the serving kernel.
 func TestTransformIntoWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := randomModel(rng, 6, 8, 2, false, ifair.ExpKernel)
+	m := randomModel(rng, 6, 8)
 	x := mat.NewDense(37, 8)
 	for i := range x.Data() {
 		x.Data()[i] = rng.NormFloat64()
@@ -115,40 +110,38 @@ func TestTransformIntoWorkerDeterminism(t *testing.T) {
 // per-row transform.
 func TestFloat64WorkerIdentityVsModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, membership := range []ifair.Kernel{ifair.ExpKernel, ifair.InverseKernel} {
-		m := randomModel(rng, 4, 7, 2, false, membership)
-		x := mat.NewDense(23, 7)
-		for i := range x.Data() {
-			x.Data()[i] = rng.NormFloat64()
+	m := randomModel(rng, 4, 7)
+	x := mat.NewDense(23, 7)
+	for i := range x.Data() {
+		x.Data()[i] = rng.NormFloat64()
+	}
+	want, err := m.TransformChecked(x)
+	if err != nil {
+		t.Fatalf("TransformChecked: %v", err)
+	}
+	ck, err := m.Compile(kernel.Float64)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	row := make([]float64, 7)
+	for i := 0; i < x.Rows(); i++ {
+		if err := ck.TransformRowInto(row, x.Row(i)); err != nil {
+			t.Fatalf("TransformRowInto: %v", err)
 		}
-		want, err := m.TransformChecked(x)
-		if err != nil {
-			t.Fatalf("TransformChecked: %v", err)
-		}
-		ck, err := m.Compile(kernel.Float64)
-		if err != nil {
-			t.Fatalf("Compile: %v", err)
-		}
-		row := make([]float64, 7)
-		for i := 0; i < x.Rows(); i++ {
-			if err := ck.TransformRowInto(row, x.Row(i)); err != nil {
-				t.Fatalf("TransformRowInto: %v", err)
-			}
-			for j, v := range row {
-				if v != want.At(i, j) {
-					t.Fatalf("kernel=%v: row %d cell %d differs from Model.TransformChecked", membership, i, j)
-				}
+		for j, v := range row {
+			if v != want.At(i, j) {
+				t.Fatalf("row %d cell %d differs from Model.TransformChecked", i, j)
 			}
 		}
-		for workers := 1; workers <= 5; workers++ {
-			got := mat.NewDense(23, 7)
-			if err := ck.TransformInto(got, x, workers); err != nil {
-				t.Fatalf("TransformInto: %v", err)
-			}
-			for i, v := range got.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("kernel=%v workers=%d: cell %d differs from Model.TransformChecked", membership, workers, i)
-				}
+	}
+	for workers := 1; workers <= 5; workers++ {
+		got := mat.NewDense(23, 7)
+		if err := ck.TransformInto(got, x, workers); err != nil {
+			t.Fatalf("TransformInto: %v", err)
+		}
+		for i, v := range got.Data() {
+			if v != want.Data()[i] {
+				t.Fatalf("workers=%d: cell %d differs from Model.TransformChecked", workers, i)
 			}
 		}
 	}
@@ -162,7 +155,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	rng := rand.New(rand.NewSource(23))
-	m := randomModel(rng, 8, 12, 2, false, ifair.ExpKernel)
+	m := randomModel(rng, 8, 12)
 	x := randomRow(rng, 12)
 	xm := mat.NewDense(16, 12)
 	for i := range xm.Data() {
@@ -198,63 +191,33 @@ func TestKernelZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("TransformInto(workers=1) allocates %v/op, want 0", n)
 	}
-	raw, g := make([]float64, 8), make([]float64, 8)
-	for _, prm := range []kernel.Params{
-		{P: 2, Membership: kernel.Exp},
-		{P: 1.5, TakeRoot: true, Membership: kernel.Inverse},
-	} {
+	raw := make([]float64, 8)
+	for _, alpha := range [][]float64{m.Alpha, nil} {
 		if n := testing.AllocsPerRun(100, func() {
-			kernel.Forward(prm, m.Prototypes.Data(), m.Alpha, x, raw, g, u, dst)
+			kernel.Forward(m.Prototypes.Data(), alpha, x, raw, u, dst)
 		}); n != 0 {
-			t.Errorf("Forward(%+v) allocates %v/op, want 0", prm, n)
+			t.Errorf("Forward(weighted=%v) allocates %v/op, want 0", alpha != nil, n)
 		}
-	}
-}
-
-// TestKernelDistanceGeneralP pins the Def. 7 distance of the forward
-// pass: raw is the rootless sum for every p, and TakeRoot applies the
-// 1/p root on top of it before the membership weighting.
-func TestKernelDistanceGeneralP(t *testing.T) {
-	x := []float64{0, 0}
-	v := []float64{3, 4}
-	w := []float64{1, 1}
-	raw, g, u := make([]float64, 1), make([]float64, 1), make([]float64, 1)
-	kernel.Forward(kernel.Params{P: 2}, v, w, x, raw, g, u, nil)
-	if raw[0] != 25 {
-		t.Fatalf("squared p=2 distance = %v, want 25", raw[0])
-	}
-	kernel.Forward(kernel.Params{P: 2, TakeRoot: true, Membership: kernel.Inverse}, v, w, x, raw, g, u, nil)
-	if raw[0] != 25 {
-		t.Fatalf("rooted p=2 raw distance = %v, want the rootless 25", raw[0])
-	}
-	if got := 1/g[0] - 1; math.Abs(got-5) > 1e-12 {
-		t.Fatalf("rooted p=2 distance = %v, want 5", got)
-	}
-	kernel.Forward(kernel.Params{P: 1, TakeRoot: true, Membership: kernel.Inverse}, v, w, x, raw, g, u, nil)
-	if got := 1/g[0] - 1; math.Abs(raw[0]-7) > 1e-12 || math.Abs(got-7) > 1e-12 {
-		t.Fatalf("p=1 distance = %v (raw %v), want 7", got, raw[0])
 	}
 }
 
 // FuzzForward checks the row forward pass against its definition for
-// any prototype count, width, exponent p ∈ [1, 4], rooting and
-// membership. Cell values come from the fuzzed bytes, scaled into
-// [−1, 1) (weights into [0, 1)), so every input is finite and every
-// distance stays small enough for the naive reference below — softmax
-// without the max-shift, math.Exp taken directly — not to underflow.
-// Properties: u ≥ 0, Σu = 1, every x̃_j inside the prototypes' range in
-// column j, and agreement with the reference to 1e-12 relative.
+// any prototype count and width, with fuzzed attribute weights or with
+// none (alpha nil, LFR's path). Cell values come from the fuzzed bytes,
+// scaled into [−1, 1) (weights into [0, 1)), so every input is finite and
+// every distance stays small enough for the naive reference below —
+// softmax without the max-shift, math.Exp taken directly — not to
+// underflow. Properties: u ≥ 0, Σu = 1, every x̃_j inside the
+// prototypes' range in column j, and agreement with the reference to
+// 1e-12 relative.
 func FuzzForward(f *testing.F) {
-	f.Add(uint8(3), uint8(4), 2.0, false, false, []byte{1, 200, 37, 90, 128, 5})
-	f.Add(uint8(1), uint8(1), 1.0, true, true, []byte{255})
-	f.Add(uint8(7), uint8(7), 3.5, true, false, []byte("prototype mixture"))
-	f.Add(uint8(5), uint8(2), 1.25, false, true, []byte{})
-	f.Fuzz(func(t *testing.T, kb, nb uint8, p float64, takeRoot, inverse bool, data []byte) {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return
-		}
+	f.Add(uint8(3), uint8(4), false, []byte{1, 200, 37, 90, 128, 5})
+	f.Add(uint8(1), uint8(1), true, []byte{255})
+	f.Add(uint8(7), uint8(7), false, []byte("prototype mixture"))
+	f.Add(uint8(5), uint8(2), true, []byte{})
+	f.Add(uint8(6), uint8(5), true, []byte("unweighted squared distances"))
+	f.Fuzz(func(t *testing.T, kb, nb uint8, unweighted bool, data []byte) {
 		k, n := 1+int(kb%8), 1+int(nb%8)
-		p = 1 + math.Mod(math.Abs(p), 3)
 		next := 0
 		cell := func() float64 {
 			if len(data) == 0 {
@@ -272,29 +235,25 @@ func FuzzForward(f *testing.F) {
 			x[j] = cell()
 			alpha[j] = (cell() + 1) / 2
 		}
-		prm := kernel.Params{P: p, TakeRoot: takeRoot}
-		if inverse {
-			prm.Membership = kernel.Inverse
+		weights := alpha
+		if unweighted {
+			weights = nil
+			for j := range alpha {
+				alpha[j] = 1
+			}
 		}
-		raw, g, u, xt := make([]float64, k), make([]float64, k), make([]float64, k), make([]float64, n)
-		kernel.Forward(prm, protos, alpha, x, raw, g, u, xt)
+		raw, u, xt := make([]float64, k), make([]float64, k), make([]float64, n)
+		kernel.Forward(protos, weights, x, raw, u, xt)
 
 		// Naive reference, straight from Defs. 3, 7 and 8.
 		wantRaw, wantU, wantX := make([]float64, k), make([]float64, k), make([]float64, n)
 		var sum float64
 		for kk := 0; kk < k; kk++ {
 			for j := 0; j < n; j++ {
-				wantRaw[kk] += alpha[j] * math.Pow(math.Abs(x[j]-protos[kk*n+j]), p)
+				d := x[j] - protos[kk*n+j]
+				wantRaw[kk] += alpha[j] * d * d
 			}
-			d := wantRaw[kk]
-			if takeRoot {
-				d = math.Pow(d, 1/p)
-			}
-			if inverse {
-				wantU[kk] = 1 / (1 + d)
-			} else {
-				wantU[kk] = math.Exp(-d)
-			}
+			wantU[kk] = math.Exp(-wantRaw[kk])
 			sum += wantU[kk]
 		}
 		for kk := range wantU {
@@ -373,19 +332,16 @@ func TestProjectionBitIdentity(t *testing.T) {
 // surface.
 func TestCompileRejectsInvalidSpecs(t *testing.T) {
 	protos := mat.NewDense(2, 3)
-	good := kernel.Spec{Prototypes: protos, P: 2}
+	good := kernel.Spec{Prototypes: protos}
 	cases := []struct {
 		name string
 		spec kernel.Spec
 	}{
-		{"nil prototypes", kernel.Spec{P: 2}},
-		{"alpha length", kernel.Spec{Prototypes: protos, Alpha: []float64{1}, P: 2}},
-		{"negative alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, -1, 1}, P: 2}},
-		{"nan alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, math.NaN(), 1}, P: 2}},
-		{"p below one", kernel.Spec{Prototypes: protos, P: 0.5}},
-		{"nan p", kernel.Spec{Prototypes: protos, P: math.NaN()}},
-		{"infinite p", kernel.Spec{Prototypes: protos, P: math.Inf(1)}},
-		{"bad membership", kernel.Spec{Prototypes: protos, P: 2, Membership: 9}},
+		{"nil prototypes", kernel.Spec{}},
+		{"empty prototypes", kernel.Spec{Prototypes: mat.NewDense(0, 0)}},
+		{"alpha length", kernel.Spec{Prototypes: protos, Alpha: []float64{1}}},
+		{"negative alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, -1, 1}}},
+		{"nan alpha", kernel.Spec{Prototypes: protos, Alpha: []float64{1, math.NaN(), 1}}},
 	}
 	for _, tc := range cases {
 		if _, err := kernel.Compile(tc.spec); err == nil {
@@ -397,7 +353,7 @@ func TestCompileRejectsInvalidSpecs(t *testing.T) {
 	}
 	nonFinite := mat.NewDense(2, 3)
 	nonFinite.Set(1, 2, math.Inf(1))
-	if _, err := kernel.Compile(kernel.Spec{Prototypes: nonFinite, P: 2}); err == nil {
+	if _, err := kernel.Compile(kernel.Spec{Prototypes: nonFinite}); err == nil {
 		t.Error("Compile accepted non-finite prototypes")
 	}
 }
@@ -406,7 +362,7 @@ func TestCompileRejectsInvalidSpecs(t *testing.T) {
 // inputs and destinations with errors, not corruption.
 func TestDimensionErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	m := randomModel(rng, 3, 4, 2, false, ifair.ExpKernel)
+	m := randomModel(rng, 3, 4)
 	ck, err := m.Compile(kernel.Float64)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)

@@ -154,11 +154,7 @@ func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Opt
 // softmax memberships, bit-identical to the memberships and
 // reconstructions of LFR's training forward pass.
 func (md *Model) Compile() (*kernel.CompiledKernel, error) {
-	return kernel.Compile(kernel.Spec{
-		Prototypes: md.Prototypes,
-		P:          forwardParams.P,
-		Membership: forwardParams.Membership,
-	})
+	return kernel.Compile(kernel.Spec{Prototypes: md.Prototypes})
 }
 
 // TransformInto maps every row of x into the matching row of dst (which

@@ -55,10 +55,6 @@ type objective struct {
 
 const parityEps = 1e-8
 
-// forwardParams is LFR's map: unweighted squared-Euclidean distances with
-// softmax memberships, in training and in Model.Compile.
-var forwardParams = kernel.Params{P: 2, Membership: kernel.Exp}
-
 func newObjective(x *mat.Dense, y, protected []bool, opts Options) *objective {
 	m, n := x.Dims()
 	workers := opts.Workers
@@ -196,7 +192,7 @@ func (o *objective) forwardRange(protos, raw, meanProt, meanUnprot []float64, lo
 		xi := o.x.Row(i)
 		ui := o.u.Row(i)
 		xhi := o.xh.Row(i)
-		kernel.Forward(forwardParams, protos, nil, xi, raw, nil, ui, xhi)
+		kernel.Forward(protos, nil, xi, raw, ui, xhi)
 		gi := o.g.Row(i)
 		clear(gi)
 		var yhat float64

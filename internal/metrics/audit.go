@@ -24,12 +24,6 @@ type AuditResult struct {
 	P50, P90, P99 float64 // violation percentiles
 }
 
-// WithinEpsilon returns the fraction of audited pairs whose violation is at
-// most eps, given the sorted sample recorded during the audit.
-type auditSample struct {
-	violations []float64 // sorted ascending
-}
-
 // LipschitzAudit measures distance preservation between the original
 // records (restricted to non-protected attributes — the x* view) and their
 // transformed representations, over the given pairs. Distances are

@@ -87,8 +87,6 @@ type Settings struct {
 	GradTol float64
 	// FuncTol stops when |f_k − f_{k−1}| ≤ FuncTol·(1+|f_k|). Default 1e-10.
 	FuncTol float64
-	// Memory is the number of (s, y) correction pairs kept. Default 10.
-	Memory int
 	// Callback, when non-nil, is invoked after every accepted outer
 	// iteration with that iteration's progress. Returning true stops the
 	// run at the current point with Status Stopped. Both LBFGS and SGD
@@ -114,10 +112,10 @@ func (s *Settings) fill() {
 	if s.FuncTol <= 0 {
 		s.FuncTol = 1e-10
 	}
-	if s.Memory <= 0 {
-		s.Memory = 10
-	}
 }
+
+// lbfgsMemory is the number of (s, y) correction pairs L-BFGS keeps.
+const lbfgsMemory = 10
 
 // ErrEmptyProblem is returned when the initial point has zero length.
 var ErrEmptyProblem = errors.New("optimize: empty parameter vector")
@@ -224,7 +222,7 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 		}
 		if sy := dot(s, y); sy > 1e-12 {
 			history = append(history, pair{s: s, y: y, rho: 1 / sy})
-			if len(history) > settings.Memory {
+			if len(history) > lbfgsMemory {
 				history = history[1:]
 			}
 		}

@@ -34,8 +34,8 @@ type BatchObjective interface {
 // embedded Settings fields are reinterpreted per epoch: MaxIterations is
 // the epoch budget, FuncTol compares successive epoch losses, and
 // Callback/Snapshot fire once per epoch (so checkpointing and tracing
-// work exactly as they do for the full-batch optimizers). GradTol and
-// Memory are ignored — a stochastic gradient never converges to zero.
+// work exactly as they do for the full-batch optimizers). GradTol is
+// ignored — a stochastic gradient never converges to zero.
 type SGDSettings struct {
 	Settings
 	// BatchSize is the number of items per mini-batch. Default 256. The

@@ -29,15 +29,6 @@ type RolloutConfig struct {
 	// MinRequests is the minimum canary-arm request count before any
 	// verdict — promote or rollback — is reached (default 200).
 	MinRequests int64
-	// MaxErrorRate rolls the canary back when its error rate exceeds
-	// this (default 0.05).
-	MaxErrorRate float64
-	// ConsistencyTolerance rolls the canary back when its live yNN
-	// consistency falls below the stable arm's by more than this plus
-	// two standard errors of the estimated gap (default 0.05). The
-	// standard-error term keeps estimator noise from reading as a
-	// regression when both arms are still lightly sampled.
-	ConsistencyTolerance float64
 	// DriftPSI is the per-feature population-stability alarm threshold
 	// (default 0.25, the conventional "significant shift" band). During
 	// a canary window an alarm forces rollback — a drifting window
@@ -50,12 +41,6 @@ type RolloutConfig struct {
 	// SampleEvery runs every Nth request per arm through the live
 	// consistency estimator (default 4; 1 scores every request).
 	SampleEvery int64
-	// Neighbors is the kNN width of the live consistency estimator
-	// (default drift.DefaultNeighbors).
-	Neighbors int
-	// WindowCap is the drift monitor's per-feature reservoir capacity
-	// (default drift.DefaultWindow).
-	WindowCap int
 	// TickInterval is the guard-loop period (default 1s).
 	TickInterval time.Duration
 	// Seed fixes reservoir sampling and consistency scale pairs so a
@@ -68,6 +53,17 @@ type RolloutConfig struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// maxErrorRate rolls the canary back when its error rate exceeds it.
+	maxErrorRate = 0.05
+	// consistencyTolerance rolls the canary back when its live yNN
+	// consistency falls below the stable arm's by more than this plus
+	// two standard errors of the estimated gap. The standard-error term
+	// keeps estimator noise from reading as a regression when both arms
+	// are still lightly sampled.
+	consistencyTolerance = 0.05
+)
+
 func (c *RolloutConfig) fillDefaults() {
 	if c.Fraction <= 0 || c.Fraction > 1 {
 		c.Fraction = 0.1
@@ -78,23 +74,11 @@ func (c *RolloutConfig) fillDefaults() {
 	if c.MinRequests <= 0 {
 		c.MinRequests = 200
 	}
-	if c.MaxErrorRate <= 0 {
-		c.MaxErrorRate = 0.05
-	}
-	if c.ConsistencyTolerance <= 0 {
-		c.ConsistencyTolerance = 0.05
-	}
 	if c.DriftPSI <= 0 {
 		c.DriftPSI = 0.25
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 4
-	}
-	if c.Neighbors <= 0 {
-		c.Neighbors = drift.DefaultNeighbors
-	}
-	if c.WindowCap <= 0 {
-		c.WindowCap = drift.DefaultWindow
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = time.Second
@@ -231,7 +215,7 @@ func newRollout(name string, cfg RolloutConfig, reg *Registry, metrics *Metrics,
 	if profile != nil {
 		if profile.Baseline.Dims == entry.Model.Dims() {
 			ro.refX = profile.ReferenceMatrix()
-			ro.monitor = drift.NewMonitor(profile.Baseline, cfg.WindowCap, cfg.Seed)
+			ro.monitor = drift.NewMonitor(profile.Baseline, drift.DefaultWindow, cfg.Seed)
 		} else {
 			logf("rollout %s: profile dims %d != model dims %d; drift/consistency checks disabled",
 				name, profile.Baseline.Dims, entry.Model.Dims())
@@ -290,7 +274,7 @@ func (ro *Rollout) newArm(entry *Entry) *armState {
 		ro.logf("rollout %s: v%d reference transform: %v; consistency check disabled for this arm", ro.name, entry.Version, err)
 		return arm
 	}
-	cons, err := drift.NewConsistency(ro.refX, refT, ro.cfg.Neighbors, ro.cfg.Seed^int64(entry.Version))
+	cons, err := drift.NewConsistency(ro.refX, refT, drift.DefaultNeighbors, ro.cfg.Seed^int64(entry.Version))
 	if err != nil {
 		ro.logf("rollout %s: v%d consistency estimator: %v", ro.name, entry.Version, err)
 		return arm
@@ -447,8 +431,8 @@ func (ro *Rollout) breachLocked() string {
 	// Error-rate breach: judged as soon as the canary has a meaningful
 	// sample, not at window end — a hard-failing canary should not keep
 	// failing its share of traffic for a full window.
-	if c.requests >= ro.cfg.MinRequests && c.errorRate() > ro.cfg.MaxErrorRate {
-		return fmt.Sprintf("error rate %.3f > %.3f over %d requests", c.errorRate(), ro.cfg.MaxErrorRate, c.requests)
+	if c.requests >= ro.cfg.MinRequests && c.errorRate() > maxErrorRate {
+		return fmt.Sprintf("error rate %.3f > %.3f over %d requests", c.errorRate(), maxErrorRate, c.requests)
 	}
 	// Drift alarm mid-window: the live window no longer matches the
 	// baseline, so the canary comparison itself is untrustworthy — the
@@ -468,7 +452,7 @@ func (ro *Rollout) breachLocked() string {
 	cc, cv, cn := c.consistencyMoments()
 	sc, sv, sn := ro.stable.consistencyMoments()
 	if cn >= minSamples && sn >= minSamples {
-		margin := ro.cfg.ConsistencyTolerance + 2*math.Sqrt(cv/float64(cn)+sv/float64(sn))
+		margin := consistencyTolerance + 2*math.Sqrt(cv/float64(cn)+sv/float64(sn))
 		if cc < sc-margin {
 			return fmt.Sprintf("consistency regression: canary %.4f < stable %.4f − %.3f (n=%d/%d)",
 				cc, sc, margin, cn, sn)

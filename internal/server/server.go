@@ -49,10 +49,6 @@ type Config struct {
 	// queue before being shed with 503 (default RequestTimeout/2;
 	// negative means waiters are bounded only by their own deadline).
 	MaxQueueWait time.Duration
-	// MinHeadroom sheds a request immediately when its deadline budget
-	// is below this — there would be no time left to serve it (default
-	// 0: shed only already-expired requests).
-	MinHeadroom time.Duration
 	// RetryAfter is the hint sent in the Retry-After header of 429/503
 	// shed responses (default 1s).
 	RetryAfter time.Duration
@@ -161,7 +157,6 @@ func New(cfg Config) (*Server, error) {
 		MaxConcurrent: cfg.MaxInflight,
 		MaxQueue:      cfg.MaxQueue,
 		MaxQueueWait:  cfg.MaxQueueWait,
-		MinHeadroom:   cfg.MinHeadroom,
 	})
 	s.metrics.GaugeFunc("ifair_admission_queue_depth", func() float64 {
 		return float64(s.limiter.Stats().QueueDepth)
@@ -260,7 +255,7 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) {
 
 // writeError maps an error to a JSON error response: httpError keeps its
 // status, overload sheds become 429 (queue/batcher full) or 503 (queue
-// wait or deadline headroom exceeded) with a Retry-After hint, a
+// wait exceeded or deadline already passed) with a Retry-After hint, a
 // server-side deadline expiry becomes 504 Gateway Timeout, and
 // everything else is a 500.
 func (s *Server) writeError(w http.ResponseWriter, err error) {

@@ -48,9 +48,15 @@ func benchCompas() *dataset.Dataset {
 	return dataset.Compas(dataset.ClassificationConfig{Records: 600, Seed: 1})
 }
 
+// benchXing keeps the first 18 queries (720 candidates) of a simulated
+// Xing dataset.
 func benchXing() *dataset.Dataset {
-	return dataset.Xing(dataset.UniformXingWeights,
-		dataset.RankingConfig{Queries: 18, CandidatesPerQuery: 40, Seed: 1})
+	ds := dataset.Xing(dataset.UniformXingWeights, dataset.RankingConfig{Seed: 1})
+	var rows []int
+	for _, q := range ds.Queries[:18] {
+		rows = append(rows, q.Rows...)
+	}
+	return ds.Subset(rows)
 }
 
 // BenchmarkTable2DatasetStats regenerates the Table II statistics for all

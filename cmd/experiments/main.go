@@ -367,6 +367,9 @@ func runTable5(ctx context.Context, cfg pipeline.StudyConfig, _ int) error {
 				fmt.Printf("%-14s fit error: %s\n", r.Method, r.FitError)
 				continue
 			}
+			if r.Infeasible > 0 {
+				fmt.Fprintf(os.Stderr, "table5 %s: %s infeasible on %d test quer(ies)\n", ds.Name, r.Method, r.Infeasible)
+			}
 			fmt.Printf("%-14s %6.2f %6.2f %6.2f %11.2f%%\n", r.Method, r.MAP, r.KT, r.YNN, r.PctProtected)
 			csvRows = append(csvRows, []string{ds.Name, r.Method, f3(r.MAP), f3(r.KT), f3(r.YNN), f3(r.PctProtected)})
 		}
@@ -485,6 +488,9 @@ func runFig5(ctx context.Context, cfg pipeline.StudyConfig, _ int) error {
 		fmt.Printf("\n-- %s --\n", ds.Name)
 		fmt.Printf("%5s %7s %7s %12s\n", "p", "MAP", "yNN", "%Prot top10")
 		for _, pt := range points {
+			if pt.Infeasible > 0 {
+				fmt.Fprintf(os.Stderr, "fig5 %s: FA*IR (p=%g) infeasible on %d test quer(ies)\n", ds.Name, pt.P, pt.Infeasible)
+			}
 			fmt.Printf("%5.1f %7.3f %7.3f %11.2f%%\n", pt.P, pt.MAP, pt.YNN, pt.PctInTop)
 			csvRows = append(csvRows, []string{ds.Name, f3(pt.P), f3(pt.MAP), f3(pt.YNN), f3(pt.PctInTop)})
 		}

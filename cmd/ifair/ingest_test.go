@@ -8,7 +8,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -160,6 +162,9 @@ func TestSIGTERMIngestResume(t *testing.T) {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("reference run: %v\nstderr:\n%s", err, stderr)
 	}
+	if strings.Contains(stderr.String(), "resumed") {
+		t.Fatalf("uninterrupted run reports a resume:\n%s", stderr)
+	}
 	ref := readStore(t, refStore)
 	refModelBytes, err := os.ReadFile(refModel)
 	if err != nil {
@@ -192,6 +197,16 @@ func TestSIGTERMIngestResume(t *testing.T) {
 			cmd, stderr := runCLI(t, resumeArgs...)
 			if err := cmd.Run(); err != nil {
 				t.Fatalf("resumed run: %v\nstderr:\n%s", err, stderr)
+			}
+			// The killed run sealed at least `seals` shards of 64 rows
+			// before the signal; the summary line reports their prefix.
+			m := regexp.MustCompile(`ingest: \d+ good row.*; resumed a durable prefix of (\d+) input row\(s\)\n`).FindStringSubmatch(stderr.String())
+			if m == nil {
+				t.Fatalf("no resume summary line\nstderr:\n%s", stderr)
+			}
+			skipped, _ := strconv.Atoi(m[1])
+			if skipped < 64*seals || skipped > 4000 {
+				t.Fatalf("resume summary reports %d skipped input rows after %d seals of 64", skipped, seals)
 			}
 			diffStores(t, ref, readStore(t, store))
 			gotModel, err := os.ReadFile(model)

@@ -416,8 +416,12 @@ func ingestAndFit(ctx context.Context, path, protected string, ing ingestOpts, o
 		}
 		return nil, nil, nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "ingest: %d good row(s) in %d shard(s), %d quarantined (see %s)\n",
-		res.GoodRows, res.Shards, res.BadRows, filepath.Join(ing.dir, "quarantine.log"))
+	resumed := ""
+	if res.Resumed {
+		resumed = fmt.Sprintf("; resumed a durable prefix of %d input row(s)", res.Skipped)
+	}
+	fmt.Fprintf(os.Stderr, "ingest: %d good row(s) in %d shard(s), %d quarantined (see %s)%s\n",
+		res.GoodRows, res.Shards, res.BadRows, filepath.Join(ing.dir, "quarantine.log"), resumed)
 
 	st, err := ingest.OpenStream(ing.dir, nil)
 	if err != nil {

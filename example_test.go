@@ -54,9 +54,9 @@ func ExampleFairReRank() {
 func ExampleLipschitzAudit() {
 	x := repro.MatrixFromRows([][]float64{{0, 0}, {1, 0}, {0, 1}})
 	audit := repro.LipschitzAudit(x, x, nil) // identity transform
-	fmt.Printf("pairs=%d epsilon=%.1f\n", audit.Pairs, audit.MaxViolation)
+	fmt.Printf("mean=%.1f epsilon=%.1f\n", audit.MeanViolation, audit.MaxViolation)
 	// Output:
-	// pairs=3 epsilon=0.0
+	// mean=0.0 epsilon=0.0
 }
 
 // ExampleConsistency computes the paper's individual-fairness metric yNN.

@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Candidate 2: the censored projection from the paper's Related Work.
-	censored, err := repro.FitCensored(ds.X, ds.Protected, repro.CensoredOptions{Seed: 31})
+	censored, err := repro.FitCensored(ds.X, ds.Protected, repro.CensoredOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,12 +32,6 @@ import (
 
 // Options configures Fit.
 type Options struct {
-	// MaxRounds bounds the number of probe-and-project iterations.
-	// Default 20.
-	MaxRounds int
-	// Seed is kept for API symmetry with the other learners (the
-	// procedure itself is deterministic).
-	Seed int64
 	// Trace, when non-nil, observes training through the shared engine
 	// protocol: the whole procedure reports as restart 0, each
 	// probe-and-project round as one iteration event whose F is the
@@ -45,17 +39,9 @@ type Options struct {
 	Trace optimize.Trace
 }
 
-func (o *Options) fill() error {
-	if o.MaxRounds < 0 {
-		return errors.New("adversarial: MaxRounds must be non-negative")
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 20
-	}
-	return nil
-}
-
 const (
+	// maxRounds bounds the number of probe-and-project iterations.
+	maxRounds = 20
 	// stopMargin stops the rounds once the probe's training accuracy is
 	// within this margin of the majority-class rate.
 	stopMargin = 0.02
@@ -69,11 +55,6 @@ const (
 type Model struct {
 	// P is the N×N projection matrix.
 	P *mat.Dense
-	// Rounds is the number of directions removed.
-	Rounds int
-	// ProbeAccuracy is the final probe's training accuracy (≈ the
-	// majority-class rate when censoring succeeded).
-	ProbeAccuracy float64
 }
 
 // ErrNoData is returned for empty input.
@@ -101,9 +82,6 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 	if len(protected) != m {
 		return nil, fmt.Errorf("adversarial: %d flags for %d rows", len(protected), m)
 	}
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -117,7 +95,7 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 	majority := math.Max(float64(nProt), float64(m-nProt)) / float64(m)
 	if nProt == 0 || nProt == m {
 		// Nothing to censor; the identity projection is already safe.
-		return &Model{P: mat.Identity(n), ProbeAccuracy: majority}, nil
+		return &Model{P: mat.Identity(n)}, nil
 	}
 
 	if opts.Trace != nil {
@@ -128,7 +106,7 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 	rounds := 0
 	probeAcc := 1.0
 	censored := false
-	for rounds < opts.MaxRounds {
+	for rounds < maxRounds {
 		if err := ctx.Err(); err != nil {
 			if opts.Trace != nil {
 				opts.Trace.RestartEnd(0, optimize.Result{F: probeAcc, Iterations: rounds, Status: optimize.Stopped}, err)
@@ -171,7 +149,7 @@ func FitContext(ctx context.Context, x *mat.Dense, protected []bool, opts Option
 		}
 		opts.Trace.RestartEnd(0, optimize.Result{F: probeAcc, Iterations: rounds, Status: status}, nil)
 	}
-	return &Model{P: proj, Rounds: rounds, ProbeAccuracy: probeAcc}, nil
+	return &Model{P: proj}, nil
 }
 
 // eliminator returns I − uuᵀ for a unit vector u.

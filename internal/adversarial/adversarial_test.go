@@ -40,6 +40,18 @@ func project(t *testing.T, model *Model, x *mat.Dense) *mat.Dense {
 	return out
 }
 
+// removedDirections counts the directions a fitted projection removes.
+// P is a product of eliminators I − uuᵀ for mutually orthogonal unit
+// vectors u, an orthogonal projector whose trace is its rank.
+func removedDirections(p *mat.Dense) int {
+	n := p.Rows()
+	tr := 0.0
+	for i := 0; i < n; i++ {
+		tr += p.At(i, i)
+	}
+	return n - int(math.Round(tr))
+}
+
 func TestFitDefeatsFreshAdversary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, prot := leakyData(rng, 300)
@@ -68,7 +80,7 @@ func TestFitDefeatsFreshAdversary(t *testing.T) {
 	if cenAcc > 0.6 {
 		t.Fatalf("censoring failed: fresh adversary accuracy %v", cenAcc)
 	}
-	if model.Rounds == 0 {
+	if removedDirections(model.P) == 0 {
 		t.Fatal("expected at least one projection round")
 	}
 }
@@ -121,8 +133,8 @@ func TestFitSingleClassIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.Rounds != 0 {
-		t.Fatalf("rounds = %d, want 0", model.Rounds)
+	if !mat.Equalish(model.P, mat.Identity(x.Cols()), 0) {
+		t.Fatal("single-class censoring must remove no direction")
 	}
 	if !mat.Equalish(project(t, model, x), x, 1e-12) {
 		t.Fatal("single-class censoring must be the identity")
@@ -138,9 +150,6 @@ func TestFitValidation(t *testing.T) {
 	if _, err := Fit(mat.NewDense(0, 0), nil, Options{}); err != ErrNoData {
 		t.Fatalf("err = %v, want ErrNoData", err)
 	}
-	if _, err := Fit(x, prot, Options{MaxRounds: -1}); err == nil {
-		t.Fatal("expected error for negative rounds")
-	}
 }
 
 func TestFitDeterministic(t *testing.T) {
@@ -154,20 +163,8 @@ func TestFitDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mat.Equalish(a.P, b.P, 0) || a.Rounds != b.Rounds {
+	if !mat.Equalish(a.P, b.P, 0) || removedDirections(a.P) != removedDirections(b.P) {
 		t.Fatal("procedure must be deterministic")
-	}
-}
-
-func TestFitRespectsMaxRounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x, prot := leakyData(rng, 100)
-	model, err := Fit(x, prot, Options{MaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Rounds > 1 {
-		t.Fatalf("rounds = %d, want ≤ 1", model.Rounds)
 	}
 }
 

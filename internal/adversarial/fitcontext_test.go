@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/optimize"
 )
 
@@ -71,8 +72,9 @@ func TestFitContextTraceReportsRounds(t *testing.T) {
 	}
 	// One iteration event per probe round, plus the final sub-threshold
 	// probe that triggers the stop.
-	if len(tr.iters) != model.Rounds+1 {
-		t.Fatalf("got %d iteration events for %d rounds", len(tr.iters), model.Rounds)
+	rounds := removedDirections(model.P)
+	if len(tr.iters) != rounds+1 || tr.end.Iterations != rounds {
+		t.Fatalf("got %d iteration events and Iterations=%d for %d rounds", len(tr.iters), tr.end.Iterations, rounds)
 	}
 	for i, it := range tr.iters {
 		if it.Iter != i {
@@ -82,8 +84,8 @@ func TestFitContextTraceReportsRounds(t *testing.T) {
 			t.Fatalf("iteration %d probe accuracy %v outside [0,1]", i, it.F)
 		}
 	}
-	if tr.end.F != model.ProbeAccuracy {
-		t.Fatalf("RestartEnd F=%v, model.ProbeAccuracy=%v", tr.end.F, model.ProbeAccuracy)
+	if last := tr.iters[len(tr.iters)-1].F; tr.end.F != last {
+		t.Fatalf("RestartEnd F=%v, final probe accuracy %v", tr.end.F, last)
 	}
 	if tr.end.Status != optimize.Converged {
 		t.Fatalf("status = %v, want Converged for a censored fit", tr.end.Status)
@@ -101,7 +103,7 @@ func TestFitContextMatchesFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rounds != b.Rounds || a.ProbeAccuracy != b.ProbeAccuracy {
-		t.Fatalf("Fit and FitContext diverge: %+v vs %+v", a, b)
+	if !mat.Equalish(a.P, b.P, 0) {
+		t.Fatalf("Fit and FitContext diverge: %v vs %v", a.P, b.P)
 	}
 }

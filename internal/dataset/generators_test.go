@@ -252,12 +252,12 @@ func TestNonProtectedXDims(t *testing.T) {
 }
 
 func TestSubsetRemapsEverything(t *testing.T) {
-	ds := Xing(UniformXingWeights, RankingConfig{Queries: 4, CandidatesPerQuery: 5, Seed: 7})
+	ds := Xing(UniformXingWeights, RankingConfig{Seed: 7})
 	// Take the first two queries' rows.
 	idx := append(append([]int(nil), ds.Queries[0].Rows...), ds.Queries[1].Rows...)
 	sub := ds.Subset(idx)
-	if sub.Rows() != 10 {
-		t.Fatalf("subset rows = %d, want 10", sub.Rows())
+	if sub.Rows() != 2*xingCandidates {
+		t.Fatalf("subset rows = %d, want %d", sub.Rows(), 2*xingCandidates)
 	}
 	if len(sub.Queries) != 2 {
 		t.Fatalf("subset queries = %d, want 2 (partial queries dropped)", len(sub.Queries))

@@ -7,16 +7,18 @@ import (
 	"repro/internal/stats"
 )
 
-// RankingConfig sizes the simulated ranking datasets.
+// RankingConfig configures the simulated ranking datasets.
 type RankingConfig struct {
-	// Queries overrides the number of queries.
-	Queries int
-	// CandidatesPerQuery overrides the candidate pool size per query
-	// (Xing only; Airbnb pools vary naturally).
-	CandidatesPerQuery int
 	// Seed drives all sampling.
 	Seed int64
 }
+
+// The paper's ranking dataset sizes (Sec. V-A).
+const (
+	xingQueries    = 57
+	xingCandidates = 40
+	airbnbQueries  = 43
+)
 
 // XingWeights are the score weights of Sec. V-A: the deserved score of a
 // candidate is a weighted sum of work experience, education experience and
@@ -36,14 +38,7 @@ var UniformXingWeights = XingWeights{Work: 1, Education: 1, Views: 1}
 // across genders while views correlate mildly with gender (the visibility
 // bias channel).
 func Xing(w XingWeights, cfg RankingConfig) *Dataset {
-	nq := cfg.Queries
-	if nq <= 0 {
-		nq = 57
-	}
-	perQ := cfg.CandidatesPerQuery
-	if perQ <= 0 {
-		perQ = 40
-	}
+	nq, perQ := xingQueries, xingCandidates
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	categories := []string{"marketing", "engineering", "finance", "design", "sales", "hr"}
@@ -175,10 +170,7 @@ func Xing(w XingWeights, cfg RankingConfig) *Dataset {
 // combinations and filtered to pools of at least 10 listings; the paper
 // ends up with 43 queries.
 func Airbnb(cfg RankingConfig) *Dataset {
-	targetQueries := cfg.Queries
-	if targetQueries <= 0 {
-		targetQueries = 43
-	}
+	targetQueries := airbnbQueries
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	cities := []string{"austin", "boston", "chicago", "denver", "seattle"}

@@ -33,10 +33,9 @@ const quantileSampleRows = 4096
 // observers on resume, so a killed-and-resumed ingest builds the same
 // profile as an uninterrupted one.
 type ProfileBuilder struct {
-	bins    int
-	refRows int
-	seed    int64
-	rng     *rand.Rand
+	bins int
+	seed int64
+	rng  *rand.Rand
 
 	rows     int
 	moments  []stats.Welford
@@ -78,7 +77,6 @@ func NewProfileBuilder(bins, refRows int, seed int64) *ProfileBuilder {
 	}
 	return &ProfileBuilder{
 		bins:     bins,
-		refRows:  refRows,
 		seed:     seed,
 		rng:      rand.New(rand.NewSource(seed)),
 		quantile: &reservoir{cap: qRows},

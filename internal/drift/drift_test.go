@@ -30,8 +30,8 @@ func TestMonitorNoDriftOnSameDistribution(t *testing.T) {
 		mon.Observe(live.Row(i))
 	}
 	rep := mon.Snapshot()
-	if rep.Count != 3000 {
-		t.Fatalf("count %d, want 3000", rep.Count)
+	if mon.Count() != 3000 {
+		t.Fatalf("count %d, want 3000", mon.Count())
 	}
 	if rep.MaxPSI > 0.1 {
 		t.Fatalf("same-distribution MaxPSI %g, want < 0.1 (PSI=%v)", rep.MaxPSI, rep.PSI)
@@ -61,7 +61,7 @@ func TestMonitorAlarmsOnShift(t *testing.T) {
 	}
 	mon.Reset()
 	rep = mon.Snapshot()
-	if rep.Count != 0 || rep.MaxPSI != 0 || rep.MaxPSIFeature != -1 {
+	if mon.Count() != 0 || rep.MaxPSI != 0 || rep.MaxPSIFeature != -1 {
 		t.Fatalf("after Reset: %+v", rep)
 	}
 }
@@ -107,8 +107,9 @@ func TestMonitorNoiseFloor(t *testing.T) {
 
 func TestMonitorEmptyReportsZero(t *testing.T) {
 	base := NewBaseline(gaussData(1, 100, 2, 0), 0)
-	rep := NewMonitor(base, 0, 1).Snapshot()
-	if rep.MaxPSI != 0 || rep.Count != 0 {
+	mon := NewMonitor(base, 0, 1)
+	rep := mon.Snapshot()
+	if rep.MaxPSI != 0 || mon.Count() != 0 {
 		t.Fatalf("empty monitor reported drift: %+v", rep)
 	}
 }

@@ -56,8 +56,6 @@ func (r *Reservoir) Reset() {
 // Report is a point-in-time comparison of the live window against the
 // baseline.
 type Report struct {
-	// Count is the number of rows observed since the last Reset.
-	Count int64
 	// PSI[j] is the population stability index of feature j's live
 	// reservoir against the baseline's expected proportions.
 	PSI []float64
@@ -151,7 +149,6 @@ func (m *Monitor) Snapshot() Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rep := Report{
-		Count:         m.n,
 		PSI:           make([]float64, m.base.Dims),
 		MeanShift:     make([]float64, m.base.Dims),
 		MaxPSIFeature: -1,

@@ -334,9 +334,6 @@ func maskedSqDist(a, b []float64, idx []int) float64 {
 	return s
 }
 
-// paramLen returns the packed parameter-vector length.
-func (o *objective) paramLen() int { return o.n + o.opts.K*o.n }
-
 // decode unpacks θ into α (via α = a²) and a K×N prototype view.
 func (o *objective) decode(theta []float64) (alpha []float64, protos []float64) {
 	for j := 0; j < o.n; j++ {

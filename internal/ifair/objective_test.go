@@ -10,6 +10,10 @@ import (
 	"repro/internal/optimize"
 )
 
+// paramLen returns the packed parameter-vector length: N weights α, then
+// the K×N prototypes.
+func (o *objective) paramLen() int { return o.n + o.opts.K*o.n }
+
 func randomData(rng *rand.Rand, m, n int) *mat.Dense {
 	x := mat.NewDense(m, n)
 	for i := range x.Data() {

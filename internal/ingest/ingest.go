@@ -80,9 +80,6 @@ type Config struct {
 
 // Result summarises a completed ingest.
 type Result struct {
-	// Cols is the encoded feature width; FeatureNames its column names.
-	Cols         int
-	FeatureNames []string
 	// GoodRows / BadRows / InputRows are the final cumulative counts.
 	GoodRows  uint64
 	BadRows   uint64
@@ -208,10 +205,8 @@ func Run(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Cols:         lay.Cols(),
-		FeatureNames: st.manifest.FeatureNames,
-		Resumed:      skip > 0 || complete,
-		Skipped:      skip,
+		Resumed: skip > 0 || complete,
+		Skipped: skip,
 	}
 	if complete {
 		// The store already holds a finished ingest over this schema;

@@ -10,37 +10,6 @@ import (
 	"repro/internal/optimize"
 )
 
-func TestFitContextParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x, y, protected := labelledData(rng, 60)
-
-	opts := Options{K: 5, Az: 1, Ax: 1, Ay: 1, Restarts: 8, Seed: 11}
-	opts.RestartWorkers = 1
-	serial, err := FitContext(context.Background(), x, y, protected, opts)
-	if err != nil {
-		t.Fatalf("serial fit: %v", err)
-	}
-	opts.RestartWorkers = 4
-	parallel, err := FitContext(context.Background(), x, y, protected, opts)
-	if err != nil {
-		t.Fatalf("parallel fit: %v", err)
-	}
-	if serial.Loss != parallel.Loss {
-		t.Fatalf("winning loss differs: serial %v, parallel %v", serial.Loss, parallel.Loss)
-	}
-	sp, pp := serial.Prototypes.Data(), parallel.Prototypes.Data()
-	for i := range sp {
-		if sp[i] != pp[i] {
-			t.Fatalf("prototype datum %d differs", i)
-		}
-	}
-	for k := range serial.W {
-		if serial.W[k] != parallel.W[k] {
-			t.Fatalf("w[%d] differs", k)
-		}
-	}
-}
-
 type lfrCancelTrace struct {
 	mu     sync.Mutex
 	cancel context.CancelFunc
@@ -67,7 +36,7 @@ func TestFitContextCancellation(t *testing.T) {
 	tr := &lfrCancelTrace{cancel: cancel}
 	opts := Options{
 		K: 5, Az: 1, Ax: 1, Ay: 1,
-		Restarts: 6, RestartWorkers: 2, MaxIterations: 500,
+		Restarts: 6, MaxIterations: 500,
 		Seed: 3, Trace: tr,
 	}
 	_, err := FitContext(ctx, x, y, protected, opts)

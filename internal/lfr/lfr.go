@@ -44,12 +44,7 @@ type Options struct {
 	// internal/par and reduces partials in chunk order, so the loss,
 	// gradient and fitted model are bit-identical for every worker count.
 	Workers int
-	// RestartWorkers bounds how many restarts train concurrently under
-	// FitContext; ≤ 1 runs them serially. The winner is bit-identical for
-	// every worker count.
-	RestartWorkers int
-	// Trace, when non-nil, observes restart and iteration events. With
-	// RestartWorkers > 1 it must be safe for concurrent use.
+	// Trace, when non-nil, observes restart and iteration events.
 	Trace optimize.Trace
 }
 
@@ -75,8 +70,6 @@ type Model struct {
 	Prototypes *mat.Dense
 	// W holds the per-prototype label scores in (0, 1).
 	W []float64
-	// Loss is the final training objective value.
-	Loss float64
 }
 
 // ErrNoData is returned for empty training input.
@@ -91,12 +84,12 @@ func Fit(x *mat.Dense, y, protected []bool, opts Options) (*Model, error) {
 	return FitContext(context.Background(), x, y, protected, opts)
 }
 
-// FitContext is Fit with cancellation, observability and parallel
-// restarts, sharing the engine semantics of ifair.FitContext: restarts run
-// on opts.RestartWorkers goroutines with per-restart derived seeds, ties
-// break to the lowest restart index, a cancelled ctx stops every optimizer
-// within one iteration and returns ctx.Err(), and per-restart optimizer
-// errors only surface (joined) when every restart fails.
+// FitContext is Fit with cancellation and observability, sharing the
+// engine semantics of ifair.FitContext: restarts run serially with
+// per-restart derived seeds, ties break to the lowest restart index, a
+// cancelled ctx stops the optimizer within one iteration and returns
+// ctx.Err(), and per-restart optimizer errors only surface (joined) when
+// every restart fails.
 func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Options) (*Model, error) {
 	m, n := x.Dims()
 	if m == 0 || n == 0 {
@@ -114,7 +107,7 @@ func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Opt
 
 	models := make([]*Model, opts.Restarts)
 	trace := opts.Trace
-	best, err := optimize.Restarts(ctx, opts.Restarts, opts.RestartWorkers,
+	best, err := optimize.Restarts(ctx, opts.Restarts, 1,
 		func(ctx context.Context, r int) (float64, error) {
 			if trace != nil {
 				trace.RestartStart(r)
@@ -138,9 +131,7 @@ func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Opt
 			if res.Status == optimize.Stopped {
 				return math.NaN(), context.Cause(ctx)
 			}
-			model := obj.modelFromTheta(res.X)
-			model.Loss = res.F
-			models[r] = model
+			models[r] = obj.modelFromTheta(res.X)
 			return res.F, nil
 		})
 	if err != nil {

@@ -256,7 +256,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mat.Equalish(m1.Prototypes, m2.Prototypes, 0) || m1.Loss != m2.Loss {
+	if !mat.Equalish(m1.Prototypes, m2.Prototypes, 0) || modelLoss(x, y, prot, opts, m1) != modelLoss(x, y, prot, opts, m2) {
 		t.Fatal("same seed must reproduce the same model")
 	}
 }
@@ -264,17 +264,31 @@ func TestDeterministicWithSeed(t *testing.T) {
 func TestRestartsNotWorse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x, y, prot := labelledData(rng, 50)
-	one, err := Fit(x, y, prot, Options{K: 3, Ax: 1, Ay: 1, Az: 1, Seed: 4, MaxIterations: 25})
+	opts := Options{K: 3, Ax: 1, Ay: 1, Az: 1, Seed: 4, MaxIterations: 25}
+	one, err := Fit(x, y, prot, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := Fit(x, y, prot, Options{K: 3, Ax: 1, Ay: 1, Az: 1, Seed: 4, MaxIterations: 25, Restarts: 3})
+	opts.Restarts = 3
+	three, err := Fit(x, y, prot, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if three.Loss > one.Loss+1e-9 {
-		t.Fatalf("best-of-3 loss %v worse than single %v", three.Loss, one.Loss)
+	if l3, l1 := modelLoss(x, y, prot, opts, three), modelLoss(x, y, prot, opts, one); l3 > l1+1e-9 {
+		t.Fatalf("best-of-3 loss %v worse than single %v", l3, l1)
 	}
+}
+
+// modelLoss re-scores a fitted model under its training objective, from
+// the parameter vector the model was decoded from (w_k = σ(θ_k)).
+func modelLoss(x *mat.Dense, y, prot []bool, opts Options, md *Model) float64 {
+	obj := newObjective(x, y, prot, opts)
+	theta := make([]float64, obj.paramLen())
+	for k, w := range md.W {
+		theta[k] = math.Log(w / (1 - w))
+	}
+	copy(theta[len(md.W):], md.Prototypes.Data())
+	return obj.Eval(theta, make([]float64, len(theta)))
 }
 
 // TestEvalBitIdenticalAcrossWorkers: the chunked objective reduces

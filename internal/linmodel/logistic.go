@@ -21,10 +21,6 @@ type Logistic struct {
 	// Weights holds the learned coefficients; the last entry is the
 	// intercept.
 	Weights []float64
-	// L2 is the ridge penalty applied to the non-intercept coefficients.
-	L2 float64
-	// MaxIterations bounds training; 0 means the optimizer default.
-	MaxIterations int
 }
 
 // ErrNoData is returned when a model is fitted on an empty matrix.
@@ -40,7 +36,6 @@ func FitLogistic(x *mat.Dense, y []bool, l2 float64) (*Logistic, error) {
 	if len(y) != m {
 		panic(fmt.Sprintf("linmodel: %d labels for %d rows", len(y), m))
 	}
-	model := &Logistic{L2: l2}
 
 	obj := optimize.ObjectiveFunc(func(w, grad []float64) float64 {
 		for i := range grad {
@@ -77,15 +72,11 @@ func FitLogistic(x *mat.Dense, y []bool, l2 float64) (*Logistic, error) {
 		return loss
 	})
 
-	res, err := optimize.LBFGS(obj, make([]float64, n+1), optimize.Settings{
-		MaxIterations: model.MaxIterations,
-		GradTol:       1e-6,
-	})
+	res, err := optimize.LBFGS(obj, make([]float64, n+1), optimize.Settings{GradTol: 1e-6})
 	if err != nil {
 		return nil, err
 	}
-	model.Weights = res.X
-	return model, nil
+	return &Logistic{Weights: res.X}, nil
 }
 
 // PredictProba returns P(y=1|x) for each row of x.

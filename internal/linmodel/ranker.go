@@ -28,28 +28,18 @@ type PairwiseRanker struct {
 
 // RankerOptions configures FitPairwiseRanker.
 type RankerOptions struct {
-	// L2 is the ridge penalty. Default 1e-4.
-	L2 float64
-	// MaxPairsPerQuery caps the sampled preference pairs per query.
-	// Default 200.
-	MaxPairsPerQuery int
-	// MaxIterations bounds L-BFGS. Default 150.
-	MaxIterations int
 	// Seed drives pair sampling.
 	Seed int64
 }
 
-func (o *RankerOptions) fill() {
-	if o.L2 <= 0 {
-		o.L2 = 1e-4
-	}
-	if o.MaxPairsPerQuery <= 0 {
-		o.MaxPairsPerQuery = 200
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 150
-	}
-}
+const (
+	// rankerL2 is the ridge penalty.
+	rankerL2 = 1e-4
+	// maxPairsPerQuery caps the sampled preference pairs per query.
+	maxPairsPerQuery = 200
+	// rankerMaxIterations bounds L-BFGS.
+	rankerMaxIterations = 150
+)
 
 // FitPairwiseRanker trains on x (M×N) with ground-truth scores y and
 // queries given as row-index groups; preference pairs are formed within
@@ -62,7 +52,6 @@ func FitPairwiseRanker(x *mat.Dense, y []float64, queries [][]int, opts RankerOp
 	if len(y) != m {
 		panic(fmt.Sprintf("linmodel: %d scores for %d rows", len(y), m))
 	}
-	opts.fill()
 
 	type pref struct{ hi, lo int }
 	var pairs []pref
@@ -80,9 +69,9 @@ func FitPairwiseRanker(x *mat.Dense, y []float64, queries [][]int, opts RankerOp
 				}
 			}
 		}
-		if len(qPairs) > opts.MaxPairsPerQuery {
+		if len(qPairs) > maxPairsPerQuery {
 			rng.Shuffle(len(qPairs), func(a, b int) { qPairs[a], qPairs[b] = qPairs[b], qPairs[a] })
-			qPairs = qPairs[:opts.MaxPairsPerQuery]
+			qPairs = qPairs[:maxPairsPerQuery]
 		}
 		pairs = append(pairs, qPairs...)
 	}
@@ -111,13 +100,13 @@ func FitPairwiseRanker(x *mat.Dense, y []float64, queries [][]int, opts RankerOp
 			}
 		}
 		for f := 0; f < n; f++ {
-			loss += opts.L2 * w[f] * w[f]
-			grad[f] += 2 * opts.L2 * w[f]
+			loss += rankerL2 * w[f] * w[f]
+			grad[f] += 2 * rankerL2 * w[f]
 		}
 		return loss
 	})
 
-	res, err := optimize.LBFGS(obj, make([]float64, n+1), optimize.Settings{MaxIterations: opts.MaxIterations})
+	res, err := optimize.LBFGS(obj, make([]float64, n+1), optimize.Settings{MaxIterations: rankerMaxIterations})
 	if err != nil {
 		return nil, err
 	}

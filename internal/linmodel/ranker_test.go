@@ -55,9 +55,10 @@ func TestPairwiseRankerRecoversOrdering(t *testing.T) {
 
 func TestPairwiseRankerPairCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	// 30 candidates give up to 435 pairs per query, over the cap of
+	// maxPairsPerQuery; the capped sample must still train without error.
 	x, y, queries := rankingData(rng, 2, 30)
-	// A tiny pair budget must still train without error.
-	model, err := FitPairwiseRanker(x, y, queries, RankerOptions{MaxPairsPerQuery: 10, Seed: 1})
+	model, err := FitPairwiseRanker(x, y, queries, RankerOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 // task-relevant distances. The smallest ε for which a mapping is
 // "individually fair" in the paper's sense is exactly MaxViolation.
 type AuditResult struct {
-	Pairs         int
 	MeanViolation float64
 	MaxViolation  float64 // the ε of Definition 1
 	P50, P90, P99 float64 // violation percentiles
@@ -55,7 +54,6 @@ func LipschitzAudit(original, transformed *mat.Dense, pairs [][2]int) AuditResul
 	}
 	sort.Float64s(violations)
 	return AuditResult{
-		Pairs:         len(pairs),
 		MeanViolation: sum / float64(len(pairs)),
 		MaxViolation:  max,
 		P50:           percentile(violations, 0.50),

@@ -19,8 +19,14 @@ func TestLipschitzAuditIdentityIsPerfect(t *testing.T) {
 	if res.MaxViolation != 0 || res.MeanViolation != 0 {
 		t.Fatalf("identity audit = %+v, want all-zero violations", res)
 	}
-	if res.Pairs != 45 {
-		t.Fatalf("pairs = %d, want 45", res.Pairs)
+	// A nil pair list audits all 45 pairs.
+	all := AllPairs(10)
+	doubled := x.Clone()
+	for i := range doubled.Data() {
+		doubled.Data()[i] *= 2
+	}
+	if len(all) != 45 || LipschitzAudit(x, doubled, nil) != LipschitzAudit(x, doubled, all) {
+		t.Fatalf("nil pairs audited differently from all %d pairs", len(all))
 	}
 }
 
@@ -63,8 +69,8 @@ func TestLipschitzAuditRowMismatchPanics(t *testing.T) {
 
 func TestLipschitzAuditEmptyPairs(t *testing.T) {
 	res := LipschitzAudit(mat.NewDense(1, 1), mat.NewDense(1, 1), nil)
-	if res.Pairs != 0 {
-		t.Fatalf("pairs = %d, want 0", res.Pairs)
+	if res != (AuditResult{}) {
+		t.Fatalf("audit of no pairs = %+v, want the zero result", res)
 	}
 }
 

@@ -6,8 +6,6 @@ package metrics
 type Point struct {
 	Utility  float64
 	Fairness float64
-	// Tag identifies the configuration (method name, hyper-parameters).
-	Tag string
 }
 
 // ParetoFront returns the indices of the non-dominated points, i.e. points

@@ -81,7 +81,6 @@ func TestCallbackStopsRun(t *testing.T) {
 		s := Settings{
 			MaxIterations: 500,
 			GradTol:       1e-14,
-			FuncTol:       1e-300,
 			Callback: func(Iteration) bool {
 				calls++
 				return calls >= 2

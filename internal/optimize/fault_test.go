@@ -24,6 +24,25 @@ var sphere = optimize.ObjectiveFunc(func(x, grad []float64) float64 {
 	return f
 })
 
+// sphereGradNorm is ‖∇f(x)‖∞ of the sphere, evaluated cleanly.
+func sphereGradNorm(x []float64) float64 {
+	grad := make([]float64, len(x))
+	sphere.Eval(x, grad)
+	var norm float64
+	for _, g := range grad {
+		norm = math.Max(norm, math.Abs(g))
+	}
+	return norm
+}
+
+// counting wraps obj so *evals counts its evaluations.
+func counting(obj optimize.Objective, evals *int) optimize.Objective {
+	return optimize.ObjectiveFunc(func(x, grad []float64) float64 {
+		*evals++
+		return obj.Eval(x, grad)
+	})
+}
+
 func assertFinite(t *testing.T, x []float64) {
 	t.Helper()
 	for i, v := range x {
@@ -125,8 +144,8 @@ func TestLBFGSPoisonedGradientKeepsLastFinitePoint(t *testing.T) {
 		t.Fatalf("Status = %v, want Diverged", res.Status)
 	}
 	assertFinite(t, res.X)
-	if res.X[0] != x0[0] || res.X[1] != x0[1] || res.GradNorm != 4 {
-		t.Fatalf("X = %v, GradNorm = %v; want the initial point %v and its gradient norm 4", res.X, res.GradNorm, x0)
+	if gn := sphereGradNorm(res.X); res.X[0] != x0[0] || res.X[1] != x0[1] || gn != 4 {
+		t.Fatalf("X = %v, gradient norm %v; want the initial point %v and its gradient norm 4", res.X, gn, x0)
 	}
 }
 
@@ -167,19 +186,20 @@ func FuzzLBFGSNonFinite(f *testing.F) {
 		default:
 			obj = nanGradient(sphere, fuse)
 		}
-		res, err := optimize.LBFGS(obj, start, optimize.Settings{MaxIterations: 50})
+		evals := 0
+		res, err := optimize.LBFGS(counting(obj, &evals), start, optimize.Settings{MaxIterations: 50})
 		if err != nil {
-			if res.Evals != 1 || res.Status != optimize.Diverged {
-				t.Fatalf("error %v after %d evals with Status %v; only a poisoned start may fail, as Diverged", err, res.Evals, res.Status)
+			if evals != 1 || res.Status != optimize.Diverged {
+				t.Fatalf("error %v after %d evals with Status %v; only a poisoned start may fail, as Diverged", err, evals, res.Status)
 			}
 			return
 		}
 		assertFinite(t, res.X)
-		if math.IsNaN(res.F) || math.IsInf(res.F, 0) || math.IsNaN(res.GradNorm) || math.IsInf(res.GradNorm, 0) {
-			t.Fatalf("F = %v, GradNorm = %v: not finite", res.F, res.GradNorm)
+		if gn := sphereGradNorm(res.X); math.IsNaN(res.F) || math.IsInf(res.F, 0) || math.IsNaN(gn) || math.IsInf(gn, 0) {
+			t.Fatalf("F = %v, gradient norm %v: not finite", res.F, gn)
 		}
-		if sticky && at%16 > 0 && res.Evals >= int(at%16) && res.Status != optimize.Diverged {
-			t.Fatalf("sticky poison fired at eval %d of %d, Status = %v, want Diverged", at%16, res.Evals, res.Status)
+		if sticky && at%16 > 0 && evals >= int(at%16) && res.Status != optimize.Diverged {
+			t.Fatalf("sticky poison fired at eval %d of %d, Status = %v, want Diverged", at%16, evals, res.Status)
 		}
 	})
 }

@@ -72,9 +72,7 @@ func (s Status) String() string {
 type Result struct {
 	X          []float64 // final parameters
 	F          float64   // final objective value
-	GradNorm   float64   // final gradient norm
 	Iterations int       // number of outer iterations performed
-	Evals      int       // number of objective evaluations
 	Status     Status
 }
 
@@ -85,8 +83,6 @@ type Settings struct {
 	MaxIterations int
 	// GradTol stops when ‖∇f‖∞ ≤ GradTol. Default 1e-6.
 	GradTol float64
-	// FuncTol stops when |f_k − f_{k−1}| ≤ FuncTol·(1+|f_k|). Default 1e-10.
-	FuncTol float64
 	// Callback, when non-nil, is invoked after every accepted outer
 	// iteration with that iteration's progress. Returning true stops the
 	// run at the current point with Status Stopped. Both LBFGS and SGD
@@ -109,10 +105,10 @@ func (s *Settings) fill() {
 	if s.GradTol <= 0 {
 		s.GradTol = 1e-6
 	}
-	if s.FuncTol <= 0 {
-		s.FuncTol = 1e-10
-	}
 }
+
+// funcTol stops a run when |f_k − f_{k−1}| ≤ funcTol·(1+|f_k|).
+const funcTol = 1e-10
 
 // lbfgsMemory is the number of (s, y) correction pairs L-BFGS keeps.
 const lbfgsMemory = 10
@@ -147,7 +143,7 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 
 	f := eval(x, grad)
 	if !finite(f, grad) {
-		return Result{X: x, F: f, Status: Diverged, Evals: evals},
+		return Result{X: x, F: f, Status: Diverged},
 			errors.New("optimize: objective is not finite at the initial point")
 	}
 
@@ -161,7 +157,7 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 	gNew := make([]float64, n)
 
 	result := func(status Status, iter int) Result {
-		return Result{X: x, F: f, GradNorm: infNorm(grad), Iterations: iter, Evals: evals, Status: status}
+		return Result{X: x, F: f, Iterations: iter, Status: status}
 	}
 
 	for iter := 0; iter < settings.MaxIterations; iter++ {
@@ -245,7 +241,7 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 				return result(Stopped, iter+1), nil
 			}
 		}
-		if improvement <= settings.FuncTol*(1+math.Abs(f)) {
+		if improvement <= funcTol*(1+math.Abs(f)) {
 			return result(SmallImprovement, iter+1), nil
 		}
 	}

@@ -109,7 +109,7 @@ func TestLBFGSDoesNotModifyX0(t *testing.T) {
 }
 
 func TestLBFGSMaxIterationsRespected(t *testing.T) {
-	res, err := LBFGS(ObjectiveFunc(rosenbrock), []float64{-1.2, 1}, Settings{MaxIterations: 3, FuncTol: 1e-300})
+	res, err := LBFGS(ObjectiveFunc(rosenbrock), []float64{-1.2, 1}, Settings{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,17 +180,24 @@ func TestStatusString(t *testing.T) {
 
 func TestLBFGSIllConditionedQuadratic(t *testing.T) {
 	// A condition number of 1000 costs steepest descent thousands of
-	// evaluations at this tolerance; the quasi-Newton curvature model
-	// brings L-BFGS to the minimum in a few dozen.
-	obj := quadratic([]float64{1, 1000}, []float64{0, 0})
-	res, err := LBFGS(obj, []float64{100, 1}, Settings{GradTol: 1e-6, FuncTol: 1e-16})
+	// evaluations to shrink the gradient by seven orders of magnitude;
+	// the quasi-Newton curvature model brings L-BFGS there in a few
+	// dozen. (A tighter GradTol would end on the small-improvement test
+	// first: near the minimum f falls below funcTol.)
+	quad := quadratic([]float64{1, 1000}, []float64{0, 0})
+	evals := 0
+	obj := ObjectiveFunc(func(x, grad []float64) float64 {
+		evals++
+		return quad.Eval(x, grad)
+	})
+	res, err := LBFGS(obj, []float64{100, 1}, Settings{GradTol: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Converged {
 		t.Fatalf("status = %v, want converged", res.Status)
 	}
-	if res.Evals > 50 {
-		t.Fatalf("L-BFGS needed %d evals, want ≤ 50", res.Evals)
+	if evals > 50 {
+		t.Fatalf("L-BFGS needed %d evals, want ≤ 50", evals)
 	}
 }

@@ -32,10 +32,11 @@ type BatchObjective interface {
 
 // SGDSettings configures mini-batch stochastic gradient descent. The
 // embedded Settings fields are reinterpreted per epoch: MaxIterations is
-// the epoch budget, FuncTol compares successive epoch losses, and
-// Callback/Snapshot fire once per epoch (so checkpointing and tracing
-// work exactly as they do for the full-batch optimizers). GradTol is
-// ignored — a stochastic gradient never converges to zero.
+// the epoch budget, and Callback/Snapshot fire once per epoch (so
+// checkpointing and tracing work exactly as they do for the full-batch
+// optimizers). The small-improvement test compares successive epoch
+// losses. GradTol is ignored — a stochastic gradient never converges to
+// zero.
 type SGDSettings struct {
 	Settings
 	// BatchSize is the number of items per mini-batch. Default 256. The
@@ -69,7 +70,7 @@ func (s *SGDSettings) fill() {
 // batch. Because each item appears in exactly one batch per epoch, the
 // summed batch losses of an epoch approximate the full objective along
 // the trajectory — that sum is the per-epoch Iteration.F reported to
-// Callback/Snapshot and tested against FuncTol.
+// Callback/Snapshot and tested for small improvement.
 //
 // Divergence is hardened as in LBFGS: a non-finite batch loss or
 // gradient never updates the parameters — the iterate reverts to the
@@ -109,7 +110,7 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 	f0 := obj.EvalBatch(order[:batch], x, grad)
 	evals++
 	if math.IsNaN(f0) || math.IsInf(f0, 0) {
-		return Result{X: x, F: f0, Status: Diverged, Evals: evals},
+		return Result{X: x, F: f0, Status: Diverged},
 			errors.New("optimize: objective is not finite at the initial point")
 	}
 
@@ -117,7 +118,7 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 	prevEpochLoss := math.NaN()
 	var lastF, lastGradNorm float64
 	result := func(status Status, epochs int) Result {
-		return Result{X: x, F: lastF, GradNorm: lastGradNorm, Iterations: epochs, Evals: evals, Status: status}
+		return Result{X: x, F: lastF, Iterations: epochs, Status: status}
 	}
 
 	for epoch := 0; epoch < settings.MaxIterations; epoch++ {
@@ -178,7 +179,7 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 		}
 		if !sawNonFinite {
 			if !math.IsNaN(prevEpochLoss) &&
-				math.Abs(prevEpochLoss-epochLoss) <= settings.FuncTol*(1+math.Abs(epochLoss)) {
+				math.Abs(prevEpochLoss-epochLoss) <= funcTol*(1+math.Abs(epochLoss)) {
 				lastF = epochLoss
 				return result(SmallImprovement, epoch+1), nil
 			}

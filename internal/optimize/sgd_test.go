@@ -132,7 +132,6 @@ func TestSGDEpochEvents(t *testing.T) {
 	res, err := SGD(q, []float64{1, 1}, SGDSettings{
 		Settings: Settings{
 			MaxIterations: 5,
-			FuncTol:       -1, // negative disables via fill default? ensure epochs run
 			Callback: func(it Iteration) bool {
 				iters = append(iters, it)
 				return false

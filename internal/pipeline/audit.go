@@ -62,7 +62,7 @@ func AuditStudyContext(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig
 			Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
 			Workers: cfg.Workers, Trace: cfg.Trace,
 		}},
-		&CensoredRep{Opts: adversarial.Options{Seed: cfg.Seed, Trace: cfg.Trace}},
+		&CensoredRep{Opts: adversarial.Options{Trace: cfg.Trace}},
 	}
 	if ds.Task == dataset.Classification {
 		reps = append(reps, &LFRRep{Opts: lfr.Options{

@@ -22,8 +22,7 @@ type ClassificationResult struct {
 	EqOpp    float64 // group fairness: equality of opportunity
 	ValidYNN float64 // consistency on the validation split (tuning)
 	ValidAUC float64 // AUC on the validation split (tuning)
-	ValidAcc float64
-	FitError string // non-empty when the representation failed to fit
+	FitError string  // non-empty when the representation failed to fit
 }
 
 // yNNNeighbours computes the k = 10 nearest neighbours of each record in
@@ -81,7 +80,7 @@ func evalClassificationCached(ctx context.Context, ds *dataset.Dataset, split da
 		testNb, validNb = cache.test, cache.valid
 	}
 	res.Acc, res.AUC, res.YNN, res.Parity, res.EqOpp = eval(split.Test, testNb)
-	res.ValidAcc, res.ValidAUC, res.ValidYNN, _, _ = eval(split.Validation, validNb)
+	_, res.ValidAUC, res.ValidYNN, _, _ = eval(split.Validation, validNb)
 	return res, nil
 }
 

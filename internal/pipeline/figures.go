@@ -208,7 +208,7 @@ func AdversarialStudyContext(ctx context.Context, ds *dataset.Dataset, cfg Study
 	}
 	// Extension comparator: the censored-representation baseline of the
 	// paper's Related Work, which optimises obfuscation directly.
-	if err := probe(&CensoredRep{Opts: adversarial.Options{Seed: cfg.Seed, Trace: cfg.Trace}}); err != nil {
+	if err := probe(&CensoredRep{Opts: adversarial.Options{Trace: cfg.Trace}}); err != nil {
 		return nil, err
 	}
 	return cells, nil
@@ -219,6 +219,9 @@ func AdversarialStudyContext(ctx context.Context, ds *dataset.Dataset, cfg Study
 type PostProcessPoint struct {
 	P                  float64
 	MAP, YNN, PctInTop float64
+	// Infeasible counts the test queries on which FA*IR ran out of
+	// protected candidates before meeting the target p.
+	Infeasible int
 }
 
 // PostProcessStudy reproduces Fig. 5 on one ranking dataset: an iFair-b
@@ -256,6 +259,7 @@ func PostProcessStudyContext(ctx context.Context, ds *dataset.Dataset, cfg Study
 	var points []PostProcessPoint
 	for _, p := range ps {
 		var qm queryMetrics
+		infeasible := 0
 		for _, qi := range qsplit.Test {
 			q := ds.Queries[qi]
 			pred := make([]float64, len(q.Rows))
@@ -268,6 +272,9 @@ func PostProcessStudyContext(ctx context.Context, ds *dataset.Dataset, cfg Study
 			if err != nil {
 				return nil, err
 			}
+			if rr.Infeasible {
+				infeasible++
+			}
 			fair := make([]float64, len(q.Rows))
 			for rank, cand := range rr.Ranking {
 				fair[cand] = rr.FairScores[rank]
@@ -275,7 +282,7 @@ func PostProcessStudyContext(ctx context.Context, ds *dataset.Dataset, cfg Study
 			qm.add(scoreQuery(ds, q, fair, normaliseWith(fair, lo, hi)))
 		}
 		mapAt, _, ynn, pct := qm.averages()
-		points = append(points, PostProcessPoint{P: p, MAP: mapAt, YNN: ynn, PctInTop: pct})
+		points = append(points, PostProcessPoint{P: p, MAP: mapAt, YNN: ynn, PctInTop: pct, Infeasible: infeasible})
 	}
 	return points, nil
 }

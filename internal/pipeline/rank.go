@@ -17,12 +17,14 @@ import (
 // consistency, and the mean share of protected candidates in the top 10.
 type RankingResult struct {
 	Method string
-	Params string
 
 	MAP, KT, YNN, PctProtected float64
 	// Validation-split counterparts used for hyper-parameter tuning.
 	ValidMAP, ValidYNN float64
 	FitError           string
+	// Infeasible counts the test queries on which FA*IR ran out of
+	// protected candidates before meeting its target (EvalFAIR only).
+	Infeasible int
 }
 
 // queryMetrics accumulates per-query measurements and averages them.
@@ -161,7 +163,7 @@ func EvalFAIR(ds *dataset.Dataset, qsplit dataset.Split, p, alpha, l2 float64) (
 	allPred := reg.Predict(masked.Transform(ds.X))
 	lo, hi := bounds(ds.Score)
 
-	eval := func(queryIdx []int) (mapAt, kt, ynn, pct float64, err error) {
+	eval := func(queryIdx []int) (mapAt, kt, ynn, pct float64, infeasible int, err error) {
 		var qm queryMetrics
 		for _, qi := range queryIdx {
 			q := ds.Queries[qi]
@@ -173,7 +175,10 @@ func EvalFAIR(ds *dataset.Dataset, qsplit dataset.Split, p, alpha, l2 float64) (
 			}
 			rr, err := fairrank.ReRank(pred, prot, 0, p, alpha)
 			if err != nil {
-				return 0, 0, 0, 0, err
+				return 0, 0, 0, 0, 0, err
+			}
+			if rr.Infeasible {
+				infeasible++
 			}
 			// Map fair scores back to candidate order for metric input.
 			fair := make([]float64, len(q.Rows))
@@ -183,13 +188,13 @@ func EvalFAIR(ds *dataset.Dataset, qsplit dataset.Split, p, alpha, l2 float64) (
 			qm.add(scoreQuery(ds, q, fair, normaliseWith(fair, lo, hi)))
 		}
 		mapAt, kt, ynn, pct = qm.averages()
-		return mapAt, kt, ynn, pct, nil
+		return mapAt, kt, ynn, pct, infeasible, nil
 	}
 
-	if res.MAP, res.KT, res.YNN, res.PctProtected, err = eval(qsplit.Test); err != nil {
+	if res.MAP, res.KT, res.YNN, res.PctProtected, res.Infeasible, err = eval(qsplit.Test); err != nil {
 		return res, err
 	}
-	if res.ValidMAP, _, res.ValidYNN, _, err = eval(qsplit.Validation); err != nil {
+	if res.ValidMAP, _, res.ValidYNN, _, _, err = eval(qsplit.Validation); err != nil {
 		return res, err
 	}
 	return res, nil
@@ -224,18 +229,13 @@ func Table5Context(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig, fa
 	}
 
 	var results []RankingResult
-	run := func(rep Representation, params string) RankingResult {
+	for _, rep := range []Representation{FullData{}, &MaskedData{}} {
 		r, err := EvalRankingContext(ctx, ds, qsplit, rep, cfg.L2)
-		r.Params = params
 		if err != nil {
 			r.FitError = err.Error()
 		}
 		results = append(results, r)
-		return r
 	}
-
-	run(FullData{}, "")
-	run(&MaskedData{}, "")
 
 	// SVD variants: tune K on validation harmonic mean.
 	for _, masked := range []bool{false, true} {
@@ -245,7 +245,6 @@ func Table5Context(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig, fa
 			if err != nil {
 				continue
 			}
-			r.Params = fmt.Sprintf("K=%d", k)
 			if best == nil || tuneScore(r) > tuneScore(*best) {
 				cp := r
 				best = &cp
@@ -276,7 +275,6 @@ func Table5Context(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig, fa
 		if err != nil {
 			continue
 		}
-		r.Params = fmt.Sprintf("l=%g,m=%g,K=%d", opts.Lambda, opts.Mu, opts.K)
 		if best == nil || tuneScore(r) > tuneScore(*best) {
 			cp := r
 			best = &cp

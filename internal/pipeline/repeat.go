@@ -14,18 +14,17 @@ import (
 // extension quantifies run-to-run variance, which any reproduction should
 // surface.
 type RepeatSummary struct {
-	Method           string
-	Runs             int
-	MeanAUC, StdAUC  float64
-	MeanYNN, StdYNN  float64
-	MeanParity       float64
-	MeanEqOpp        float64
-	FailedRuns       int
-	LastFailedReason string
+	Method          string
+	MeanAUC, StdAUC float64
+	MeanYNN, StdYNN float64
+	MeanParity      float64
+	MeanEqOpp       float64
 }
 
 // RepeatStudyContext evaluates Full Data and iFair-b on freshly simulated
-// data for every seed and reports mean ± std of the headline metrics. The
+// data for every seed and reports mean ± std of the headline metrics over
+// all of them. A run that fails ends the study with an error naming its
+// seed and method, so a summary never covers fewer seeds than asked. The
 // seed loop aborts with ctx.Err() once ctx is cancelled.
 func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Dataset, cfg StudyConfig, seeds []int64) ([]RepeatSummary, error) {
 	cfg.fill()
@@ -34,12 +33,8 @@ func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Datas
 	}
 	type sample struct{ auc, ynn, parity, eqopp float64 }
 	collected := map[string][]sample{}
-	failures := map[string]int{}
-	reasons := map[string]string{}
 
 	for _, seed := range seeds {
-		// Per-run failures are tolerated, so check the context explicitly
-		// or a cancellation would be recorded as a failed run.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -53,9 +48,7 @@ func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Datas
 		for _, rep := range []Representation{FullData{}, ifairBRep(runCfg)} {
 			res, err := EvalClassificationContext(ctx, ds, split, rep, runCfg.L2)
 			if err != nil {
-				failures[rep.Name()]++
-				reasons[rep.Name()] = err.Error()
-				continue
+				return nil, fmt.Errorf("pipeline: repeat study seed %d, %s: %w", seed, rep.Name(), err)
 			}
 			collected[rep.Name()] = append(collected[rep.Name()], sample{res.AUC, res.YNN, res.Parity, res.EqOpp})
 		}
@@ -64,25 +57,18 @@ func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Datas
 	var out []RepeatSummary
 	for _, method := range []string{"Full Data", "iFair-b"} {
 		samples := collected[method]
-		s := RepeatSummary{
-			Method:           method,
-			Runs:             len(samples),
-			FailedRuns:       failures[method],
-			LastFailedReason: reasons[method],
+		s := RepeatSummary{Method: method}
+		var aucs, ynns []float64
+		for _, sm := range samples {
+			aucs = append(aucs, sm.auc)
+			ynns = append(ynns, sm.ynn)
+			s.MeanParity += sm.parity
+			s.MeanEqOpp += sm.eqopp
 		}
-		if len(samples) > 0 {
-			var aucs, ynns []float64
-			for _, sm := range samples {
-				aucs = append(aucs, sm.auc)
-				ynns = append(ynns, sm.ynn)
-				s.MeanParity += sm.parity
-				s.MeanEqOpp += sm.eqopp
-			}
-			s.MeanAUC, s.StdAUC = meanStd(aucs)
-			s.MeanYNN, s.StdYNN = meanStd(ynns)
-			s.MeanParity /= float64(len(samples))
-			s.MeanEqOpp /= float64(len(samples))
-		}
+		s.MeanAUC, s.StdAUC = meanStd(aucs)
+		s.MeanYNN, s.StdYNN = meanStd(ynns)
+		s.MeanParity /= float64(len(samples))
+		s.MeanEqOpp /= float64(len(samples))
 		out = append(out, s)
 	}
 	return out, nil

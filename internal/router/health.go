@@ -22,9 +22,13 @@ func (rt *Router) Start(ctx context.Context, logf func(format string, args ...an
 	}
 }
 
+// syncLagEvery is how many probe rounds pass between sync-manifest polls
+// for the per-replica sync-lag gauge.
+const syncLagEvery = 4
+
 // probeLoop polls one replica's /readyz every ProbeInterval, applying
 // eviction/re-admission hysteresis, and refreshes the replica's sync-lag
-// gauge every SyncLagEvery rounds.
+// gauge every syncLagEvery rounds.
 func (rt *Router) probeLoop(ctx context.Context, rep *Replica, logf func(string, ...any)) {
 	t := time.NewTicker(rt.cfg.ProbeInterval)
 	defer t.Stop()
@@ -36,7 +40,7 @@ func (rt *Router) probeLoop(ctx context.Context, rep *Replica, logf func(string,
 		case <-t.C:
 			rt.probeOnce(rep, logf)
 			round++
-			if rt.cfg.SyncLagEvery > 0 && round%rt.cfg.SyncLagEvery == 0 {
+			if round%syncLagEvery == 0 {
 				rt.refreshSyncLag(ctx)
 			}
 		}

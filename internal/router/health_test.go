@@ -94,7 +94,6 @@ func TestProbeLoopEvictsWithinWindow(t *testing.T) {
 		ProbeInterval: 20 * time.Millisecond,
 		FailAfter:     2,
 		ReadmitAfter:  2,
-		SyncLagEvery:  -1,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -48,10 +48,6 @@ type Config struct {
 	// consecutive successful probes (default 2) — hysteresis, so a
 	// flapping backend does not thrash in and out of rotation.
 	ReadmitAfter int
-	// SyncLagEvery polls replica sync manifests every this many probe
-	// rounds to compute per-replica sync lag (default 4; ≤ 0 disables).
-	SyncLagEvery int
-
 	// RequestTimeout bounds each proxied request (default 10s); a
 	// client's X-Request-Timeout-Ms budget is clamped to it.
 	RequestTimeout time.Duration
@@ -75,9 +71,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ReadmitAfter <= 0 {
 		c.ReadmitAfter = 2
-	}
-	if c.SyncLagEvery == 0 {
-		c.SyncLagEvery = 4
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second

@@ -86,7 +86,6 @@ func newSoakFleet(t *testing.T, n int) *soakFleet {
 		ProbeTimeout:   500 * time.Millisecond,
 		FailAfter:      2,
 		ReadmitAfter:   2,
-		SyncLagEvery:   -1,
 		RequestTimeout: 2 * time.Second,
 	})
 	if err != nil {

@@ -39,24 +39,17 @@ func (s *flushScratch) stage(rows, dims int) {
 
 var flushPool = sync.Pool{New: func() any { return new(flushScratch) }}
 
-// batchResult carries one transformed row (or the batch-level error) back
-// to the waiting request goroutine. On success row is the caller's own
-// dst; the channel send orders the flush's writes before the caller's
-// reads.
-type batchResult struct {
-	row []float64
-	err error
-}
-
 // pendingRow is one enqueued single-row request. ctx lets the flush skip
 // rows whose caller has already given up. dst is the caller-owned
 // destination the flush copies the transformed row into; the flush never
-// retains it past the result send.
+// retains it past the result send. out carries the batch-level error, nil
+// on success; the send orders the flush's writes to dst before the
+// caller's reads.
 type pendingRow struct {
 	ctx context.Context
 	row []float64
 	dst []float64
-	out chan batchResult // buffered(1): flush never blocks on a gone caller
+	out chan error // buffered(1): flush never blocks on a gone caller
 }
 
 // modelQueue accumulates rows destined for one specific model instance.
@@ -189,7 +182,7 @@ func (b *Batcher) TransformRowInto(ctx context.Context, entry *Entry, dst, row [
 		return kern.TransformRowInto(dst, row)
 	}
 
-	out := make(chan batchResult, 1)
+	out := make(chan error, 1)
 	b.mu.Lock()
 	key := entry.Key()
 	if b.cfg.MaxPending > 0 && b.pending[key] >= b.cfg.MaxPending {
@@ -226,8 +219,8 @@ func (b *Batcher) TransformRowInto(ctx context.Context, entry *Entry, dst, row [
 	b.mu.Unlock()
 
 	select {
-	case res := <-out:
-		return res.err
+	case err := <-out:
+		return err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -302,7 +295,7 @@ func (b *Batcher) runJob(job flushJob) {
 			}
 			err := fmt.Errorf("server: batch flush panicked: %v", p)
 			for _, pr := range live[delivered:] {
-				pr.out <- batchResult{err: err}
+				pr.out <- err
 			}
 		}
 		b.mu.Lock()
@@ -329,12 +322,10 @@ func (b *Batcher) runJob(job flushJob) {
 	}
 	err := b.transform(job.entry, &s.xt, &s.x, b.cfg.Workers)
 	for i, p := range live {
-		if err != nil {
-			p.out <- batchResult{err: err}
-		} else {
+		if err == nil {
 			copy(p.dst, s.xt.Row(i))
-			p.out <- batchResult{row: p.dst}
 		}
+		p.out <- err
 		delivered = i + 1
 	}
 	// Recycled only on the non-panic path: after a recovered transform

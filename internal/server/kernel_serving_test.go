@@ -26,9 +26,9 @@ func TestBatcherStagingZeroAlloc(t *testing.T) {
 	const rows = 8
 	ctx := context.Background()
 	job := flushJob{key: entry.Key(), entry: entry}
-	outs := make([]chan batchResult, rows)
+	outs := make([]chan error, rows)
 	for i := range outs {
-		outs[i] = make(chan batchResult, 1)
+		outs[i] = make(chan error, 1)
 		row := make([]float64, 6)
 		for j := range row {
 			row[j] = float64(i + j)
@@ -39,8 +39,8 @@ func TestBatcherStagingZeroAlloc(t *testing.T) {
 	run := func() {
 		b.runJob(job)
 		for i, out := range outs {
-			if res := <-out; res.err != nil {
-				t.Fatalf("row %d: %v", i, res.err)
+			if err := <-out; err != nil {
+				t.Fatalf("row %d: %v", i, err)
 			}
 		}
 	}

@@ -38,14 +38,8 @@ type RolloutConfig struct {
 	// drift.Report.NoiseFloor), so a lightly-sampled window cannot
 	// alarm on multinomial sampling noise alone.
 	DriftPSI float64
-	// SampleEvery runs every Nth request per arm through the live
-	// consistency estimator (default 4; 1 scores every request).
-	SampleEvery int64
 	// TickInterval is the guard-loop period (default 1s).
 	TickInterval time.Duration
-	// Seed fixes reservoir sampling and consistency scale pairs so a
-	// replayed traffic stream yields identical verdicts (default 1).
-	Seed int64
 	// Logf receives guard-verdict lines (canary opened, promoted,
 	// rolled back + reason, drift alarms). nil discards them — metrics
 	// still record everything, but an operator tailing the server log
@@ -62,6 +56,12 @@ const (
 	// keeps estimator noise from reading as a regression when both arms
 	// are still lightly sampled.
 	consistencyTolerance = 0.05
+	// sampleEvery runs every Nth successful request per arm through the
+	// live consistency estimator.
+	sampleEvery = 4
+	// rolloutSeed fixes reservoir sampling and consistency scale pairs so
+	// a replayed traffic stream yields identical verdicts.
+	rolloutSeed = 1
 )
 
 func (c *RolloutConfig) fillDefaults() {
@@ -77,14 +77,8 @@ func (c *RolloutConfig) fillDefaults() {
 	if c.DriftPSI <= 0 {
 		c.DriftPSI = 0.25
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 4
-	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -140,7 +134,6 @@ func (a *armState) consistencyMoments() (mean, variance float64, n int64) {
 // RolloutStatus is a point-in-time summary of one model's rollout
 // state, consumed by gauges, logs and tests.
 type RolloutStatus struct {
-	Name              string
 	Stable            int
 	Canary            int // 0 when no canary window is open
 	StableRequests    int64
@@ -215,7 +208,7 @@ func newRollout(name string, cfg RolloutConfig, reg *Registry, metrics *Metrics,
 	if profile != nil {
 		if profile.Baseline.Dims == entry.Model.Dims() {
 			ro.refX = profile.ReferenceMatrix()
-			ro.monitor = drift.NewMonitor(profile.Baseline, drift.DefaultWindow, cfg.Seed)
+			ro.monitor = drift.NewMonitor(profile.Baseline, drift.DefaultWindow, rolloutSeed)
 		} else {
 			logf("rollout %s: profile dims %d != model dims %d; drift/consistency checks disabled",
 				name, profile.Baseline.Dims, entry.Model.Dims())
@@ -274,7 +267,7 @@ func (ro *Rollout) newArm(entry *Entry) *armState {
 		ro.logf("rollout %s: v%d reference transform: %v; consistency check disabled for this arm", ro.name, entry.Version, err)
 		return arm
 	}
-	cons, err := drift.NewConsistency(ro.refX, refT, drift.DefaultNeighbors, ro.cfg.Seed^int64(entry.Version))
+	cons, err := drift.NewConsistency(ro.refX, refT, drift.DefaultNeighbors, rolloutSeed^int64(entry.Version))
 	if err != nil {
 		ro.logf("rollout %s: v%d consistency estimator: %v", ro.name, entry.Version, err)
 		return arm
@@ -308,7 +301,7 @@ func (ro *Rollout) Route(key string) (*Entry, bool) {
 // Record folds one served request into the rollout's live statistics:
 // per-arm counters and latency, input drift (the input distribution is
 // arm-independent, so one shared monitor), and — for every
-// SampleEvery-th successful request on an arm — the live consistency
+// sampleEvery-th successful request on an arm — the live consistency
 // estimate of (x, xt). xt may be nil on errors.
 func (ro *Rollout) Record(version int, latency time.Duration, isErr bool, x, xt []float64) {
 	if ro.monitor != nil && x != nil {
@@ -324,7 +317,7 @@ func (ro *Rollout) Record(version int, latency time.Duration, isErr bool, x, xt 
 	if isErr {
 		arm.errors++
 	}
-	sample := !isErr && xt != nil && arm.cons != nil && arm.requests%ro.cfg.SampleEvery == 0
+	sample := !isErr && xt != nil && arm.cons != nil && arm.requests%sampleEvery == 0
 	cons := arm.cons
 	hist := ro.latStable
 	if ro.canary != nil && arm == ro.canary {
@@ -445,7 +438,7 @@ func (ro *Rollout) breachLocked() string {
 	// means differ by sampling noise even for identical models; the gap
 	// must clear the tolerance plus two standard errors of the estimated
 	// difference before it counts as a regression.
-	minSamples := ro.cfg.MinRequests / ro.cfg.SampleEvery
+	minSamples := ro.cfg.MinRequests / sampleEvery
 	if minSamples < 1 {
 		minSamples = 1
 	}
@@ -493,7 +486,6 @@ func (ro *Rollout) Status() RolloutStatus {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	st := RolloutStatus{
-		Name:             ro.name,
 		Stable:           ro.stable.version,
 		StableRequests:   ro.stable.requests,
 		StableErrors:     ro.stable.errors,

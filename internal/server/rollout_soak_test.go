@@ -53,7 +53,6 @@ func TestRolloutChaosSoak(t *testing.T) {
 		Fraction:    0.3,
 		Window:      windowTicks * time.Second,
 		MinRequests: 60,
-		SampleEvery: 1,
 		// Per-feature PSI noise over a few dozen clean samples sits near
 		// (bins−1)/N; 0.8 is far above that floor yet far below what the
 		// injected shift produces, so drift verdicts stay deterministic.

@@ -365,7 +365,6 @@ func TestRolloutPromotesHealthyCanary(t *testing.T) {
 		Fraction:    0.3,
 		Window:      10 * time.Second,
 		MinRequests: 30,
-		SampleEvery: 1,
 	}, true)
 
 	// Warm-up traffic on v1, then a healthy v2 lands on disk.
@@ -411,7 +410,6 @@ func TestRolloutRollsBackErrorRateBreach(t *testing.T) {
 		Fraction:    0.3,
 		Window:      10 * time.Second,
 		MinRequests: 20,
-		SampleEvery: 1,
 	}, false)
 
 	// Materialise the rollout while only v1 exists so the stable pin
@@ -467,7 +465,6 @@ func TestRolloutRollsBackConsistencyRegression(t *testing.T) {
 		Fraction:    0.5,
 		Window:      10 * time.Second,
 		MinRequests: 40,
-		SampleEvery: 1,
 	}, true, 6)
 
 	h.pump(20, 0, 1, 0)
@@ -499,7 +496,6 @@ func TestRolloutDriftAlarmRollsBackMidWindow(t *testing.T) {
 		Fraction:    0.3,
 		Window:      30 * time.Second,
 		MinRequests: 50,
-		SampleEvery: 1,
 		DriftPSI:    0.25,
 	}, true)
 
@@ -529,7 +525,6 @@ func TestRolloutDriftAlarmRollsBackMidWindow(t *testing.T) {
 func TestRolloutDriftRecommendsRefit(t *testing.T) {
 	h := newRolloutHarness(t, RolloutConfig{
 		MinRequests: 50,
-		SampleEvery: 1,
 	}, true)
 	// No canary anywhere; drifted traffic latches the refit signal
 	// instead of rolling anything back.

@@ -57,10 +57,13 @@ type crcCacheKey struct {
 // not one full read.
 type crcCache struct {
 	mu sync.Mutex
-	m  map[string]struct {
-		key crcCacheKey
-		crc uint64
-	}
+	m  map[string]crcEntry
+}
+
+// crcEntry is one file's cached checksum and the key it is valid for.
+type crcEntry struct {
+	key crcCacheKey
+	crc uint64
 }
 
 // sum returns the CRC-64 of the file at path, reading it only when the
@@ -69,10 +72,7 @@ func (c *crcCache) sum(path string, modTime time.Time, size int64) (uint64, erro
 	key := crcCacheKey{modTime: modTime, size: size}
 	c.mu.Lock()
 	if c.m == nil {
-		c.m = make(map[string]struct {
-			key crcCacheKey
-			crc uint64
-		})
+		c.m = make(map[string]crcEntry)
 	}
 	if ent, ok := c.m[path]; ok && ent.key == key {
 		c.mu.Unlock()
@@ -85,10 +85,7 @@ func (c *crcCache) sum(path string, modTime time.Time, size int64) (uint64, erro
 	}
 	crc := checkpoint.Checksum(data)
 	c.mu.Lock()
-	c.m[path] = struct {
-		key crcCacheKey
-		crc uint64
-	}{key: key, crc: crc}
+	c.m[path] = crcEntry{key: key, crc: crc}
 	c.mu.Unlock()
 	return crc, nil
 }

@@ -13,10 +13,11 @@ import (
 	"repro/internal/mat"
 )
 
-// SVD holds a thin decomposition A = U·diag(S)·Vᵀ where U is M×r,
-// S has r non-negative entries in descending order, and V is N×r.
+// SVD holds the right half of a thin decomposition A = U·diag(S)·Vᵀ: S
+// has r non-negative entries in descending order and V is N×r. The
+// baselines project onto V alone, so the M×r left factor U = A·V·diag(1/S)
+// is not formed.
 type SVD struct {
-	U *mat.Dense
 	S []float64
 	V *mat.Dense
 }
@@ -29,7 +30,7 @@ func Compute(a *mat.Dense, rankTol float64) *SVD {
 	}
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
-		return &SVD{U: mat.NewDense(m, 0), V: mat.NewDense(n, 0)}
+		return &SVD{V: mat.NewDense(n, 0)}
 	}
 	gram := mat.Mul(a.T(), a) // N×N
 	eigvals, eigvecs := mat.EigenSym(gram)
@@ -57,16 +58,7 @@ func Compute(a *mat.Dense, rankTol float64) *SVD {
 			v.Set(i, k, col[i])
 		}
 	}
-
-	// U = A·V·diag(1/S).
-	u := mat.Mul(a, v)
-	for i := 0; i < m; i++ {
-		row := u.Row(i)
-		for k := 0; k < r; k++ {
-			row[k] /= s[k]
-		}
-	}
-	return &SVD{U: u, S: s, V: v}
+	return &SVD{S: s, V: v}
 }
 
 // Rank returns the number of retained singular values.

@@ -10,22 +10,37 @@ import (
 	"repro/internal/mat"
 )
 
-// Truncate returns the rank-k approximation A_k = U_k·diag(S_k)·V_kᵀ in the
-// original M×N space. If k exceeds the rank, the full reconstruction is
-// returned. It is the reference ApplyRank is checked against on the
-// training data, and its error checks the factors against Eckart–Young.
-func (d *SVD) Truncate(k int) *mat.Dense {
+// leftVectors rebuilds the M×r left factor U = A·V·diag(1/S) of a's
+// decomposition d.
+func leftVectors(a *mat.Dense, d *SVD) *mat.Dense {
+	u := mat.Mul(a, d.V)
+	for i := 0; i < u.Rows(); i++ {
+		row := u.Row(i)
+		for k := range row {
+			row[k] /= d.S[k]
+		}
+	}
+	return u
+}
+
+// Truncate returns the rank-k approximation A_k = U_k·diag(S_k)·V_kᵀ of
+// a, the matrix d decomposes, in the original M×N space. If k exceeds the
+// rank, the full reconstruction is returned. It is the reference
+// ApplyRank is checked against on the training data, and its error
+// checks the factors against Eckart–Young.
+func (d *SVD) Truncate(a *mat.Dense, k int) *mat.Dense {
 	if k < 0 {
 		panic(fmt.Sprintf("svd: negative rank %d", k))
 	}
 	if k > d.Rank() {
 		k = d.Rank()
 	}
-	m, _ := d.U.Dims()
+	u := leftVectors(a, d)
+	m, _ := u.Dims()
 	n, _ := d.V.Dims()
 	out := mat.NewDense(m, n)
 	for i := 0; i < m; i++ {
-		urow := d.U.Row(i)
+		urow := u.Row(i)
 		orow := out.Row(i)
 		for kk := 0; kk < k; kk++ {
 			c := urow[kk] * d.S[kk]
@@ -53,7 +68,7 @@ func TestComputeReconstructsExactly(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomMatrix(rng, 8, 5)
 		d := Compute(a, 0)
-		return mat.Equalish(d.Truncate(d.Rank()), a, 1e-7)
+		return mat.Equalish(d.Truncate(a, d.Rank()), a, 1e-7)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -83,7 +98,8 @@ func TestUOrthonormalColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomMatrix(rng, 12, 5)
 	d := Compute(a, 0)
-	utu := mat.Mul(d.U.T(), d.U)
+	u := leftVectors(a, d)
+	utu := mat.Mul(u.T(), u)
 	if !mat.Equalish(utu, mat.Identity(d.Rank()), 1e-7) {
 		t.Fatalf("UᵀU not identity: %v", utu.Data())
 	}
@@ -129,7 +145,7 @@ func TestTruncationErrorMonotone(t *testing.T) {
 		d := Compute(a, 0)
 		prev := math.Inf(1)
 		for k := 0; k <= d.Rank(); k++ {
-			diff := d.Truncate(k)
+			diff := d.Truncate(a, k)
 			for i, v := range a.Data() {
 				diff.Data()[i] -= v
 			}
@@ -157,7 +173,7 @@ func TestTruncateBeyondRankIsFullReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randomMatrix(rng, 6, 4)
 	d := Compute(a, 0)
-	if !mat.Equalish(d.Truncate(100), a, 1e-7) {
+	if !mat.Equalish(d.Truncate(a, 100), a, 1e-7) {
 		t.Fatal("Truncate beyond rank should reconstruct fully")
 	}
 }
@@ -168,7 +184,8 @@ func TestTruncateNegativePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Compute(mat.Identity(2), 0).Truncate(-1)
+	id := mat.Identity(2)
+	Compute(id, 0).Truncate(id, -1)
 }
 
 func TestApplyRankMatchesTruncateOnTrainingData(t *testing.T) {
@@ -176,7 +193,7 @@ func TestApplyRankMatchesTruncateOnTrainingData(t *testing.T) {
 	a := randomMatrix(rng, 8, 5)
 	d := Compute(a, 0)
 	for k := 1; k <= d.Rank(); k++ {
-		if !mat.Equalish(d.ApplyRank(a, k), d.Truncate(k), 1e-7) {
+		if !mat.Equalish(d.ApplyRank(a, k), d.Truncate(a, k), 1e-7) {
 			t.Fatalf("ApplyRank(k=%d) disagrees with Truncate", k)
 		}
 	}

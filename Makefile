@@ -4,7 +4,7 @@ GO ?= go
 MODELS ?= artifacts/models
 ADDR   ?= :8080
 
-.PHONY: all build bench-build test test-workers test-faults test-overload test-router test-rollout test-ingest race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments examples serve fmt fmt-check vet clean
+.PHONY: all build bench-build test test-workers test-faults test-overload test-router test-rollout test-ingest race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments experiments-check examples serve fmt fmt-check vet clean
 
 # vet, race, the widened worker sweep, the crash-safety fault sweep, the
 # overload soak, the router replica-kill soak and the closed-loop rollout
@@ -162,6 +162,12 @@ bench-fit-compare:
 # paper's full Sec. V-B grid).
 experiments:
 	$(GO) run ./cmd/experiments -run all $(if $(FULL),-full,) -csv artifacts
+
+# Rerun every study at the recorded seed and fail on any difference from
+# the committed console output experiments_output.txt. It takes 4 to 7
+# minutes on 2 cores, so it is not part of `make all`.
+experiments-check:
+	$(GO) run ./cmd/experiments -run all -seed 42 | diff experiments_output.txt -
 
 # Serve the models in $(MODELS) over HTTP (train some first, e.g.
 # `go run ./cmd/ifair -dataset credit -k 10 -save $(MODELS)/credit.json`).

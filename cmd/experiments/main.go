@@ -5,8 +5,8 @@
 // Usage:
 //
 //	experiments -run all            # everything
-//	experiments -run table3         # one artefact: fig2 fig3 table2
-//	                                # table3 table4 table5 fig4 fig5
+//	experiments -run table3         # one artefact (-help lists them all)
+//	experiments -run fig2,table4    # several, in the order given
 //	experiments -full               # the paper's full Sec. V-B grid
 //	experiments -seed 7 -records 1000
 package main
@@ -21,6 +21,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,9 +68,32 @@ func writeSeries(name string, headerRow []string, rows [][]string) error {
 
 func f3(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
+// experiments lists every study in the order -run all runs them; -help
+// and the -run check both take their names from it.
+var experiments = []struct {
+	name string
+	run  func(context.Context, pipeline.StudyConfig, int) error
+}{
+	{"table2", runTable2},
+	{"fig2", runFig2},
+	{"fig3", runFig3},
+	{"table3", runTable3},
+	{"table4", runTable4},
+	{"table5", runTable5},
+	{"fig4", runFig4},
+	{"fig5", runFig5},
+	{"audit", runAudit},
+	{"agnostic", runAgnostic},
+	{"variance", runVariance},
+}
+
 func main() {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	var (
-		run     = flag.String("run", "all", "experiment to run: all, fig2, fig3, table2, table3, table4, table5, fig4, fig5, audit, agnostic")
+		run     = flag.String("run", "all", "experiments to run: all, or a comma-separated list of "+strings.Join(names, ", "))
 		seed    = flag.Int64("seed", 42, "random seed for data simulation and training")
 		full    = flag.Bool("full", false, "use the paper's full hyper-parameter grid (slow)")
 		records = flag.Int("records", 0, "override simulated record count for classification datasets")
@@ -99,38 +123,23 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	experiments := map[string]func(context.Context, pipeline.StudyConfig, int) error{
-		"table2":   runTable2,
-		"fig2":     runFig2,
-		"fig3":     runFig3,
-		"table3":   runTable3,
-		"table4":   runTable4,
-		"table5":   runTable5,
-		"fig4":     runFig4,
-		"fig5":     runFig5,
-		"audit":    runAudit,
-		"agnostic": runAgnostic,
-		"variance": runVariance,
-	}
-	order := []string{"table2", "fig2", "fig3", "table3", "table4", "table5", "fig4", "fig5", "audit", "agnostic", "variance"}
-
-	var targets []string
-	if *run == "all" {
-		targets = order
-	} else {
+	targets := experiments
+	if *run != "all" {
+		targets = nil
 		for _, name := range strings.Split(*run, ",") {
 			name = strings.TrimSpace(name)
-			if _, ok := experiments[name]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (choose from %s)\n", name, strings.Join(order, ", "))
+			i := slices.Index(names, name)
+			if i < 0 {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (choose from %s)\n", name, strings.Join(names, ", "))
 				os.Exit(2)
 			}
-			targets = append(targets, name)
+			targets = append(targets, experiments[i])
 		}
 	}
 
-	for _, name := range targets {
-		if err := experiments[name](ctx, cfg, *records); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
+	for _, e := range targets {
+		if err := e.run(ctx, cfg, *records); err != nil {
+			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.name, err)
 			os.Exit(1)
 		}
 	}

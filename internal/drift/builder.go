@@ -103,8 +103,8 @@ func (b *ProfileBuilder) ObserveRow(row []float64) {
 }
 
 // Build emits the Profile, standardising the retained state with the
-// given per-column transform (zero stds are treated as 1, matching
-// stats.ApplyStandardize). Pass the ingest store's MeanStd so the profile
+// given per-column transform through stats.ApplyStandardize (zero stds
+// count as 1). Pass the ingest store's MeanStd so the profile
 // describes the exact space the model was fitted in. Build may be called
 // once; it consumes the retained reservoirs.
 func (b *ProfileBuilder) Build(means, stds []float64) (*Profile, error) {
@@ -115,18 +115,9 @@ func (b *ProfileBuilder) Build(means, stds []float64) (*Profile, error) {
 	if len(means) != n || len(stds) != n {
 		return nil, fmt.Errorf("drift: transform has %d/%d columns, rows have %d", len(means), len(stds), n)
 	}
-	div := make([]float64, n)
-	for j, s := range stds {
-		if s == 0 {
-			s = 1
-		}
-		div[j] = s
-	}
 	stand := func(rows [][]float64) {
 		for _, r := range rows {
-			for j := range r {
-				r[j] = (r[j] - means[j]) / div[j]
-			}
+			stats.ApplyStandardize(r, r, means, stds)
 		}
 	}
 	stand(b.quantile.rows)
@@ -147,11 +138,14 @@ func (b *ProfileBuilder) Build(means, stds []float64) (*Profile, error) {
 		}
 		base.Edges[j] = stats.QuantileEdges(col, b.bins)
 		base.Expect[j] = stats.Proportions(col, base.Edges[j])
-		// Moments cover every observed row, not just the sample, mapped
-		// through the same affine transform.
-		base.Mean[j] = (b.moments[j].Mean() - means[j]) / div[j]
-		base.Std[j] = b.moments[j].StdDev() / div[j]
+		base.Mean[j] = b.moments[j].Mean()
+		base.Std[j] = b.moments[j].StdDev()
 	}
+	// Moments cover every observed row, not just the sample, mapped
+	// through the same affine transform; a standard deviation only
+	// scales, so it is standardised against zero means.
+	stats.ApplyStandardize(base.Mean, base.Mean, means, stds)
+	stats.ApplyStandardize(base.Std, base.Std, make([]float64, n), stds)
 
 	p := &Profile{Seed: b.seed, Baseline: base, Reference: b.ref.rows}
 	b.quantile.rows = nil

@@ -46,7 +46,9 @@ func TestProfileBuilderMatchesBatchProfile(t *testing.T) {
 	for i := range raw {
 		std[i] = append([]float64(nil), raw[i]...)
 	}
-	stats.ApplyStandardize(std, means, stds)
+	for _, r := range std {
+		stats.ApplyStandardize(r, r, means, stds)
+	}
 	want := NewProfile(mat.FromRows(std), 0, m, 9)
 
 	b := NewProfileBuilder(0, m, 9)

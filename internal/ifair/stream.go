@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ingest"
 	"repro/internal/mat"
+	"repro/internal/stats"
 )
 
 // FitStreamContext trains an iFair model directly from a completed shard
@@ -39,18 +40,9 @@ func FitStreamContext(ctx context.Context, st *ingest.Stream, opts Options) (*Mo
 		return nil, nil, err
 	}
 	means, stds := st.MeanStd()
-	for j := range stds {
-		if stds[j] == 0 {
-			stds[j] = 1
-		}
-	}
-
 	x := mat.NewDense(rows, cols)
 	err := st.Sweep(func(row int, raw []float64) error {
-		dst := x.Row(row)
-		for j, v := range raw {
-			dst[j] = (v - means[j]) / stds[j]
-		}
+		stats.ApplyStandardize(x.Row(row), raw, means, stds)
 		return nil
 	})
 	if err != nil {

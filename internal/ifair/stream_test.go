@@ -22,9 +22,9 @@ func streamTestStore(t *testing.T, rows, shardRows int) *ingest.Stream {
 	var sb strings.Builder
 	sb.WriteString("x1,x2,group,label\n")
 	for i := 0; i < rows; i++ {
-		group := "A"
+		group := "1"
 		if rng.Intn(2) == 1 {
-			group = "B"
+			group = "0"
 		}
 		fmt.Fprintf(&sb, "%.6f,%.6f,%s,%t\n", rng.NormFloat64(), 10+5*rng.NormFloat64(), group, rng.Intn(2) == 1)
 	}
@@ -33,7 +33,7 @@ func streamTestStore(t *testing.T, rows, shardRows int) *ingest.Stream {
 		Features: []ingest.Column{
 			{Name: "x1"},
 			{Name: "x2"},
-			{Name: "group", Levels: []string{"A", "B"}, Protected: true},
+			{Name: "group", Protected: true},
 		},
 		Outcome: "label",
 	}
@@ -82,7 +82,9 @@ func TestFitStreamMatchesInMemoryFit(t *testing.T) {
 		rows[i] = full.Row(i) // aliases full's storage
 	}
 	means, stds := st.MeanStd()
-	stats.ApplyStandardize(rows, means, stds)
+	for _, r := range rows {
+		stats.ApplyStandardize(r, r, means, stds)
+	}
 	ref, err := Fit(full, opts)
 	if err != nil {
 		t.Fatalf("in-memory Fit: %v", err)

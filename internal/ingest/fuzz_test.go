@@ -122,7 +122,7 @@ func FuzzManifestDecode(f *testing.F) {
 // EncodeRow accepts fills all Cols() encoded values with finite numbers
 // (and yields a finite score when the outcome is one).
 func FuzzEncodeRow(f *testing.F) {
-	f.Add("age,group,income,label", "41,A,50000,true", "label", true, false)
+	f.Add("age,group,income,label", "41,1,50000,true", "label", true, false)
 	f.Add("age,group,income,label", "41,C,50000,true", "label", true, false)
 	f.Add("a,b,c", "1,yes,-2e3", "", false, false)
 	f.Add("a,b,s", "NaN,1,+Inf", "s", false, true)
@@ -132,16 +132,13 @@ func FuzzEncodeRow(f *testing.F) {
 		hdr := strings.Split(header, ",")
 		s := ingest.Schema{ProtectedIndex: []int{0}, Outcome: outcome, OutcomeScore: score}
 		if explicit {
-			// Declare every non-outcome column; the first one is a
-			// protected categorical.
+			// Declare every non-outcome column; the first one is
+			// protected.
 			s.Features = []ingest.Column{}
 			for i, h := range hdr {
-				c := ingest.Column{Name: strings.TrimSpace(h)}
+				c := ingest.Column{Name: strings.TrimSpace(h), Protected: i == 0}
 				if c.Name == outcome {
 					continue
-				}
-				if i == 0 {
-					c.Levels, c.Protected = []string{"A", "B"}, true
 				}
 				s.Features = append(s.Features, c)
 			}

@@ -16,12 +16,12 @@ import (
 )
 
 // testSchema is the schema used throughout: two numerics, one protected
-// categorical (one-hot to two columns), and a boolean label outcome.
+// 0/1 group column, and a boolean label outcome.
 func testSchema() Schema {
 	return Schema{
 		Features: []Column{
 			{Name: "age"},
-			{Name: "group", Levels: []string{"A", "B"}, Protected: true},
+			{Name: "group", Protected: true},
 			{Name: "income"},
 		},
 		Outcome: "label",
@@ -36,14 +36,14 @@ func testCSV(rows int, dirtyEvery int) (string, int) {
 	sb.WriteString("age,group,income,label\n")
 	bad := 0
 	dirty := []string{
-		"41,A\n",                  // wrong arity (short)
-		"41,A,50000,true,extra\n", // wrong arity (long)
-		"forty,A,50000,true\n",    // non-numeric cell
-		"NaN,B,50000,false\n",     // NaN feature
-		"41,A,+Inf,true\n",        // infinite feature
-		"41,C,50000,true\n",       // unknown categorical level
-		"41,B,50000,maybe\n",      // unparseable outcome
-		"41,A\"B,50000,true\n",    // bare quote: CSV parse error
+		"41,1\n",                  // wrong arity (short)
+		"41,1,50000,true,extra\n", // wrong arity (long)
+		"forty,1,50000,true\n",    // non-numeric cell
+		"NaN,0,50000,false\n",     // NaN feature
+		"41,1,+Inf,true\n",        // infinite feature
+		"41,C,50000,true\n",       // non-numeric protected cell
+		"41,0,50000,maybe\n",      // unparseable outcome
+		"41,1\"0,50000,true\n",    // bare quote: CSV parse error
 	}
 	for i := 0; i < rows; i++ {
 		if dirtyEvery > 0 && i%dirtyEvery == dirtyEvery-1 {
@@ -51,9 +51,9 @@ func testCSV(rows int, dirtyEvery int) (string, int) {
 			bad++
 			continue
 		}
-		g := "A"
+		g := "1"
 		if i%3 == 0 {
-			g = "B"
+			g = "0"
 		}
 		label := "false"
 		if i%2 == 0 {
@@ -92,13 +92,13 @@ func TestIngestClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open stream: %v", err)
 	}
-	if st.Rows() != 100 || st.Cols() != 4 || len(st.man.Shards) != 7 {
+	if st.Rows() != 100 || st.Cols() != 3 || len(st.man.Shards) != 7 {
 		t.Fatalf("stream shape: rows %d cols %d shards %d", st.Rows(), st.Cols(), len(st.man.Shards))
 	}
-	if want := []string{"age", "group=A", "group=B", "income"}; !sameStrings(st.FeatureNames(), want) {
+	if want := []string{"age", "group", "income"}; !sameStrings(st.FeatureNames(), want) {
 		t.Fatalf("feature names = %v, want %v", st.FeatureNames(), want)
 	}
-	if got := st.ProtectedCols(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := st.ProtectedCols(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("protected cols = %v", got)
 	}
 	if !st.man.HasLabel || st.man.HasScore {
@@ -123,7 +123,7 @@ func TestIngestClean(t *testing.T) {
 			t.Errorf("col %d std drift %g", j, d)
 		}
 	}
-	// Protected flag must mirror the first protected column (group=A).
+	// Protected flag must mirror the first protected column (group).
 	for i := 0; i < 100; i++ {
 		if protected[i] != (x.At(i, 1) >= 0.5) {
 			t.Fatalf("row %d protected flag mismatch", i)
@@ -157,7 +157,7 @@ func TestIngestQuarantine(t *testing.T) {
 		t.Fatalf("quarantine has %d lines, want %d", len(lines), bad)
 	}
 	// Every line is row-numbered and the reasons cover the full palette.
-	wantReasons := []string{"cells", "cannot parse", "non-finite", "unknown level", "outcome", "csv parse"}
+	wantReasons := []string{"cells", "cannot parse", "non-finite", "outcome", "csv parse"}
 	joined := strings.Join(lines, "\n")
 	for _, r := range wantReasons {
 		if !strings.Contains(joined, r) {
@@ -622,9 +622,9 @@ func TestIngestCorruptShardRecovery(t *testing.T) {
 func TestIngestRejectsHeaderProblems(t *testing.T) {
 	cases := map[string]string{
 		"missing feature":  "age,income,label\n1,2,true\n",
-		"missing outcome":  "age,group,income\n1,A,2\n",
-		"repeated feature": "age,group,age,income,label\n1,A,1,2,true\n",
-		"repeated outcome": "age,group,income,label,label\n1,A,2,true,true\n",
+		"missing outcome":  "age,group,income\n1,1,2\n",
+		"repeated feature": "age,group,age,income,label\n1,1,1,2,true\n",
+		"repeated outcome": "age,group,income,label,label\n1,1,2,true,true\n",
 	}
 	for name, csv := range cases {
 		if _, err := runIngest(t, t.TempDir(), csv, Config{}); err == nil {

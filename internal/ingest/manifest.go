@@ -29,13 +29,12 @@ type ShardInfo struct {
 // single commit point of the ingest: a shard not referenced here (or
 // adoptable as the unique next orphan) does not exist.
 type Manifest struct {
-	// SchemaSum fingerprints the resolved layout (column sources, levels,
+	// SchemaSum fingerprints the resolved layout (column sources and
 	// outcome). A resume whose schema hashes differently is rejected.
 	SchemaSum string `json:"schema_sum"`
 	// Cols is the encoded feature width.
 	Cols int `json:"cols"`
-	// FeatureNames are the encoded column names (one-hot columns as
-	// "attr=level").
+	// FeatureNames are the encoded column names.
 	FeatureNames []string `json:"feature_names"`
 	// ProtectedCols are the encoded protected column indices.
 	ProtectedCols []int `json:"protected_cols"`

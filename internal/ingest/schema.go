@@ -3,25 +3,20 @@ package ingest
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/checkpoint"
 )
 
-// Column declares one raw CSV attribute by its header name, which must
-// name exactly one header column. Numeric attributes leave Levels nil;
-// categorical attributes list their admissible levels, which are
-// unfolded into one binary column per level (one-hot encoding, matching
-// internal/dataset's Encoder). A cell of a numeric column may also be a
+// Column declares one raw numeric CSV attribute by its header name,
+// which must name exactly one header column. A cell may also be a
 // boolean literal (true/false, yes/no, t/f, y/n, 1/0), encoded as 0/1, so
 // CSVs exported by cmd/datagen load without edits — through the streaming
 // ingest and the in-memory loaders alike, since all of them validate rows
 // with Layout.EncodeRow.
 type Column struct {
 	Name      string
-	Levels    []string
 	Protected bool
 }
 
@@ -52,19 +47,11 @@ type Schema struct {
 	OutcomeScore bool
 }
 
-// colSrc maps one encoded output column back to its source: a header
-// position and, for categorical columns, the level this column flags.
+// colSrc maps one encoded output column back to its header position.
 type colSrc struct {
-	col   int    // header position
-	name  string // encoded column name
-	level string // one-hot level; "" for numeric
-	prot  bool
-}
-
-// catCol is one categorical source column and its admissible levels.
-type catCol struct {
-	col    int
-	levels []string
+	col  int    // header position
+	name string // encoded column name
+	prot bool
 }
 
 // Layout is a Schema resolved against a concrete header row: the encoded
@@ -75,10 +62,9 @@ type catCol struct {
 type Layout struct {
 	srcs       []colSrc
 	names      []string
-	protCols   []int    // encoded protected column indices
-	outcomeCol int      // header position, -1 when absent
-	arity      int      // expected cells per row (the header width)
-	cats       []catCol // categorical sources, ascending header position
+	protCols   []int // encoded protected column indices
+	outcomeCol int   // header position, -1 when absent
+	arity      int   // expected cells per row (the header width)
 	hasLabel   bool
 	hasScore   bool
 }
@@ -156,37 +142,22 @@ func (s *Schema) Resolve(header []string) (*Layout, error) {
 		if c == l.outcomeCol {
 			return nil, fmt.Errorf("feature column %q is also the outcome", spec.Name)
 		}
-		if spec.Levels == nil {
-			if spec.Protected {
-				l.protCols = append(l.protCols, len(l.srcs))
-			}
-			l.srcs = append(l.srcs, colSrc{col: c, name: spec.Name, prot: spec.Protected})
-			l.names = append(l.names, spec.Name)
-			continue
+		if spec.Protected {
+			l.protCols = append(l.protCols, len(l.srcs))
 		}
-		l.cats = append(l.cats, catCol{col: c, levels: spec.Levels})
-		for _, lvl := range spec.Levels {
-			if spec.Protected {
-				l.protCols = append(l.protCols, len(l.srcs))
-			}
-			l.srcs = append(l.srcs, colSrc{col: c, name: spec.Name + "=" + lvl, level: lvl, prot: spec.Protected})
-			l.names = append(l.names, spec.Name+"="+lvl)
-		}
+		l.srcs = append(l.srcs, colSrc{col: c, name: spec.Name, prot: spec.Protected})
+		l.names = append(l.names, spec.Name)
 	}
 	if len(l.srcs) == 0 {
 		return nil, fmt.Errorf("schema declares no feature columns")
 	}
-	// A row with several unknown levels reports the lowest column, so its
-	// quarantine reason depends on the row alone.
-	sort.Slice(l.cats, func(a, b int) bool { return l.cats[a].col < l.cats[b].col })
 	return l, nil
 }
 
 // Cols returns the encoded output width.
 func (l *Layout) Cols() int { return len(l.srcs) }
 
-// Names returns the encoded column names, name=level for categoricals.
-// The slice is shared and must not be modified.
+// Names returns the encoded column names. The slice is shared and must not be modified.
 func (l *Layout) Names() []string { return l.names }
 
 // ProtectedCols returns the encoded protected column indices, ascending.
@@ -195,30 +166,15 @@ func (l *Layout) ProtectedCols() []int { return l.protCols }
 
 // EncodeRow validates one raw CSV record against the layout and encodes
 // it into dst (len == Cols()). A non-nil error describes why the row must
-// be rejected: wrong arity, an unparseable cell, a non-finite value or
-// an unknown categorical level. protected reports whether the first
+// be rejected: wrong arity, an unparseable cell or a non-finite value;
+// cells are checked in column declaration order. protected reports whether the first
 // protected column is ≥ 0.5. dst is only meaningful on success.
 func (l *Layout) EncodeRow(rec []string, dst []float64) (label bool, score float64, protected bool, err error) {
 	if len(rec) != l.arity {
 		return false, 0, false, fmt.Errorf("has %d cells, header has %d", len(rec), l.arity)
 	}
-	// Validate categorical source cells once per column, not per level.
-	for _, c := range l.cats {
-		cell := strings.TrimSpace(rec[c.col])
-		if !levelKnown(c.levels, cell) {
-			return false, 0, false, fmt.Errorf("column %d: unknown level %q", c.col, cell)
-		}
-	}
 	for j, src := range l.srcs {
 		cell := strings.TrimSpace(rec[src.col])
-		if src.level != "" {
-			if cell == src.level {
-				dst[j] = 1
-			} else {
-				dst[j] = 0
-			}
-			continue
-		}
 		v, verr := parseCell(cell)
 		if verr != nil {
 			return false, 0, false, fmt.Errorf("column %d (%s): %v", src.col, src.name, verr)
@@ -286,24 +242,17 @@ func parseBoolish(s string) (bool, error) {
 	}
 }
 
-func levelKnown(levels []string, lvl string) bool {
-	for _, l := range levels {
-		if l == lvl {
-			return true
-		}
-	}
-	return false
-}
-
 // fingerprint hashes the resolved layout: the encoded column sources and
 // outcome position. Two ingests may share a shard store only when their
 // layouts match, so a resume against a store written under a different
-// schema fails loudly instead of mixing encodings.
+// schema fails loudly instead of mixing encodings. The empty field
+// between name and protected flag once held a categorical level; it
+// stays so that the fingerprints of stores already on disk still match.
 func (l *Layout) fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "arity=%d|outcome=%d|score=%t|", l.arity, l.outcomeCol, l.hasScore)
 	for _, src := range l.srcs {
-		fmt.Fprintf(&sb, "%d:%s:%s:%t|", src.col, src.name, src.level, src.prot)
+		fmt.Fprintf(&sb, "%d:%s::%t|", src.col, src.name, src.prot)
 	}
 	return fmt.Sprintf("%016x", checkpoint.Checksum([]byte(sb.String())))
 }

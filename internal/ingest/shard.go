@@ -1,12 +1,11 @@
-// Package ingest turns raw CSV streams into validated, one-hot encoded,
-// CRC-framed shard files that training can trust. It is the dirty-data
+// Package ingest turns raw CSV streams into validated, numerically
+// encoded, CRC-framed shard files that training can trust. It is the dirty-data
 // counterpart of internal/checkpoint: the checkpoint package makes a fit
 // survive crashes, this package makes the *data* survive crashes and
 // malformed inputs.
 //
 // A bounded-memory reader parses rows incrementally, validates each one
-// against a Schema (arity, numeric parse, finite values, known
-// categorical levels), quarantines bad rows with row-numbered reasons
+// against a Schema (arity, numeric parse, finite values), quarantines bad rows with row-numbered reasons
 // under a configurable error budget, and appends good rows to
 // fixed-size shards. Shards, the manifest and the quarantine log are
 // durable files in the sense of internal/checkpoint: they are written

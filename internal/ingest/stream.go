@@ -59,7 +59,7 @@ func (st *Stream) ProtectedCols() []int {
 
 // MeanStd returns per-column means and standard deviations from the
 // streaming moments, with the stats.Standardize convention (population
-// std; zero-variance columns standardise by 1 via ApplyStandardize).
+// std; stats.ApplyStandardize divides zero-variance columns by 1).
 func (st *Stream) MeanStd() (means, stds []float64) {
 	means = make([]float64, st.man.Cols)
 	stds = make([]float64, st.man.Cols)

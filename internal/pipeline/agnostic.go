@@ -46,8 +46,7 @@ func agnosticClassification(ctx context.Context, ds *dataset.Dataset, cfg StudyC
 	test := ds.Subset(split.Test)
 	neighbours := yNNNeighbours(ds, split.Test)
 
-	var rows []AgnosticRow
-	for _, rep := range []Representation{FullData{}, ifairBRep(cfg)} {
+	return agnosticRows(ctx, cfg, func(rep Representation) ([]AgnosticRow, error) {
 		if err := rep.Fit(ctx, train); err != nil {
 			return nil, err
 		}
@@ -62,6 +61,7 @@ func agnosticClassification(ctx context.Context, ds *dataset.Dataset, cfg StudyC
 		if err != nil {
 			return nil, err
 		}
+		var rows []AgnosticRow
 		for _, dm := range []struct {
 			name string
 			pred []float64
@@ -77,8 +77,8 @@ func agnosticClassification(ctx context.Context, ds *dataset.Dataset, cfg StudyC
 				YNN:            metrics.Consistency(dm.pred, neighbours),
 			})
 		}
-	}
-	return rows, nil
+		return rows, nil
+	})
 }
 
 func agnosticRanking(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) ([]AgnosticRow, error) {
@@ -94,8 +94,7 @@ func agnosticRanking(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) 
 	}
 	lo, hi := bounds(ds.Score)
 
-	var rows []AgnosticRow
-	for _, rep := range []Representation{FullData{}, ifairBRep(cfg)} {
+	return agnosticRows(ctx, cfg, func(rep Representation) ([]AgnosticRow, error) {
 		if err := rep.Fit(ctx, train); err != nil {
 			return nil, err
 		}
@@ -116,6 +115,7 @@ func agnosticRanking(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) 
 		// is measured (ranking metrics are unaffected — the map is
 		// monotone).
 		pairwisePred := calibrate(pairwise.Predict(trainX), train.Score, pairwise.Predict(allX))
+		var rows []AgnosticRow
 		for _, dm := range []struct {
 			name string
 			pred []float64
@@ -147,8 +147,20 @@ func agnosticRanking(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig) 
 				YNN:            ynnSum / nq,
 			})
 		}
+		return rows, nil
+	})
+}
+
+// agnosticRows evaluates the Full Data reference and the iFair-b
+// representation through rows, one job each, and returns their rows in
+// that order.
+func agnosticRows(ctx context.Context, cfg StudyConfig, rows func(Representation) ([]AgnosticRow, error)) ([]AgnosticRow, error) {
+	reps := []Representation{FullData{}, ifairBRep(cfg)}
+	perRep, err := runAll(ctx, cfg.Parallel, len(reps), func(i int) ([]AgnosticRow, error) { return rows(reps[i]) })
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return append(perRep[0], perRep[1]...), nil
 }
 
 // calibrate fits scale·x + shift mapping trainPred onto trainTruth by

@@ -38,20 +38,6 @@ func AuditStudyContext(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pairs := metrics.SamplePairs(test.Rows(), 4*test.Rows(), rng)
 
-	var rows []AuditRow
-	probe := func(rep Representation) error {
-		if err := rep.Fit(ctx, train); err != nil {
-			return err
-		}
-		transformed := rep.Transform(test.X)
-		rows = append(rows, AuditRow{
-			Dataset: ds.Name,
-			Method:  rep.Name(),
-			Result:  metrics.LipschitzAudit(reference, transformed, pairs),
-		})
-		return nil
-	}
-
 	reps := []Representation{
 		FullData{},
 		&MaskedData{},
@@ -71,10 +57,15 @@ func AuditStudyContext(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig
 			Workers: cfg.Workers, Trace: cfg.Trace,
 		}})
 	}
-	for _, rep := range reps {
-		if err := probe(rep); err != nil {
-			return nil, err
+	return runAll(ctx, cfg.Parallel, len(reps), func(i int) (AuditRow, error) {
+		rep := reps[i]
+		if err := rep.Fit(ctx, train); err != nil {
+			return AuditRow{}, err
 		}
-	}
-	return rows, nil
+		return AuditRow{
+			Dataset: ds.Name,
+			Method:  rep.Name(),
+			Result:  metrics.LipschitzAudit(reference, rep.Transform(test.X), pairs),
+		}, nil
+	})
 }

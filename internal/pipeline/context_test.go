@@ -37,13 +37,52 @@ func TestEvalClassificationContextCancelled(t *testing.T) {
 	}
 }
 
+// TestFig2StudyContextCancelled: Fig. 2 and Table V skip a
+// configuration whose fit fails, yet a cancellation must end the study
+// with ctx.Err(), whether it comes before the study starts or while its
+// fits run.
 func TestFig2StudyContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Fig2StudyContext(ctx, quickCfg()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	testCancelledMidStudy(t, func(ctx context.Context, cfg StudyConfig) error {
+		_, err := Fig2StudyContext(ctx, cfg)
+		return err
+	})
+}
+
+func TestTable5ContextCancelled(t *testing.T) {
+	testCancelledMidStudy(t, func(ctx context.Context, cfg StudyConfig) error {
+		_, err := Table5Context(ctx, smallXing(), cfg, []float64{0.5})
+		return err
+	})
+}
+
+func testCancelledMidStudy(t *testing.T, study func(context.Context, StudyConfig) error) {
+	t.Helper()
+	for _, parallel := range []int{1, 4} {
+		cfg := quickCfg()
+		cfg.Parallel = parallel
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := study(ctx, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallel %d, cancelled before the start: err = %v, want context.Canceled", parallel, err)
+		}
+		ctx, cancel = context.WithCancel(context.Background())
+		cfg.Trace = cancelOnIteration{cancel}
+		if err := study(ctx, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallel %d, cancelled during a fit: err = %v, want context.Canceled", parallel, err)
+		}
+		cancel()
 	}
 }
+
+// cancelOnIteration cancels the study at the first optimiser iteration
+// of any fit, so the cancellation lands with fits in flight.
+type cancelOnIteration struct{ cancel context.CancelFunc }
+
+func (c cancelOnIteration) RestartStart(int) {}
+
+func (c cancelOnIteration) Iteration(int, optimize.Iteration) { c.cancel() }
+
+func (c cancelOnIteration) RestartEnd(int, optimize.Result, error) {}
 
 func TestStudyTraceObservesTraining(t *testing.T) {
 	ds := dataset.Compas(dataset.ClassificationConfig{Records: 120, Seed: 1})

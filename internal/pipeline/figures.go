@@ -51,7 +51,34 @@ func Fig2StudyContext(ctx context.Context, cfg StudyConfig) ([]Fig2Cell, error) 
 		all := allIndices(ds.Rows())
 		neighbours := yNNNeighbours(ds, all)
 
-		evalRep := func(rep Representation) (Fig2Cell, error) {
+		// The original data, then the iFair grid (small prototype counts
+		// suit the 3-attribute data), then the LFR grid; both grids are
+		// tuned for the best consistency as the paper does.
+		reps := []Representation{FullData{}}
+		for _, lambda := range grid {
+			for _, mu := range grid {
+				if lambda == 0 && mu == 0 {
+					continue
+				}
+				reps = append(reps, &IFairRep{Opts: ifair.Options{
+					K: 4, Lambda: lambda, Mu: mu,
+					Init: ifair.InitMaskedProtected, Fairness: ifair.PairwiseFairness,
+					Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
+					Workers: cfg.Workers, Trace: cfg.Trace,
+				}})
+			}
+		}
+		lfrFrom := len(reps)
+		for _, az := range grid {
+			reps = append(reps, &LFRRep{Opts: lfr.Options{
+				K: 4, Az: az, Ax: 1, Ay: 1,
+				Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
+				Workers: cfg.Workers, Trace: cfg.Trace,
+			}})
+		}
+
+		fits, errs, err := runJobs(ctx, cfg.Parallel, len(reps), func(i int) (Fig2Cell, error) {
+			rep := reps[i]
 			if err := rep.Fit(ctx, ds.Subset(all)); err != nil {
 				return Fig2Cell{}, err
 			}
@@ -62,78 +89,26 @@ func Fig2StudyContext(ctx context.Context, cfg StudyConfig) ([]Fig2Cell, error) 
 			pred := clf.PredictProba(rep.Transform(ds.X))
 			return Fig2Cell{
 				Variant: variant.String(),
-				Method:  rep.Name(),
 				Acc:     metrics.Accuracy(pred, ds.Label),
 				YNN:     metrics.Consistency(pred, neighbours),
 				Parity:  metrics.StatisticalParity(hardPred(pred), ds.Protected),
 				EqOpp:   metrics.EqualOpportunity(pred, ds.Label, ds.Protected),
 			}, nil
-		}
-
-		cell, err := evalRep(FullData{})
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fig2 %s full data: %w", variant, err)
+			return nil, err
 		}
-		cell.Method = "original"
-		cells = append(cells, cell)
-
-		// iFair: small prototype counts suit the 3-attribute data; tune
-		// for the best consistency as the paper does.
-		var bestIFair *Fig2Cell
-		for _, lambda := range grid {
-			for _, mu := range grid {
-				if lambda == 0 && mu == 0 {
-					continue
-				}
-				// The per-config fit error is tolerated below, so check the
-				// context explicitly or a cancellation would be swallowed.
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				cell, err := evalRep(&IFairRep{Opts: ifair.Options{
-					K: 4, Lambda: lambda, Mu: mu,
-					Init: ifair.InitMaskedProtected, Fairness: ifair.PairwiseFairness,
-					Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
-					Workers: cfg.Workers, Trace: cfg.Trace,
-				}})
-				if err != nil {
-					continue
-				}
-				if bestIFair == nil || cell.YNN > bestIFair.YNN {
-					cp := cell
-					cp.Method = "iFair"
-					bestIFair = &cp
-				}
+		from := []int{0, 1, lfrFrom, len(reps)}
+		for g, method := range []string{"original", "iFair", "LFR"} {
+			lo, hi := from[g], from[g+1]
+			best := bestBy(fits[lo:hi], succeeded(errs[lo:hi]), func(c Fig2Cell) float64 { return c.YNN })
+			if best < 0 {
+				return nil, fmt.Errorf("fig2 %s: no %s configuration fitted: %w", variant, method, errs[lo])
 			}
+			cell := fits[lo+best]
+			cell.Method = method
+			cells = append(cells, cell)
 		}
-		if bestIFair == nil {
-			return nil, fmt.Errorf("fig2 %s: no iFair configuration fitted", variant)
-		}
-		cells = append(cells, *bestIFair)
-
-		var bestLFR *Fig2Cell
-		for _, az := range grid {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cell, err := evalRep(&LFRRep{Opts: lfr.Options{
-				K: 4, Az: az, Ax: 1, Ay: 1,
-				Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
-				Workers: cfg.Workers, Trace: cfg.Trace,
-			}})
-			if err != nil {
-				continue
-			}
-			if bestLFR == nil || cell.YNN > bestLFR.YNN {
-				cp := cell
-				cp.Method = "LFR"
-				bestLFR = &cp
-			}
-		}
-		if bestLFR == nil {
-			return nil, fmt.Errorf("fig2 %s: no LFR configuration fitted", variant)
-		}
-		cells = append(cells, *bestLFR)
 	}
 	return cells, nil
 }
@@ -168,50 +143,41 @@ func AdversarialStudyContext(ctx context.Context, ds *dataset.Dataset, cfg Study
 	train := ds.Subset(split.Train)
 	test := ds.Subset(split.Test)
 
-	var cells []AdversarialCell
-	probe := func(rep Representation) error {
-		if err := rep.Fit(ctx, train); err != nil {
-			return err
-		}
-		adv, err := linmodel.FitLogistic(rep.Transform(train.X), train.Protected, cfg.L2)
-		if err != nil {
-			return err
-		}
-		pred := adv.PredictProba(rep.Transform(test.X))
-		cells = append(cells, AdversarialCell{
-			Dataset:  ds.Name,
-			Method:   rep.Name(),
-			Accuracy: metrics.Accuracy(pred, test.Protected),
-		})
-		return nil
-	}
-
-	if err := probe(&MaskedData{}); err != nil {
-		return nil, err
-	}
+	reps := []Representation{&MaskedData{}}
 	if ds.Task == dataset.Classification {
-		if err := probe(&LFRRep{Opts: lfr.Options{
+		reps = append(reps, &LFRRep{Opts: lfr.Options{
 			K: cfg.K[0], Az: 1, Ax: 1, Ay: 1,
 			Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
 			Workers: cfg.Workers, Trace: cfg.Trace,
-		}}); err != nil {
-			return nil, err
+		}})
+	}
+	reps = append(reps,
+		&IFairRep{Opts: ifair.Options{
+			K: cfg.K[0], Lambda: 1, Mu: 1,
+			Init: ifair.InitMaskedProtected, Fairness: ifair.SampledFairness,
+			Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
+			Workers: cfg.Workers, Trace: cfg.Trace,
+		}},
+		// Extension comparator: the censored-representation baseline of
+		// the paper's Related Work, which optimises obfuscation directly.
+		&CensoredRep{Opts: adversarial.Options{Trace: cfg.Trace}},
+	)
+	return runAll(ctx, cfg.Parallel, len(reps), func(i int) (AdversarialCell, error) {
+		rep := reps[i]
+		if err := rep.Fit(ctx, train); err != nil {
+			return AdversarialCell{}, err
 		}
-	}
-	if err := probe(&IFairRep{Opts: ifair.Options{
-		K: cfg.K[0], Lambda: 1, Mu: 1,
-		Init: ifair.InitMaskedProtected, Fairness: ifair.SampledFairness,
-		Restarts: cfg.Restarts, MaxIterations: cfg.MaxIterations, Seed: cfg.Seed,
-		Workers: cfg.Workers, Trace: cfg.Trace,
-	}}); err != nil {
-		return nil, err
-	}
-	// Extension comparator: the censored-representation baseline of the
-	// paper's Related Work, which optimises obfuscation directly.
-	if err := probe(&CensoredRep{Opts: adversarial.Options{Trace: cfg.Trace}}); err != nil {
-		return nil, err
-	}
-	return cells, nil
+		adv, err := linmodel.FitLogistic(rep.Transform(train.X), train.Protected, cfg.L2)
+		if err != nil {
+			return AdversarialCell{}, err
+		}
+		pred := adv.PredictProba(rep.Transform(test.X))
+		return AdversarialCell{
+			Dataset:  ds.Name,
+			Method:   rep.Name(),
+			Accuracy: metrics.Accuracy(pred, test.Protected),
+		}, nil
+	})
 }
 
 // PostProcessPoint is one x-position of Fig. 5: FA*IR applied to iFair
@@ -319,24 +285,16 @@ func Table4Context(ctx context.Context, cfg StudyConfig, weightRows []dataset.Xi
 			{Work: 1, Education: 1, Views: 1},
 		}
 	}
-	var rows []Table4Row
-	for _, w := range weightRows {
+	return runAll(ctx, cfg.Parallel, len(weightRows), func(i int) (Table4Row, error) {
+		w := weightRows[i]
 		ds := dataset.Xing(w, dataset.RankingConfig{Seed: cfg.Seed})
 		qsplit, err := dataset.SplitQueries(len(ds.Queries), cfg.TrainFrac, cfg.ValFrac, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return Table4Row{}, err
 		}
-		rep := ifairBRep(cfg)
-		res, err := EvalRankingContext(ctx, ds, qsplit, rep, cfg.L2)
+		res, err := EvalRankingContext(ctx, ds, qsplit, ifairBRep(cfg), cfg.L2)
 		if err != nil {
-			return nil, err
-		}
-		row := Table4Row{
-			Weights:      w,
-			MAP:          res.MAP,
-			KT:           res.KT,
-			YNN:          res.YNN,
-			PctProtected: res.PctProtected,
+			return Table4Row{}, err
 		}
 		var prot int
 		for _, p := range ds.Protected {
@@ -344,10 +302,15 @@ func Table4Context(ctx context.Context, cfg StudyConfig, weightRows []dataset.Xi
 				prot++
 			}
 		}
-		row.BaseRateProtected = 100 * float64(prot) / float64(ds.Rows())
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return Table4Row{
+			Weights:           w,
+			BaseRateProtected: 100 * float64(prot) / float64(ds.Rows()),
+			MAP:               res.MAP,
+			KT:                res.KT,
+			YNN:               res.YNN,
+			PctProtected:      res.PctProtected,
+		}, nil
+	})
 }
 
 func allIndices(n int) []int {

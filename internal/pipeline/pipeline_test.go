@@ -166,26 +166,83 @@ func TestTradeoffStudyProducesResults(t *testing.T) {
 	}
 }
 
-func TestTradeoffStudyParallelMatchesSequential(t *testing.T) {
-	ds := smallCompas()
-	cfg := quickCfg()
-	seq, err := TradeoffStudy(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestStudiesParallelMatchSequential runs every study through the job
+// pool one fit at a time and four at a time: the results must be equal
+// field for field, in the same order.
+func TestStudiesParallelMatchSequential(t *testing.T) {
+	ctx := context.Background()
+	credit := func(seed int64) *dataset.Dataset {
+		return dataset.Credit(dataset.ClassificationConfig{Records: 120, Seed: seed})
 	}
-	cfg.Parallel = 4
-	par, err := TradeoffStudy(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
+	studies := []struct {
+		name string
+		run  func(cfg StudyConfig) ([]any, error)
+	}{
+		{"tradeoff", func(cfg StudyConfig) ([]any, error) {
+			return anys(TradeoffStudyContext(ctx, smallCompas(), cfg))
+		}},
+		{"fig2", func(cfg StudyConfig) ([]any, error) {
+			cfg.MaxIterations = 10
+			return anys(Fig2StudyContext(ctx, cfg))
+		}},
+		{"adversarial", func(cfg StudyConfig) ([]any, error) {
+			return anys(AdversarialStudyContext(ctx, smallCompas(), cfg))
+		}},
+		{"table4", func(cfg StudyConfig) ([]any, error) {
+			return anys(Table4Context(ctx, cfg, []dataset.XingWeights{
+				{Work: 0, Education: 0.5, Views: 1}, {Work: 1, Education: 1, Views: 1}, dataset.UniformXingWeights,
+			}))
+		}},
+		{"table5", func(cfg StudyConfig) ([]any, error) {
+			cfg.Mixture = []float64{0, 1}
+			cfg.K = []int{2, 4}
+			return anys(Table5Context(ctx, smallXing(), cfg, []float64{0.5, 0.9}))
+		}},
+		{"audit", func(cfg StudyConfig) ([]any, error) {
+			return anys(AuditStudyContext(ctx, smallCompas(), cfg))
+		}},
+		{"agnostic-classification", func(cfg StudyConfig) ([]any, error) {
+			return anys(AgnosticStudyContext(ctx, smallCompas(), cfg))
+		}},
+		{"agnostic-ranking", func(cfg StudyConfig) ([]any, error) {
+			return anys(AgnosticStudyContext(ctx, smallXing(), cfg))
+		}},
+		{"repeat", func(cfg StudyConfig) ([]any, error) {
+			return anys(RepeatStudyContext(ctx, credit, cfg, []int64{1, 2, 3}))
+		}},
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
+	for _, st := range studies {
+		t.Run(st.name, func(t *testing.T) {
+			cfg := quickCfg()
+			seq, err := st.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Parallel = 4
+			par, err := st.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seq) == 0 || len(seq) != len(par) {
+				t.Fatalf("result counts: %d sequential, %d parallel", len(seq), len(par))
+			}
+			for i := range seq {
+				if seq[i] != par[i] {
+					t.Fatalf("result %d differs:\nseq %+v\npar %+v", i, seq[i], par[i])
+				}
+			}
+		})
 	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("result %d differs:\nseq %+v\npar %+v", i, seq[i], par[i])
-		}
+}
+
+// anys boxes a study's results so one table can hold every study; the
+// boxed values compare with == as the structs themselves do.
+func anys[T any](rows []T, err error) ([]any, error) {
+	out := make([]any, len(rows))
+	for i, r := range rows {
+		out[i] = r
 	}
+	return out, err
 }
 
 func TestParetoByMethod(t *testing.T) {
@@ -577,12 +634,15 @@ func TestRepeatStudyFailsOnFailedSeed(t *testing.T) {
 		}
 		return ds
 	}
-	_, err := RepeatStudyContext(context.Background(), gen, cfg, []int64{1, 2, 3})
-	if err == nil {
-		t.Fatal("study with a failing seed succeeded")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "seed 2") || !strings.Contains(msg, "Full Data") {
-		t.Fatalf("error %q does not name seed 2 and the Full Data method", msg)
+	for _, parallel := range []int{1, 4} {
+		cfg.Parallel = parallel
+		_, err := RepeatStudyContext(context.Background(), gen, cfg, []int64{1, 2, 3})
+		if err == nil {
+			t.Fatalf("parallel %d: study with a failing seed succeeded", parallel)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "seed 2") || !strings.Contains(msg, "Full Data") {
+			t.Fatalf("parallel %d: error %q does not name seed 2 and the Full Data method", parallel, msg)
+		}
 	}
 }
 

@@ -219,7 +219,7 @@ func Table5(ds *dataset.Dataset, cfg StudyConfig, fairPs []float64) ([]RankingRe
 	return Table5Context(context.Background(), ds, cfg, fairPs)
 }
 
-// Table5Context is Table5 with cancellation: the grid search aborts with
+// Table5Context is Table5 with cancellation: the study aborts with
 // ctx.Err() once ctx is cancelled.
 func Table5Context(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig, fairPs []float64) ([]RankingResult, error) {
 	cfg.fill()
@@ -228,64 +228,51 @@ func Table5Context(ctx context.Context, ds *dataset.Dataset, cfg StudyConfig, fa
 		return nil, err
 	}
 
-	var results []RankingResult
-	for _, rep := range []Representation{FullData{}, &MaskedData{}} {
-		r, err := EvalRankingContext(ctx, ds, qsplit, rep, cfg.L2)
-		if err != nil {
-			r.FitError = err.Error()
-		}
-		results = append(results, r)
+	// One job list in table order: the fixed baselines, the SVD and
+	// SVD-masked rank searches, FA*IR at each p and the iFair-b grid.
+	var jobs []func() (RankingResult, error)
+	rank := func(rep Representation) {
+		jobs = append(jobs, func() (RankingResult, error) { return EvalRankingContext(ctx, ds, qsplit, rep, cfg.L2) })
 	}
-
-	// SVD variants: tune K on validation harmonic mean.
+	rank(FullData{})
+	rank(&MaskedData{})
 	for _, masked := range []bool{false, true} {
-		var best *RankingResult
 		for _, k := range cfg.K {
-			r, err := EvalRankingContext(ctx, ds, qsplit, &SVDRep{K: k, Masked: masked}, cfg.L2)
-			if err != nil {
-				continue
-			}
-			if best == nil || tuneScore(r) > tuneScore(*best) {
-				cp := r
-				best = &cp
-			}
-		}
-		if best != nil {
-			results = append(results, *best)
+			rank(&SVDRep{K: k, Masked: masked})
 		}
 	}
-
+	fairFrom := len(jobs)
 	for _, p := range fairPs {
-		r, err := EvalFAIR(ds, qsplit, p, 0.1, cfg.L2)
+		jobs = append(jobs, func() (RankingResult, error) { return EvalFAIR(ds, qsplit, p, 0.1, cfg.L2) })
+	}
+	ifairFrom := len(jobs)
+	for _, opts := range cfg.iFairConfigs(ifair.InitMaskedProtected) {
+		rank(&IFairRep{Opts: opts})
+	}
+	all, errs, err := runJobs(ctx, cfg.Parallel, len(jobs), func(i int) (RankingResult, error) {
+		r, err := jobs[i]()
 		if err != nil {
 			r.FitError = err.Error()
 		}
-		results = append(results, r)
-	}
-
-	// iFair-b: grid search tuned by the Optimal criterion. Per-config fit
-	// errors are tolerated, so check the context each round or a
-	// cancellation would be swallowed as a skipped configuration.
-	var best *RankingResult
-	for _, opts := range cfg.iFairConfigs(ifair.InitMaskedProtected) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r, err := EvalRankingContext(ctx, ds, qsplit, &IFairRep{Opts: opts}, cfg.L2)
-		if err != nil {
-			continue
-		}
-		if best == nil || tuneScore(r) > tuneScore(*best) {
-			cp := r
-			best = &cp
-		}
-	}
-	if best != nil {
-		results = append(results, *best)
-	}
-	if err := ctx.Err(); err != nil {
+		return r, err
+	})
+	if err != nil {
 		return nil, err
 	}
+
+	// The fixed baselines and FA*IR report a failure as FitError; each
+	// search reports its best configuration by the Optimal criterion
+	// (validation harmonic mean) and skips failed ones.
+	results := append([]RankingResult(nil), all[:2]...)
+	best := func(lo, hi int) {
+		if b := bestBy(all[lo:hi], succeeded(errs[lo:hi]), tuneScore); b >= 0 {
+			results = append(results, all[lo+b])
+		}
+	}
+	best(2, 2+len(cfg.K))
+	best(2+len(cfg.K), fairFrom)
+	results = append(results, all[fairFrom:ifairFrom]...)
+	best(ifairFrom, len(all))
 	return results, nil
 }
 

@@ -24,20 +24,18 @@ type RepeatSummary struct {
 // RepeatStudyContext evaluates Full Data and iFair-b on freshly simulated
 // data for every seed and reports mean ± std of the headline metrics over
 // all of them. A run that fails ends the study with an error naming its
-// seed and method, so a summary never covers fewer seeds than asked. The
-// seed loop aborts with ctx.Err() once ctx is cancelled.
+// seed and method (the first seed in seeds that failed), so a summary
+// never covers fewer seeds than asked. The seeds are evaluated
+// cfg.Parallel at a time, so gen must be safe for concurrent use; the
+// study aborts with ctx.Err() once ctx is cancelled.
 func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Dataset, cfg StudyConfig, seeds []int64) ([]RepeatSummary, error) {
 	cfg.fill()
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("pipeline: RepeatStudy needs at least one seed")
 	}
 	type sample struct{ auc, ynn, parity, eqopp float64 }
-	collected := map[string][]sample{}
-
-	for _, seed := range seeds {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	perSeed, err := runAll(ctx, cfg.Parallel, len(seeds), func(i int) ([]sample, error) {
+		seed := seeds[i]
 		runCfg := cfg
 		runCfg.Seed = seed
 		ds := gen(seed)
@@ -45,21 +43,26 @@ func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Datas
 		if err != nil {
 			return nil, err
 		}
+		var out []sample
 		for _, rep := range []Representation{FullData{}, ifairBRep(runCfg)} {
 			res, err := EvalClassificationContext(ctx, ds, split, rep, runCfg.L2)
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: repeat study seed %d, %s: %w", seed, rep.Name(), err)
 			}
-			collected[rep.Name()] = append(collected[rep.Name()], sample{res.AUC, res.YNN, res.Parity, res.EqOpp})
+			out = append(out, sample{res.AUC, res.YNN, res.Parity, res.EqOpp})
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var out []RepeatSummary
-	for _, method := range []string{"Full Data", "iFair-b"} {
-		samples := collected[method]
+	for m, method := range []string{"Full Data", "iFair-b"} {
 		s := RepeatSummary{Method: method}
 		var aucs, ynns []float64
-		for _, sm := range samples {
+		for _, samples := range perSeed {
+			sm := samples[m]
 			aucs = append(aucs, sm.auc)
 			ynns = append(ynns, sm.ynn)
 			s.MeanParity += sm.parity
@@ -67,8 +70,8 @@ func RepeatStudyContext(ctx context.Context, gen func(seed int64) *dataset.Datas
 		}
 		s.MeanAUC, s.StdAUC = meanStd(aucs)
 		s.MeanYNN, s.StdYNN = meanStd(ynns)
-		s.MeanParity /= float64(len(samples))
-		s.MeanEqOpp /= float64(len(samples))
+		s.MeanParity /= float64(len(perSeed))
+		s.MeanEqOpp /= float64(len(perSeed))
 		out = append(out, s)
 	}
 	return out, nil

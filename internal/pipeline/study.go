@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
@@ -33,10 +32,10 @@ type StudyConfig struct {
 	L2 float64
 	// TrainFrac and ValFrac define the three-way split.
 	TrainFrac, ValFrac float64
-	// Parallel is the number of hyper-parameter configurations evaluated
-	// concurrently in grid searches (≤ 1 runs sequentially). Results are
-	// deterministic regardless of the value: every configuration is
-	// seeded independently and results are collected in grid order.
+	// Parallel is the number of fits every study evaluates concurrently
+	// (≤ 1 runs them one at a time). Results are deterministic regardless
+	// of the value: every fit is seeded independently and results are
+	// collected in job order.
 	Parallel int
 	// Workers is the per-fit objective-evaluation worker count passed to
 	// the iFair and LFR learners (≤ 1 evaluates sequentially). Fitted
@@ -154,8 +153,8 @@ func (c *StudyConfig) lfrConfigs() []lfr.Options {
 // TradeoffStudy runs every representation method and hyper-parameter
 // configuration on ds and returns all results — the point cloud of Fig. 3.
 // The caller can extract Pareto fronts with ParetoByMethod. Configurations
-// are evaluated concurrently when cfg.Parallel > 1; the result order is
-// the grid order either way.
+// are evaluated cfg.Parallel at a time; the result order is the grid
+// order either way.
 //
 // TradeoffStudy is a convenience wrapper around TradeoffStudyContext with
 // a background context.
@@ -215,46 +214,15 @@ func TradeoffStudyContext(ctx context.Context, ds *dataset.Dataset, cfg StudyCon
 		}
 	}
 
-	results := make([]ClassificationResult, len(jobs))
-	runJob := func(i int) {
+	results, _, err := runJobs(ctx, cfg.Parallel, len(jobs), func(i int) (ClassificationResult, error) {
 		r, err := evalClassificationCached(ctx, ds, split, jobs[i].rep, cfg.L2, cache)
 		r.Params = jobs[i].params
 		if err != nil {
 			r.FitError = err.Error()
 		}
-		results[i] = r
-	}
-	if cfg.Parallel <= 1 {
-		for i := range jobs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			runJob(i)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return results, nil
-	}
-	sem := make(chan struct{}, cfg.Parallel)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		if ctx.Err() != nil {
-			break // don't launch configurations the caller no longer wants
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			runJob(i)
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+		return r, nil
+	})
+	return results, err
 }
 
 // ParetoByMethod extracts, per method name, the indices of results that are
@@ -359,17 +327,8 @@ func Table3Rows(results []ClassificationResult) []Table3Row {
 	}
 	for _, crit := range []TuningCriterion{MaxUtility, MaxFairness, Optimal} {
 		for _, method := range []string{"LFR", "iFair-a", "iFair-b"} {
-			best := -1
-			var bestScore float64
-			for i, r := range results {
-				if r.Method != method || r.FitError != "" {
-					continue
-				}
-				if s := crit.score(r); best == -1 || s > bestScore {
-					best, bestScore = i, s
-				}
-			}
-			if best >= 0 {
+			fitted := func(i int) bool { return results[i].Method == method && results[i].FitError == "" }
+			if best := bestBy(results, fitted, crit.score); best >= 0 {
 				rows = append(rows, Table3Row{Criterion: crit, Result: results[best]})
 			}
 		}

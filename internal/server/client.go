@@ -32,6 +32,15 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Status, e.Body)
 }
 
+// Backoff policy of Client: the first retry's jitter ceiling, the cap on
+// any single sleep, and the seed of the jitter source (jitter quality
+// does not matter, reproducibility does).
+const (
+	clientBaseDelay = 50 * time.Millisecond
+	clientMaxDelay  = 2 * time.Second
+	clientSeed      = 1
+)
+
 // Client is a retrying HTTP client for the serving API, built to be a
 // well-behaved citizen of the overload-protection contract: it
 // propagates its context deadline via the X-Request-Timeout-Ms header,
@@ -47,13 +56,6 @@ type Client struct {
 	// MaxRetries bounds retries after the first attempt (default 3,
 	// negative disables retrying).
 	MaxRetries int
-	// BaseDelay seeds the exponential backoff (default 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep (default 2s).
-	MaxDelay time.Duration
-	// Seed makes the jitter deterministic for tests; 0 uses a fixed
-	// default (jitter quality does not matter, reproducibility does).
-	Seed int64
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -76,46 +78,23 @@ func (c *Client) maxRetries() int {
 	return c.MaxRetries
 }
 
-func (c *Client) baseDelay() time.Duration {
-	if c.BaseDelay <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.BaseDelay
-}
-
-func (c *Client) maxDelay() time.Duration {
-	if c.MaxDelay <= 0 {
-		return 2 * time.Second
-	}
-	return c.MaxDelay
-}
-
 // backoff returns the sleep before retry attempt (1-based): full jitter
 // over an exponentially growing cap, floored by the server's hint. The
-// hint itself is clamped to MaxDelay so a misbehaving (or misparsed)
-// Retry-After can never stall the client beyond its own backoff cap.
+// hint itself is clamped to clientMaxDelay so a misbehaving (or
+// misparsed) Retry-After can never stall the client beyond its own
+// backoff cap.
 func (c *Client) backoff(attempt int, hint time.Duration) time.Duration {
-	ceil := c.baseDelay() << (attempt - 1)
-	if ceil > c.maxDelay() || ceil <= 0 {
-		ceil = c.maxDelay()
+	ceil := clientBaseDelay << (attempt - 1)
+	if ceil > clientMaxDelay || ceil <= 0 {
+		ceil = clientMaxDelay
 	}
 	c.mu.Lock()
 	if c.rng == nil {
-		seed := c.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		c.rng = rand.New(rand.NewSource(seed))
+		c.rng = rand.New(rand.NewSource(clientSeed))
 	}
 	d := time.Duration(c.rng.Int63n(int64(ceil) + 1))
 	c.mu.Unlock()
-	if d < hint {
-		d = hint
-	}
-	if max := c.maxDelay(); d > max {
-		d = max
-	}
-	return d
+	return min(max(d, hint), clientMaxDelay)
 }
 
 // retryAfter parses a Retry-After header in either RFC 9110 form:

@@ -160,7 +160,7 @@ func TestClientRetriesShedsThenSucceeds(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{BaseURL: ts.URL, MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 1}
+	c := &Client{BaseURL: ts.URL, MaxRetries: 3}
 	got, err := c.Transform(context.Background(), "m", []float64{1})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestClientDoesNotRetryTerminalStatus(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{BaseURL: ts.URL, MaxRetries: 5, BaseDelay: time.Millisecond}
+	c := &Client{BaseURL: ts.URL, MaxRetries: 5}
 	_, err := c.Transform(context.Background(), "m", []float64{1})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
@@ -211,11 +211,11 @@ func TestClientHonoursRetryAfterFloor(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	// Jittered backoff alone would be ≤ 1ms (the exponential ceiling is
-	// BaseDelay-driven on the first retry); the server's 1s hint must
-	// floor it. MaxDelay sits above the hint — clamping is covered by
-	// TestBackoffClampsHintToMaxDelay.
-	c := &Client{BaseURL: ts.URL, MaxRetries: 1, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Seed: 7}
+	// Jittered backoff alone would be ≤ 50ms (the exponential ceiling is
+	// clientBaseDelay on the first retry); the server's 1s hint must
+	// floor it. clientMaxDelay sits above the hint — clamping is covered
+	// by TestBackoffClampsHintToMaxDelay.
+	c := &Client{BaseURL: ts.URL, MaxRetries: 1}
 	if _, err := c.Transform(context.Background(), "m", []float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestClientStopsRetryingOnContextExpiry(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{BaseURL: ts.URL, MaxRetries: 100, BaseDelay: 20 * time.Millisecond}
+	c := &Client{BaseURL: ts.URL, MaxRetries: 100}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -302,14 +302,15 @@ func TestRetryAfterParsesBothForms(t *testing.T) {
 }
 
 func TestBackoffClampsHintToMaxDelay(t *testing.T) {
-	c := &Client{MaxDelay: 50 * time.Millisecond}
+	c := &Client{}
 	// A Retry-After hint far beyond the cap must not stall the client.
-	if d := c.backoff(1, time.Hour); d != 50*time.Millisecond {
-		t.Fatalf("backoff with huge hint = %v, want clamped to 50ms", d)
+	if d := c.backoff(1, time.Hour); d != clientMaxDelay {
+		t.Fatalf("backoff with huge hint = %v, want clamped to %v", d, clientMaxDelay)
 	}
-	// A modest hint still floors the jittered delay.
-	if d := c.backoff(1, 20*time.Millisecond); d < 20*time.Millisecond || d > 50*time.Millisecond {
-		t.Fatalf("backoff with 20ms hint = %v, want in [20ms, 50ms]", d)
+	// A modest hint still floors the jittered delay, which stays under
+	// the first retry's ceiling.
+	if d := c.backoff(1, 20*time.Millisecond); d < 20*time.Millisecond || d > clientBaseDelay {
+		t.Fatalf("backoff with 20ms hint = %v, want in [20ms, %v]", d, clientBaseDelay)
 	}
 }
 
@@ -326,12 +327,12 @@ func TestClientHonoursHTTPDateRetryAfter(t *testing.T) {
 		json.NewEncoder(w).Encode(transformResponse{Rows: [][]float64{{1}}}) //nolint:errcheck
 	}))
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, MaxRetries: 1, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second}
+	c := &Client{BaseURL: ts.URL, MaxRetries: 1}
 	start := time.Now()
 	if _, err := c.Transform(context.Background(), "m", []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	// Jitter alone would be ≤ ~2ms; the parsed HTTP-date must floor the
+	// Jitter alone would be ≤ 50ms; the parsed HTTP-date must floor the
 	// retry delay near 1–2s (second-resolution truncation tolerance).
 	if gap := time.Since(start); gap < 900*time.Millisecond {
 		t.Fatalf("retry after %v, want ≥ ~1s from HTTP-date Retry-After", gap)

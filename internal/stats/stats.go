@@ -99,7 +99,7 @@ func (m Mixture2D) Sample(rng *rand.Rand) (x, y float64, component int) {
 // variance, as Sec. V-B requires ("all feature vectors are normalized to
 // have unit variance"). Columns with zero variance are left centred at 0.
 // It returns the per-column means and standard deviations so the same
-// transform can be applied to held-out data via ApplyStandardize.
+// transform can be applied to held-out rows via ApplyStandardize.
 func Standardize(rows [][]float64) (means, stds []float64) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -115,24 +115,27 @@ func Standardize(rows [][]float64) (means, stds []float64) {
 		means[j] = Mean(col)
 		stds[j] = StdDev(col)
 	}
-	ApplyStandardize(rows, means, stds)
+	for _, r := range rows {
+		ApplyStandardize(r, r, means, stds)
+	}
 	return means, stds
 }
 
-// ApplyStandardize applies a previously fitted standardisation to rows in
-// place. Zero standard deviations are treated as 1 (centre only).
-func ApplyStandardize(rows [][]float64, means, stds []float64) {
-	for _, r := range rows {
-		if len(r) != len(means) {
-			panic(fmt.Sprintf("stats: row length %d does not match fit width %d", len(r), len(means)))
+// ApplyStandardize applies a fitted standardisation to one row:
+// dst[j] = (src[j] − means[j]) / stds[j], a zero standard deviation
+// counting as 1 (centre only). Standardize, the streamed iFair fit and
+// the drift profile all standardise their rows through it, so they share
+// one zero-variance rule. dst may alias src.
+func ApplyStandardize(dst, src, means, stds []float64) {
+	if len(src) != len(means) || len(dst) != len(src) || len(stds) != len(means) {
+		panic(fmt.Sprintf("stats: row length %d→%d does not match fit width %d/%d", len(src), len(dst), len(means), len(stds)))
+	}
+	for j, v := range src {
+		s := stds[j]
+		if s == 0 {
+			s = 1
 		}
-		for j := range r {
-			s := stds[j]
-			if s == 0 {
-				s = 1
-			}
-			r[j] = (r[j] - means[j]) / s
-		}
+		dst[j] = (v - means[j]) / s
 	}
 }
 

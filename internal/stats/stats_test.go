@@ -196,10 +196,10 @@ func TestStandardizeConstantColumn(t *testing.T) {
 func TestApplyStandardizeReusesFit(t *testing.T) {
 	train := [][]float64{{0}, {10}}
 	means, stds := Standardize(train)
-	test := [][]float64{{5}}
-	ApplyStandardize(test, means, stds)
-	if test[0][0] != 0 {
-		t.Fatalf("midpoint should standardise to 0, got %v", test[0][0])
+	test := []float64{5}
+	ApplyStandardize(test, test, means, stds)
+	if test[0] != 0 {
+		t.Fatalf("midpoint should standardise to 0, got %v", test[0])
 	}
 }
 

@@ -4,7 +4,7 @@ GO ?= go
 MODELS ?= artifacts/models
 ADDR   ?= :8080
 
-.PHONY: all build bench-build test test-workers test-faults test-overload test-router test-rollout test-ingest race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments experiments-check examples serve fmt fmt-check vet clean
+.PHONY: all build bench-build test test-workers test-faults test-overload test-router test-rollout test-ingest race fuzz cover bench bench-fit bench-serve bench-compare bench-fit-compare experiments experiments-check layout examples serve fmt fmt-check vet clean
 
 # vet, race, the widened worker sweep, the crash-safety fault sweep, the
 # overload soak, the router replica-kill soak and the closed-loop rollout
@@ -58,11 +58,11 @@ test-overload:
 
 # Race-enabled scale-out soak: goodput scaling 1→4 replicas, replica
 # kill mid-burst with probe-driven eviction and its revival under load,
-# model-dir sync vs hot reload, and the router/balancer/health unit
-# suites.
+# model-dir sync vs hot reload, the router/hash-ring/health unit suites,
+# and the single-attempt client that is the router's only transport.
 test-router:
 	$(GO) test -race ./internal/router/
-	$(GO) test -race -run 'TestSync' ./internal/server/
+	$(GO) test -race -run 'TestSync|TestClient' ./internal/server/
 
 # Widened closed-loop rollout soak: the canary guard under concurrent
 # keyed traffic with a seeded corrupted-canary deploy and a mid-window
@@ -168,6 +168,29 @@ experiments:
 # minutes on 2 cores, so it is not part of `make all`.
 experiments-check:
 	$(GO) run ./cmd/experiments -run all -seed 42 | diff experiments_output.txt -
+
+# Linked placement of the fit and serving hot loops. Go aligns functions
+# to 32 bytes, so a size change in any package linked before them can
+# shift them by 32 mod 64 bytes and move a timing with no change to their
+# code. Builds cmd/experiments and the perfbench binary into a temporary
+# directory (perfbench/ itself is left untouched) and prints each
+# function's size in bytes and its address mod 64.
+LAYOUT_SYMS = repro/internal/kernel.Forward \
+	repro/internal/ifair.(*objective).fairnessBackward \
+	repro/internal/ifair.(*objective).backwardRecord \
+	repro/internal/lfr.(*objective).backwardRange \
+	repro/internal/server.(*Batcher).runJob
+layout:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
+	(cd perfbench && $(GO) build -o "$$tmp/perfbench" .) && \
+	for bin in experiments perfbench; do \
+		$(GO) tool nm -n -size "$$tmp/$$bin" | while read addr size kind name; do \
+			case " $(LAYOUT_SYMS) " in *" $$name "*) \
+				printf '%-12s %-52s size %5d  addr%%64 %2d\n' $$bin "$$name" $$size $$((0x$$addr % 64));; \
+			esac; \
+		done; \
+	done
 
 # Serve the models in $(MODELS) over HTTP (train some first, e.g.
 # `go run ./cmd/ifair -dataset credit -k 10 -save $(MODELS)/credit.json`).

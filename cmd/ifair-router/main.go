@@ -1,9 +1,9 @@
 // Command ifair-router is the scale-out serving tier: a reverse proxy
 // that spreads /v1/models traffic across N ifair-server replicas with
-// consistent hashing on model name@version (bounded-load spill) or pure
-// least-loaded balancing, health-probe-driven replica eviction and
-// re-admission, and admission awareness — a replica that sheds with
-// Retry-After is cooled down and routed around, never retried into.
+// consistent hashing on model name@version (bounded-load spill),
+// health-probe-driven replica eviction and re-admission, and admission
+// awareness — a replica that sheds with Retry-After is cooled down and
+// routed around, never retried into.
 //
 // Usage against two running replicas:
 //
@@ -48,7 +48,6 @@ func run() error {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		backends      = flag.String("backends", "", "comma-separated replica base URLs, e.g. http://h1:8081,http://h2:8081")
-		balance       = flag.String("balance", "hash", "balancing policy: hash (consistent, bounded-load) or least-loaded")
 		probeInterval = flag.Duration("probe-interval", 250*time.Millisecond, "/readyz polling cadence")
 		probeTimeout  = flag.Duration("probe-timeout", 0, "probe round-trip bound (0 = probe-interval)")
 		failAfter     = flag.Int("fail-after", 2, "consecutive failed probes before eviction")
@@ -77,14 +76,6 @@ func run() error {
 		MaxBodyBytes:   *maxBody,
 		MaxCooldown:    *maxCooldown,
 	}
-	switch *balance {
-	case "hash":
-		// The default balancer is built by router.New over the fleet.
-	case "least-loaded":
-		cfg.Balancer = router.LeastLoaded{}
-	default:
-		return fmt.Errorf("unknown -balance %q (want hash or least-loaded)", *balance)
-	}
 
 	rt, err := router.New(cfg)
 	if err != nil {
@@ -102,8 +93,8 @@ func run() error {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("routing across %d replica(s) on %s (%s balancing, probe every %v, evict after %d, readmit after %d)",
-			len(urls), *addr, *balance, *probeInterval, *failAfter, *readmitAfter)
+		log.Printf("routing across %d replica(s) on %s (probe every %v, evict after %d, readmit after %d)",
+			len(urls), *addr, *probeInterval, *failAfter, *readmitAfter)
 		errCh <- srv.ListenAndServe()
 	}()
 

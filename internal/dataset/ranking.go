@@ -61,9 +61,7 @@ func Xing(w XingWeights, cfg RankingConfig) *Dataset {
 	m := nq * perQ
 	records := make([]Record, 0, m)
 	protected := make([]bool, 0, m)
-	rawWork := make([]float64, 0, m)
-	rawEdu := make([]float64, 0, m)
-	rawViews := make([]float64, 0, m)
+	quals := make([][]float64, 0, m) // work, education, views per record
 	queries := make([]Query, 0, nq)
 
 	for q := 0; q < nq; q++ {
@@ -119,9 +117,7 @@ func Xing(w XingWeights, cfg RankingConfig) *Dataset {
 				},
 			})
 			protected = append(protected, female)
-			rawWork = append(rawWork, work)
-			rawEdu = append(rawEdu, edu)
-			rawViews = append(rawViews, views)
+			quals = append(quals, []float64{work, edu, views})
 			rows = append(rows, idx)
 		}
 		queries = append(queries, Query{Name: fmt.Sprintf("%s-q%02d", cat, q), Rows: rows})
@@ -134,21 +130,10 @@ func Xing(w XingWeights, cfg RankingConfig) *Dataset {
 
 	// Deserved score: weighted sum of standardised qualifications
 	// (Sec. V-A / Table IV).
-	std := func(v []float64) []float64 {
-		mean, sd := stats.Mean(v), stats.StdDev(v)
-		if sd == 0 {
-			sd = 1
-		}
-		out := make([]float64, len(v))
-		for i := range v {
-			out[i] = (v[i] - mean) / sd
-		}
-		return out
-	}
-	zw, ze, zv := std(rawWork), std(rawEdu), std(rawViews)
+	stats.Standardize(quals)
 	score := make([]float64, m)
-	for i := range score {
-		score[i] = w.Work*zw[i] + w.Education*ze[i] + w.Views*zv[i]
+	for i, z := range quals {
+		score[i] = w.Work*z[0] + w.Education*z[1] + w.Views*z[2]
 	}
 
 	return &Dataset{

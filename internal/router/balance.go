@@ -6,74 +6,44 @@ import (
 	"strconv"
 )
 
-// Balancer picks a replica for a routing key from the currently
-// available candidates. Implementations must be safe for concurrent use;
-// candidates is never empty.
-type Balancer interface {
-	Pick(key string, candidates []*Replica) *Replica
-}
-
-// LeastLoaded picks the candidate with the fewest in-flight proxied
-// requests, breaking ties by candidate order. It maximises utilisation
-// but gives up cache locality: the same model lands on whichever replica
-// happens to be idlest.
-type LeastLoaded struct{}
-
-// Pick implements Balancer.
-func (LeastLoaded) Pick(_ string, candidates []*Replica) *Replica {
-	best := candidates[0]
-	bestLoad := best.inflight.Load()
-	for _, r := range candidates[1:] {
-		if l := r.inflight.Load(); l < bestLoad {
-			best, bestLoad = r, l
-		}
-	}
-	return best
-}
-
 // ringNode is one virtual node on the consistent-hash ring.
 type ringNode struct {
 	hash    uint64
 	replica *Replica
 }
 
-// ConsistentHash routes each model key to a stable replica via a hash
-// ring of virtual nodes, so a model's micro-batches and (eventually)
-// any per-model caches concentrate on one backend, and adding or
-// removing a replica only remaps that replica's share of keys.
+// hashRing routes each model key to a stable replica via a ring of
+// virtual nodes, so a model's micro-batches and (eventually) any
+// per-model caches concentrate on one backend, and adding or removing a
+// replica only remaps that replica's share of keys.
 //
 // It is consistent hashing *with bounded loads*: when the ring-preferred
-// replica already carries more than LoadFactor× the mean in-flight load
+// replica already carries more than loadFactor× the mean in-flight load
 // of the candidates, the walk continues to the next distinct replica on
 // the ring — cache locality until a hot key would overload its home,
-// then least-loaded-style spill.
-type ConsistentHash struct {
-	// LoadFactor is the spill threshold as a multiple of the mean
-	// in-flight load (default 2.0; values ≤ 1 disable the bound and give
-	// pure consistent hashing).
-	LoadFactor float64
+// then spill.
+type hashRing []ringNode
 
-	ring []ringNode
-}
+const (
+	// ringVNodes gives each replica enough ring presence that key shares
+	// stay within a few percent of uniform.
+	ringVNodes = 128
+	// loadFactor is the spill threshold as a multiple of the mean
+	// in-flight load of the candidates.
+	loadFactor = 2.0
+)
 
-// defaultVNodes gives each replica enough ring presence that key shares
-// stay within a few percent of uniform.
-const defaultVNodes = 128
-
-// NewConsistentHash builds a ring over the replicas with vnodes virtual
-// nodes each (≤ 0 selects the default).
-func NewConsistentHash(replicas []*Replica, vnodes int) *ConsistentHash {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	ch := &ConsistentHash{LoadFactor: 2.0}
+// newHashRing builds a ring over the replicas with ringVNodes virtual
+// nodes each.
+func newHashRing(replicas []*Replica) hashRing {
+	ring := make(hashRing, 0, len(replicas)*ringVNodes)
 	for _, r := range replicas {
-		for i := 0; i < vnodes; i++ {
-			ch.ring = append(ch.ring, ringNode{hash: hashKey(r.URL + "#" + strconv.Itoa(i)), replica: r})
+		for i := 0; i < ringVNodes; i++ {
+			ring = append(ring, ringNode{hash: hashKey(r.URL + "#" + strconv.Itoa(i)), replica: r})
 		}
 	}
-	sort.Slice(ch.ring, func(i, j int) bool { return ch.ring[i].hash < ch.ring[j].hash })
-	return ch
+	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
+	return ring
 }
 
 // hashKey is 64-bit FNV-1a finished with a splitmix64-style mixer. Raw
@@ -93,12 +63,12 @@ func hashKey(s string) uint64 {
 	return z
 }
 
-// Pick implements Balancer: walk the ring clockwise from the key's hash,
-// skipping replicas that are not candidates, and return the first
-// candidate under the load bound. If every candidate is over the bound
-// (or the bound is disabled), the ring-preferred candidate wins.
-func (c *ConsistentHash) Pick(key string, candidates []*Replica) *Replica {
-	if len(candidates) == 1 || len(c.ring) == 0 {
+// pick walks the ring clockwise from the key's hash, skipping replicas
+// that are not candidates, and returns the first candidate under the
+// load bound. If every candidate is over the bound, the ring-preferred
+// candidate wins. candidates must be non-empty.
+func (ring hashRing) pick(key string, candidates []*Replica) *Replica {
+	if len(candidates) == 1 {
 		return candidates[0]
 	}
 	isCandidate := make(map[*Replica]bool, len(candidates))
@@ -107,20 +77,14 @@ func (c *ConsistentHash) Pick(key string, candidates []*Replica) *Replica {
 		isCandidate[r] = true
 		total += r.inflight.Load()
 	}
-	var bound int64 = -1
-	if c.LoadFactor > 1 {
-		mean := float64(total+1) / float64(len(candidates))
-		bound = int64(c.LoadFactor * mean)
-		if bound < 1 {
-			bound = 1
-		}
-	}
+	mean := float64(total+1) / float64(len(candidates))
+	bound := max(int64(loadFactor*mean), 1)
 
-	start := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].hash >= hashKey(key) })
+	start := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= hashKey(key) })
 	var preferred *Replica
 	seen := make(map[*Replica]bool, len(candidates))
-	for i := 0; i < len(c.ring) && len(seen) < len(candidates); i++ {
-		r := c.ring[(start+i)%len(c.ring)].replica
+	for i := 0; i < len(ring) && len(seen) < len(candidates); i++ {
+		r := ring[(start+i)%len(ring)].replica
 		if !isCandidate[r] || seen[r] {
 			continue
 		}
@@ -128,7 +92,7 @@ func (c *ConsistentHash) Pick(key string, candidates []*Replica) *Replica {
 		if preferred == nil {
 			preferred = r
 		}
-		if bound < 0 || r.inflight.Load() <= bound {
+		if r.inflight.Load() <= bound {
 			return r
 		}
 	}

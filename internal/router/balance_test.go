@@ -6,7 +6,7 @@ import (
 )
 
 // fakeFleet builds n replicas with no live backends — enough for
-// balancer tests, which only read URL and inflight.
+// hash-ring tests, which only read URL and inflight.
 func fakeFleet(n int) []*Replica {
 	out := make([]*Replica, n)
 	for i := range out {
@@ -15,29 +15,13 @@ func fakeFleet(n int) []*Replica {
 	return out
 }
 
-func TestLeastLoadedPicksIdlest(t *testing.T) {
-	fleet := fakeFleet(3)
-	fleet[0].inflight.Store(5)
-	fleet[1].inflight.Store(1)
-	fleet[2].inflight.Store(3)
-	if got := (LeastLoaded{}).Pick("anything", fleet); got != fleet[1] {
-		t.Fatalf("picked %s, want the idlest replica-1", got.URL)
-	}
-	// Ties break by candidate order.
-	fleet[1].inflight.Store(5)
-	fleet[2].inflight.Store(5)
-	if got := (LeastLoaded{}).Pick("anything", fleet); got != fleet[0] {
-		t.Fatalf("tie-break picked %s, want replica-0", got.URL)
-	}
-}
-
 func TestConsistentHashIsStable(t *testing.T) {
 	fleet := fakeFleet(4)
-	ch := NewConsistentHash(fleet, 0)
+	ring := newHashRing(fleet)
 	for _, key := range []string{"credit", "credit@v2", "hiring", "compas"} {
-		first := ch.Pick(key, fleet)
+		first := ring.pick(key, fleet)
 		for i := 0; i < 50; i++ {
-			if got := ch.Pick(key, fleet); got != first {
+			if got := ring.pick(key, fleet); got != first {
 				t.Fatalf("key %q moved from %s to %s with no fleet change", key, first.URL, got.URL)
 			}
 		}
@@ -46,10 +30,10 @@ func TestConsistentHashIsStable(t *testing.T) {
 
 func TestConsistentHashSpreadsKeys(t *testing.T) {
 	fleet := fakeFleet(4)
-	ch := NewConsistentHash(fleet, 0)
+	ring := newHashRing(fleet)
 	hits := make(map[*Replica]int)
 	for i := 0; i < 256; i++ {
-		hits[ch.Pick(fmt.Sprintf("model-%d", i), fleet)]++
+		hits[ring.pick(fmt.Sprintf("model-%d", i), fleet)]++
 	}
 	// 256 keys over 4 replicas: every replica must see a meaningful
 	// share. A broken ring concentrates everything on one node.
@@ -64,18 +48,18 @@ func TestConsistentHashSpreadsKeys(t *testing.T) {
 // algorithm: removing one replica only remaps that replica's keys.
 func TestConsistentHashMinimalRemapping(t *testing.T) {
 	fleet := fakeFleet(4)
-	ch := NewConsistentHash(fleet, 0)
+	ring := newHashRing(fleet)
 	keys := make([]string, 200)
 	before := make([]*Replica, len(keys))
 	for i := range keys {
 		keys[i] = fmt.Sprintf("model-%d", i)
-		before[i] = ch.Pick(keys[i], fleet)
+		before[i] = ring.pick(keys[i], fleet)
 	}
 	// Replica 2 leaves the candidate set (evicted); survivors' keys must
 	// not move.
 	reduced := []*Replica{fleet[0], fleet[1], fleet[3]}
 	for i, key := range keys {
-		after := ch.Pick(key, reduced)
+		after := ring.pick(key, reduced)
 		if before[i] != fleet[2] && after != before[i] {
 			t.Fatalf("key %q moved from %s to %s though its home never left", key, before[i].URL, after.URL)
 		}
@@ -87,45 +71,34 @@ func TestConsistentHashMinimalRemapping(t *testing.T) {
 
 func TestConsistentHashSpillsUnderBoundedLoad(t *testing.T) {
 	fleet := fakeFleet(4)
-	ch := NewConsistentHash(fleet, 0)
+	ring := newHashRing(fleet)
 	key := "credit"
-	home := ch.Pick(key, fleet)
+	home := ring.pick(key, fleet)
 
-	// Pile in-flight load onto the home replica far past LoadFactor× the
+	// Pile in-flight load onto the home replica far past loadFactor× the
 	// mean: the walk must spill to a different replica.
 	home.inflight.Store(100)
-	spill := ch.Pick(key, fleet)
+	spill := ring.pick(key, fleet)
 	if spill == home {
 		t.Fatal("bounded-load hash kept routing to an overloaded home")
 	}
 	// And the spill target is itself stable while the imbalance lasts.
-	if again := ch.Pick(key, fleet); again != spill {
+	if again := ring.pick(key, fleet); again != spill {
 		t.Fatalf("spill target flapped: %s then %s", spill.URL, again.URL)
 	}
 
 	// Load drains: the key goes home again (cache locality restored).
 	home.inflight.Store(0)
-	if got := ch.Pick(key, fleet); got != home {
+	if got := ring.pick(key, fleet); got != home {
 		t.Fatalf("after drain key routed to %s, want home %s", got.URL, home.URL)
-	}
-}
-
-func TestConsistentHashLoadFactorDisablesBound(t *testing.T) {
-	fleet := fakeFleet(4)
-	ch := NewConsistentHash(fleet, 0)
-	ch.LoadFactor = 0 // ≤ 1 means pure consistent hashing
-	home := ch.Pick("credit", fleet)
-	home.inflight.Store(1000)
-	if got := ch.Pick("credit", fleet); got != home {
-		t.Fatal("LoadFactor ≤ 1 must disable spilling")
 	}
 }
 
 func TestConsistentHashSingleCandidate(t *testing.T) {
 	fleet := fakeFleet(3)
-	ch := NewConsistentHash(fleet, 0)
+	ring := newHashRing(fleet)
 	only := []*Replica{fleet[2]}
-	if got := ch.Pick("credit", only); got != fleet[2] {
+	if got := ring.pick("credit", only); got != fleet[2] {
 		t.Fatal("single candidate must always win")
 	}
 }

@@ -10,9 +10,10 @@ import (
 	"repro/internal/server"
 )
 
-// Start launches the health-probe loops (one per replica) and returns
-// immediately; probing stops when ctx is cancelled. logf (which may be
-// nil) receives eviction and re-admission events.
+// Start launches the health-probe loops (one per replica) and the
+// fleet-wide sync-lag loop, and returns immediately; all of them stop
+// when ctx is cancelled. logf (which may be nil) receives eviction and
+// re-admission events.
 func (rt *Router) Start(ctx context.Context, logf func(format string, args ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -20,29 +21,40 @@ func (rt *Router) Start(ctx context.Context, logf func(format string, args ...an
 	for _, rep := range rt.replicas {
 		go rt.probeLoop(ctx, rep, logf)
 	}
+	go rt.syncLagLoop(ctx)
 }
 
-// syncLagEvery is how many probe rounds pass between sync-manifest polls
-// for the per-replica sync-lag gauge.
-const syncLagEvery = 4
-
 // probeLoop polls one replica's /readyz every ProbeInterval, applying
-// eviction/re-admission hysteresis, and refreshes the replica's sync-lag
-// gauge every syncLagEvery rounds.
+// eviction/re-admission hysteresis.
 func (rt *Router) probeLoop(ctx context.Context, rep *Replica, logf func(string, ...any)) {
 	t := time.NewTicker(rt.cfg.ProbeInterval)
 	defer t.Stop()
-	round := 0
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
 			rt.probeOnce(rep, logf)
-			round++
-			if round%syncLagEvery == 0 {
-				rt.refreshSyncLag(ctx)
-			}
+		}
+	}
+}
+
+// syncLagEvery is how many probe intervals pass between sync-manifest
+// polls for the per-replica sync-lag gauges.
+const syncLagEvery = 4
+
+// syncLagLoop refreshes the fleet's sync-lag gauges every syncLagEvery
+// probe intervals: one manifest GET per healthy replica per round, from
+// this one goroutine, which is the gauges' only writer.
+func (rt *Router) syncLagLoop(ctx context.Context) {
+	t := time.NewTicker(syncLagEvery * rt.cfg.ProbeInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			rt.refreshSyncLag(ctx)
 		}
 	}
 }

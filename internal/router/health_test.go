@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -149,5 +150,51 @@ func TestRefreshSyncLag(t *testing.T) {
 	}
 	if lag := rt.replicas[1].SyncLag(); lag != 1 {
 		t.Fatalf("replica B lag %d, want 1 (missing hiring.json)", lag)
+	}
+}
+
+// TestSyncLagPolledOncePerRound drives Start against three fake replicas
+// and counts what each is asked: every probe round sends one /readyz per
+// replica, and every syncLagEvery rounds one fleet-wide refresh sends
+// one /v1/sync/manifest per replica. A refresh run from each replica's
+// own probe loop would triple the manifest count.
+func TestSyncLagPolledOncePerRound(t *testing.T) {
+	var readyz, manifests atomic.Int64
+	var backends []string
+	for i := 0; i < 3; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/readyz":
+				readyz.Add(1)
+			case "/v1/sync/manifest":
+				manifests.Add(1)
+				fmt.Fprintln(w, `{"files":[]}`)
+			}
+		}))
+		t.Cleanup(ts.Close)
+		backends = append(backends, ts.URL)
+	}
+	rt, err := New(Config{Backends: backends, ProbeInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	rt.Start(ctx, nil)
+	const rounds = 40
+	deadline := time.Now().Add(10 * time.Second)
+	for readyz.Load() < 3*rounds && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	r, m := readyz.Load(), manifests.Load()
+	if r < 3*rounds {
+		t.Fatalf("only %d /readyz probes in 10s", r)
+	}
+	if m == 0 {
+		t.Fatal("sync lag was never polled")
+	}
+	// Once per round: m ≈ r/syncLagEvery. Per replica per round: 3× that.
+	if 2*m > r {
+		t.Fatalf("%d manifest GETs for %d readyz probes, want about 1 per %d probes", m, r, syncLagEvery)
 	}
 }

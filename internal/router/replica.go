@@ -9,9 +9,9 @@ import (
 )
 
 // Replica is one ifair-server backend as the router sees it: its base
-// URL, a retrying client bound to it (internal retries disabled — the
-// router reroutes across replicas instead of hammering one), and the
-// live state the balancer, prober and metrics read.
+// URL, a single-attempt client bound to it (the router reroutes across
+// replicas instead of hammering one), and the live state the hash ring,
+// prober and metrics read.
 type Replica struct {
 	// URL is the backend base URL, e.g. "http://10.0.0.7:8080".
 	URL string
@@ -37,8 +37,7 @@ func newReplica(url string) *Replica {
 	r := &Replica{
 		URL: url,
 		Client: &server.Client{
-			BaseURL:    url,
-			MaxRetries: -1, // the router's reroute IS the retry policy
+			BaseURL: url,
 			// A dedicated pooled transport: the default transport keeps
 			// only 2 idle conns per host, which under fan-in concurrency
 			// degenerates into a dial per request — latency, port churn,
@@ -72,7 +71,7 @@ func (r *Replica) InCooldown(now time.Time) bool {
 	return now.UnixNano() < r.cooldownUntil.Load()
 }
 
-// Available reports whether the balancer may route to the replica now.
+// Available reports whether the router may route to the replica now.
 func (r *Replica) Available(now time.Time) bool {
 	return r.Healthy() && !r.InCooldown(now)
 }

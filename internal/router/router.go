@@ -1,15 +1,16 @@
 // Package router is the scale-out serving tier: a reverse proxy that
-// spreads /v1/models traffic across N ifair-server replicas. It routes
-// with a pluggable balancer (consistent hashing on model name@version
-// for cache locality, with a bounded-load least-loaded spill, or pure
-// least-loaded), evicts and re-admits replicas from /readyz probes with
-// hysteresis, honours per-replica Retry-After by routing around shedding
-// backends instead of retrying into them, and exports fleet-level
-// metrics: per-replica goodput, evictions, re-admissions, reroutes and
-// model-sync lag. One ifair-server caps out at one machine; the router
-// is how the learned fair representations serve "millions of users"
-// (ROADMAP) — and the aggregation point the certified-audit endpoints of
-// Ruoss et al. 2020 would hang off.
+// spreads /v1/models traffic across N ifair-server replicas. Every
+// proxied request goes through one loop and one balancing rule:
+// consistent hashing on model name@version for cache locality, with a
+// bounded-load spill to the next replica on the ring. The router evicts
+// and re-admits replicas from /readyz probes with hysteresis, honours
+// per-replica Retry-After by routing around shedding backends instead of
+// retrying into them, and exports fleet-level metrics: per-replica
+// goodput, evictions, re-admissions, reroutes and model-sync lag. One
+// ifair-server caps out at one machine; the router is how the learned
+// fair representations serve "millions of users" (ROADMAP) — and the
+// aggregation point the certified-audit endpoints of Ruoss et al. 2020
+// would hang off.
 package router
 
 import (
@@ -33,9 +34,6 @@ var latencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.
 type Config struct {
 	// Backends are the replica base URLs (e.g. "http://host:8080").
 	Backends []string
-	// Balancer picks the replica for each request; nil selects
-	// consistent hashing over the backends with bounded-load spill.
-	Balancer Balancer
 
 	// ProbeInterval is the /readyz polling cadence (default 250ms).
 	ProbeInterval time.Duration
@@ -87,7 +85,7 @@ func (c *Config) fillDefaults() {
 type Router struct {
 	cfg      Config
 	replicas []*Replica
-	balancer Balancer
+	ring     hashRing
 	metrics  *server.Metrics
 
 	reroutes    *server.Counter
@@ -133,16 +131,13 @@ func New(cfg Config) (*Router, error) {
 		}, "replica="+url)
 		rt.replicas = append(rt.replicas, rep)
 	}
-	rt.balancer = cfg.Balancer
-	if rt.balancer == nil {
-		rt.balancer = NewConsistentHash(rt.replicas, 0)
-	}
+	rt.ring = newHashRing(rt.replicas)
 	rt.reroutes = rt.metrics.Counter("router_reroutes_total")
 	rt.noBackend = rt.metrics.Counter("router_no_backend_total")
 	return rt, nil
 }
 
-// available returns the replicas the balancer may use right now,
+// available returns the replicas the ring may pick right now,
 // excluding any in tried.
 func (rt *Router) available(now time.Time, tried map[*Replica]bool) []*Replica {
 	out := make([]*Replica, 0, len(rt.replicas))
@@ -167,10 +162,10 @@ func (rt *Router) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = rt.metrics.WriteTo(w)
 	})
-	mux.HandleFunc("GET /v1/models", rt.handleGetProxy)
-	mux.HandleFunc("GET /v1/sync/manifest", rt.handleGetProxy)
-	mux.HandleFunc("POST /v1/models/{name}/transform", rt.handlePostProxy)
-	mux.HandleFunc("POST /v1/models/{name}/probabilities", rt.handlePostProxy)
+	mux.HandleFunc("GET /v1/models", rt.handleProxy)
+	mux.HandleFunc("GET /v1/sync/manifest", rt.handleProxy)
+	mux.HandleFunc("POST /v1/models/{name}/transform", rt.handleProxy)
+	mux.HandleFunc("POST /v1/models/{name}/probabilities", rt.handleProxy)
 	return mux
 }
 
@@ -191,26 +186,10 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ready: %d/%d replica(s)\n", n, len(rt.replicas))
 }
 
-// requestTimeout clamps the client's propagated budget to the router's
-// own per-request bound (the same contract ifair-server applies).
-func (rt *Router) requestTimeout(r *http.Request) time.Duration {
-	h := r.Header.Get(server.TimeoutHeader)
-	if h == "" {
-		return rt.cfg.RequestTimeout
-	}
-	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil || ms <= 0 {
-		return rt.cfg.RequestTimeout
-	}
-	if d := time.Duration(ms) * time.Millisecond; d < rt.cfg.RequestTimeout {
-		return d
-	}
-	return rt.cfg.RequestTimeout
-}
-
-// routeKey is what the consistent hash sees: model name plus the pinned
+// routeKey is what the hash ring sees: model name plus the pinned
 // version if the client asked for one, so name@v3 and the floating
-// latest hash independently.
+// latest hash independently. The read-only endpoints carry no name and
+// all share the key "".
 func routeKey(r *http.Request) string {
 	name := r.PathValue("name")
 	if v := r.URL.Query().Get("version"); v != "" {
@@ -219,12 +198,13 @@ func routeKey(r *http.Request) string {
 	return name
 }
 
-// handlePostProxy forwards a transform/probabilities request, rerouting
-// across replicas on transport errors, shed responses (429/503, which
-// also start the replica's Retry-After cooldown), server errors, and
-// 404s (a replica whose model sync is lagging may genuinely not have a
-// model its peers already serve).
-func (rt *Router) handlePostProxy(w http.ResponseWriter, r *http.Request) {
+// handleProxy forwards one serving-API request — POST transform and
+// probabilities, GET /v1/models and /v1/sync/manifest — rerouting across
+// replicas on transport errors, shed responses (429/503, which also
+// start the replica's Retry-After cooldown), server errors, and 404s (a
+// replica whose model sync is lagging may genuinely not have a model its
+// peers already serve).
+func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -235,7 +215,7 @@ func (rt *Router) handlePostProxy(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.requestTimeout(r))
+	ctx, cancel := context.WithTimeout(r.Context(), server.EffectiveTimeout(r, rt.cfg.RequestTimeout))
 	defer cancel()
 
 	path := r.URL.Path
@@ -254,14 +234,19 @@ func (rt *Router) handlePostProxy(w http.ResponseWriter, r *http.Request) {
 		if len(candidates) == 0 {
 			break
 		}
-		rep := rt.balancer.Pick(key, candidates)
+		rep := rt.ring.pick(key, candidates)
 		tried[rep] = true
 		if attempt > 0 {
 			rt.reroutes.Inc()
 		}
 
+		var resp []byte
 		rep.inflight.Add(1)
-		resp, err := rep.Client.PostRaw(ctx, path, body)
+		if r.Method == http.MethodGet {
+			resp, err = rep.Client.GetRaw(ctx, path)
+		} else {
+			resp, err = rep.Client.PostRaw(ctx, path, body)
+		}
 		rep.inflight.Add(-1)
 
 		if err == nil {
@@ -321,42 +306,6 @@ func (rt *Router) handlePostProxy(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		writeJSONError(w, http.StatusServiceUnavailable, "no healthy replicas")
 	}
-}
-
-// handleGetProxy relays a read-only endpoint from the first available
-// replica (falling through on errors), giving clients one address for
-// registry listings and sync manifests.
-func (rt *Router) handleGetProxy(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.requestTimeout(r))
-	defer cancel()
-	tried := make(map[*Replica]bool, len(rt.replicas))
-	var lastErr error
-	for attempt := 0; attempt < len(rt.replicas); attempt++ {
-		candidates := rt.available(time.Now(), tried)
-		if len(candidates) == 0 {
-			break
-		}
-		rep := LeastLoaded{}.Pick("", candidates)
-		tried[rep] = true
-		resp, err := rep.Client.GetRaw(ctx, r.URL.Path)
-		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(resp)
-			return
-		}
-		lastErr = err
-	}
-	if lastErr != nil {
-		var se *server.StatusError
-		if errors.As(lastErr, &se) {
-			writeJSONError(w, se.Status, se.Body)
-			return
-		}
-		writeJSONError(w, http.StatusBadGateway, lastErr.Error())
-		return
-	}
-	rt.noBackend.Inc()
-	writeJSONError(w, http.StatusServiceUnavailable, "no healthy replicas")
 }
 
 // writeJSONError mirrors the replica error body shape so clients see one

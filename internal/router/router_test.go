@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -202,7 +203,7 @@ func TestRouterReroutesAroundDeadReplica(t *testing.T) {
 	for i := range downs {
 		downs[i].Store(false)
 	}
-	home := rt.balancer.Pick("credit", rt.replicas)
+	home := rt.ring.pick("credit", rt.replicas)
 	for i, rep := range rt.replicas {
 		if rep == home {
 			downs[i].Store(true)
@@ -221,9 +222,14 @@ func TestRouterReroutesAroundDeadReplica(t *testing.T) {
 }
 
 func TestRouterRoutesAroundSheddingReplica(t *testing.T) {
-	// One real replica plus one fake that always sheds with Retry-After.
+	// One real replica serving 32 models plus one fake that always sheds
+	// with Retry-After.
 	dir := t.TempDir()
-	writeTestModel(t, dir, "credit.json", 3)
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = fmt.Sprintf("model-%d", i)
+		writeTestModel(t, dir, names[i]+".json", 3)
+	}
 	real, _ := newBackend(t, dir)
 	shedder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
@@ -232,23 +238,34 @@ func TestRouterRoutesAroundSheddingReplica(t *testing.T) {
 	}))
 	t.Cleanup(shedder.Close)
 
-	// LeastLoaded tie-breaks to candidate order, so the first request
-	// deterministically hits the shedder regardless of port hashing.
-	rt, err := New(Config{Backends: []string{shedder.URL, real.URL}, Balancer: LeastLoaded{}, MaxCooldown: 5 * time.Second})
+	rt, err := New(Config{Backends: []string{shedder.URL, real.URL}, MaxCooldown: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 
+	// Pick, through the ring itself, a model whose home is the shedder,
+	// so the first request deterministically hits it. Each name misses
+	// with probability about 1/2, so all 32 miss with about 2^-32.
 	shedRep := rt.replicas[0]
+	model := ""
+	for _, name := range names {
+		if rt.ring.pick(name, rt.replicas) == shedRep {
+			model = name
+			break
+		}
+	}
+	if model == "" {
+		t.Fatal("no model name hashes to the shedding replica")
+	}
 	for i := 0; i < 8; i++ {
-		resp, body := postTransform(t, front.URL, "credit", `[[0.1, -1.2, 0.5]]`)
+		resp, body := postTransform(t, front.URL, model, `[[0.1, -1.2, 0.5]]`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d status %d: %s", i, resp.StatusCode, body)
 		}
 	}
-	// The shedding replica was tried at most once: after the first 429
+	// The shedding replica was tried exactly once: after the first 429
 	// its Retry-After cooldown keeps it out of the candidate set, so the
 	// router never retries into a backend that just shed.
 	if n := shedRep.shed.Value(); n != 1 {
@@ -259,6 +276,69 @@ func TestRouterRoutesAroundSheddingReplica(t *testing.T) {
 	}
 	if shedRep.Healthy() != true {
 		t.Fatal("shedding must cool down, not evict: the backend is alive and protecting itself")
+	}
+}
+
+// TestRouterGetRoutesAroundSheddingReplica checks that the read-only
+// endpoints share the POST path's reroute and shed cooldown: the ring
+// home of the empty route key sheds, the request is rerouted, and the
+// shedder is not asked again while its Retry-After holds.
+func TestRouterGetRoutesAroundSheddingReplica(t *testing.T) {
+	var backends []string
+	var shedding []*atomic.Bool
+	for i := 0; i < 2; i++ {
+		shed := &atomic.Bool{}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if shed.Load() {
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprintln(w, `{"error":"overloaded"}`)
+				return
+			}
+			fmt.Fprintln(w, `{"models":[]}`)
+		}))
+		t.Cleanup(ts.Close)
+		backends = append(backends, ts.URL)
+		shedding = append(shedding, shed)
+	}
+	rt, err := New(Config{Backends: backends, MaxCooldown: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	home := rt.ring.pick("", rt.replicas)
+	var other *Replica
+	for i, rep := range rt.replicas {
+		if rep == home {
+			shedding[i].Store(true)
+		} else {
+			other = rep
+		}
+	}
+	for i := 0; i < 8; i++ {
+		resp, err := http.Get(front.URL + "/v1/models")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := readAll(resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %d status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if n := home.shed.Value(); n != 1 {
+		t.Fatalf("shedding replica was sent %d GETs, want exactly 1 (cooldown must hold it out)", n)
+	}
+	if !home.InCooldown(time.Now()) || !home.Healthy() {
+		t.Fatal("shedding replica must be cooled down and stay in rotation")
+	}
+	if n := rt.reroutes.Value(); n != 1 {
+		t.Fatalf("reroutes %d, want 1 (the first GET, past the shedder)", n)
+	}
+	if n := other.ok.Value(); n != 8 {
+		t.Fatalf("serving replica ok counter %d, want 8", n)
 	}
 }
 
@@ -355,26 +435,49 @@ func TestRouterMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestRouterClampsTimeoutHeader checks the budget the router forwards:
+// the client's X-Request-Timeout-Ms clamped to RequestTimeout, as seen
+// in the header the replica receives.
 func TestRouterClampsTimeoutHeader(t *testing.T) {
-	rt, _, _ := newTestRouter(t, 1, Config{RequestTimeout: 2 * time.Second})
-	mk := func(header string) *http.Request {
-		r := httptest.NewRequest(http.MethodPost, "/v1/models/credit/transform", nil)
-		if header != "" {
-			r.Header.Set(server.TimeoutHeader, header)
+	seen := make(chan string, 1)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get(server.TimeoutHeader)
+		fmt.Fprintln(w, `{"models":[]}`)
+	}))
+	t.Cleanup(backend.Close)
+	rt, err := New(Config{Backends: []string{backend.URL}, RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	for _, c := range []struct {
+		header string
+		want   time.Duration
+	}{
+		{"", 2 * time.Second},           // no header: the router bound
+		{"500", 500 * time.Millisecond}, // a smaller budget passes through
+		{"60000", 2 * time.Second},      // an oversized budget is clamped
+		{"garbage", 2 * time.Second},    // a malformed one is ignored
+	} {
+		req, err := http.NewRequest(http.MethodGet, front.URL+"/v1/models", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return r
-	}
-	if d := rt.requestTimeout(mk("")); d != 2*time.Second {
-		t.Fatalf("no header → %v, want the router bound", d)
-	}
-	if d := rt.requestTimeout(mk("500")); d != 500*time.Millisecond {
-		t.Fatalf("500ms budget → %v", d)
-	}
-	if d := rt.requestTimeout(mk("60000")); d != 2*time.Second {
-		t.Fatalf("oversized budget → %v, want clamped to 2s", d)
-	}
-	if d := rt.requestTimeout(mk("garbage")); d != 2*time.Second {
-		t.Fatalf("garbage budget → %v, want the router bound", d)
+		if c.header != "" {
+			req.Header.Set(server.TimeoutHeader, c.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		ms, err := strconv.ParseInt(<-seen, 10, 64)
+		got := time.Duration(ms) * time.Millisecond
+		if err != nil || got > c.want || got <= c.want/2 {
+			t.Fatalf("header %q: replica saw a %v budget, want just under %v", c.header, got, c.want)
+		}
 	}
 }
 

@@ -87,9 +87,8 @@ func (c *Client) Probabilities(ctx context.Context, model string, row []float64)
 	return out.Probabilities[0], nil
 }
 
-// post marshals once, then retries the round trip under the client's
-// backoff policy until success, a terminal status, retry exhaustion, or
-// ctx expiry — whichever is first.
+// post marshals in, makes one round trip and decodes the response into
+// out.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -145,82 +144,31 @@ func mustEntry(t *testing.T, s *Server, name string) *Entry {
 	return e
 }
 
-func TestClientRetriesShedsThenSucceeds(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(errorResponse{Error: "overloaded"}) //nolint:errcheck
-			return
-		}
-		json.NewEncoder(w).Encode(transformResponse{ //nolint:errcheck
-			Model: "m", Version: 1, Rows: [][]float64{{42}},
-		})
-	}))
-	defer ts.Close()
-
-	c := &Client{BaseURL: ts.URL, MaxRetries: 3}
-	got, err := c.Transform(context.Background(), "m", []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 42 {
-		t.Fatalf("row = %v, want [42]", got)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("server saw %d calls, want 3 (2 sheds + success)", n)
-	}
-}
-
+// TestClientDoesNotRetryTerminalStatus checks that every call makes
+// exactly one request, whatever the status: retrying belongs to the
+// router's reroute and the syncer's next tick.
 func TestClientDoesNotRetryTerminalStatus(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(errorResponse{Error: "bad row"}) //nolint:errcheck
-	}))
-	defer ts.Close()
-
-	c := &Client{BaseURL: ts.URL, MaxRetries: 5}
-	_, err := c.Transform(context.Background(), "m", []float64{1})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
-		t.Fatalf("err = %v, want StatusError 400", err)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("server saw %d calls for a terminal 400, want 1", n)
-	}
-}
-
-func TestClientHonoursRetryAfterFloor(t *testing.T) {
-	var calls atomic.Int64
-	var firstRetryGap atomic.Int64
-	var lastCall atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		now := time.Now().UnixNano()
-		if prev := lastCall.Swap(now); prev != 0 && firstRetryGap.Load() == 0 {
-			firstRetryGap.Store(now - prev)
+	for _, status := range []int{http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		var calls atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(errorResponse{Error: "no"}) //nolint:errcheck
+		}))
+		c := &Client{BaseURL: ts.URL}
+		_, err := c.Transform(context.Background(), "m", []float64{1})
+		var se *StatusError
+		if !errors.As(err, &se) || se.Status != status || se.Body != "no" {
+			t.Fatalf("err = %v, want StatusError %d", err, status)
 		}
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
+		if _, err := c.GetRaw(context.Background(), "/v1/models"); !errors.As(err, &se) || se.Status != status {
+			t.Fatalf("GetRaw err = %v, want StatusError %d", err, status)
 		}
-		json.NewEncoder(w).Encode(transformResponse{Rows: [][]float64{{1}}}) //nolint:errcheck
-	}))
-	defer ts.Close()
-
-	// Jittered backoff alone would be ≤ 50ms (the exponential ceiling is
-	// clientBaseDelay on the first retry); the server's 1s hint must
-	// floor it. clientMaxDelay sits above the hint — clamping is covered
-	// by TestBackoffClampsHintToMaxDelay.
-	c := &Client{BaseURL: ts.URL, MaxRetries: 1}
-	if _, err := c.Transform(context.Background(), "m", []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if gap := time.Duration(firstRetryGap.Load()); gap < 900*time.Millisecond {
-		t.Fatalf("retry after %v, want ≥ ~1s from Retry-After hint", gap)
+		ts.Close()
+		if n := calls.Load(); n != 2 {
+			t.Fatalf("status %d: server saw %d calls for 2 client calls, want 2", status, n)
+		}
 	}
 }
 
@@ -245,25 +193,6 @@ func TestClientPropagatesDeadlineHeader(t *testing.T) {
 	ms, err := time.ParseDuration(h + "ms")
 	if err != nil || ms <= 0 || ms > 750*time.Millisecond {
 		t.Fatalf("deadline header = %q, want 0 < ms ≤ 750", h)
-	}
-}
-
-func TestClientStopsRetryingOnContextExpiry(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-
-	c := &Client{BaseURL: ts.URL, MaxRetries: 100}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Transform(ctx, "m", []float64{1})
-	if err == nil {
-		t.Fatal("want an error after ctx expiry")
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("client kept retrying %v past its context", elapsed)
 	}
 }
 
@@ -301,41 +230,23 @@ func TestRetryAfterParsesBothForms(t *testing.T) {
 	}
 }
 
-func TestBackoffClampsHintToMaxDelay(t *testing.T) {
-	c := &Client{}
-	// A Retry-After hint far beyond the cap must not stall the client.
-	if d := c.backoff(1, time.Hour); d != clientMaxDelay {
-		t.Fatalf("backoff with huge hint = %v, want clamped to %v", d, clientMaxDelay)
-	}
-	// A modest hint still floors the jittered delay, which stays under
-	// the first retry's ceiling.
-	if d := c.backoff(1, 20*time.Millisecond); d < 20*time.Millisecond || d > clientBaseDelay {
-		t.Fatalf("backoff with 20ms hint = %v, want in [20ms, %v]", d, clientBaseDelay)
-	}
-}
-
 func TestClientHonoursHTTPDateRetryAfter(t *testing.T) {
-	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// HTTP-dates have 1-second resolution; aim 2s out so the
-			// truncated value still lands ≥ 1s in the future.
-			w.Header().Set("Retry-After", time.Now().Add(2*time.Second).UTC().Format(http.TimeFormat))
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		json.NewEncoder(w).Encode(transformResponse{Rows: [][]float64{{1}}}) //nolint:errcheck
+		// HTTP-dates have 1-second resolution; aim 2s out so the
+		// truncated value still lands ≥ 1s in the future.
+		w.Header().Set("Retry-After", time.Now().Add(2*time.Second).UTC().Format(http.TimeFormat))
+		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, MaxRetries: 1}
-	start := time.Now()
-	if _, err := c.Transform(context.Background(), "m", []float64{1}); err != nil {
-		t.Fatal(err)
+	c := &Client{BaseURL: ts.URL}
+	_, err := c.Transform(context.Background(), "m", []float64{1})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want StatusError 503", err)
 	}
-	// Jitter alone would be ≤ 50ms; the parsed HTTP-date must floor the
-	// retry delay near 1–2s (second-resolution truncation tolerance).
-	if gap := time.Since(start); gap < 900*time.Millisecond {
-		t.Fatalf("retry after %v, want ≥ ~1s from HTTP-date Retry-After", gap)
+	// Second-resolution truncation puts the hint between ~1s and 2s.
+	if se.RetryAfter < 900*time.Millisecond || se.RetryAfter > 2*time.Second {
+		t.Fatalf("RetryAfter = %v, want ~1–2s from the HTTP-date header", se.RetryAfter)
 	}
 }
 

@@ -14,13 +14,6 @@ import (
 	"repro/internal/admission"
 )
 
-// TimeoutHeader is the client deadline-propagation header: the caller's
-// remaining budget in whole milliseconds. The server clamps it to its
-// own RequestTimeout, so a generous client cannot extend the server's
-// per-request bound, while an impatient one stops being served the
-// moment its budget is gone.
-const TimeoutHeader = "X-Request-Timeout-Ms"
-
 // statusRecorder captures the status code a handler writes.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -47,22 +40,29 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// effectiveTimeout clamps the client's propagated budget (if any) to the
-// server's own per-request bound. Absent or malformed headers fall back
-// to the server bound.
-func effectiveTimeout(r *http.Request, serverTimeout time.Duration) time.Duration {
+// TimeoutHeader is the client deadline-propagation header: the caller's
+// remaining budget in whole milliseconds. The server clamps it to its
+// own RequestTimeout, so a generous client cannot extend the server's
+// per-request bound, while an impatient one stops being served the
+// moment its budget is gone.
+const TimeoutHeader = "X-Request-Timeout-Ms"
+
+// EffectiveTimeout clamps the client's propagated budget (if any) to the
+// caller's own per-request bound. Absent or malformed headers fall back
+// to the bound. The server and the router apply this one rule.
+func EffectiveTimeout(r *http.Request, bound time.Duration) time.Duration {
 	h := r.Header.Get(TimeoutHeader)
 	if h == "" {
-		return serverTimeout
+		return bound
 	}
 	ms, err := strconv.ParseInt(h, 10, 64)
 	if err != nil || ms <= 0 {
-		return serverTimeout
+		return bound
 	}
-	if d := time.Duration(ms) * time.Millisecond; d < serverTimeout {
+	if d := time.Duration(ms) * time.Millisecond; d < bound {
 		return d
 	}
-	return serverTimeout
+	return bound
 }
 
 // shedReason labels an admission rejection for the shed counter.
@@ -97,7 +97,7 @@ func (s *Server) instrument(path string, admit bool, h http.HandlerFunc) http.Ha
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		timeout := s.cfg.RequestTimeout
 		if admit {
-			timeout = effectiveTimeout(r, timeout)
+			timeout = EffectiveTimeout(r, timeout)
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()

@@ -55,7 +55,7 @@ func TestEffectiveTimeoutClamping(t *testing.T) {
 		if c.header != "" {
 			r.Header.Set(TimeoutHeader, c.header)
 		}
-		if got := effectiveTimeout(r, serverBound); got != c.want {
+		if got := EffectiveTimeout(r, serverBound); got != c.want {
 			t.Errorf("header %q: timeout = %v, want %v", c.header, got, c.want)
 		}
 	}

@@ -24,7 +24,7 @@ func newSyncOrigin(t *testing.T) (string, *httptest.Server) {
 
 func newSyncer(ts *httptest.Server, dir string) *Syncer {
 	return &Syncer{
-		Source: &Client{BaseURL: ts.URL, MaxRetries: -1},
+		Source: &Client{BaseURL: ts.URL},
 		Dir:    dir,
 	}
 }

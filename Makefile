@@ -179,7 +179,11 @@ LAYOUT_SYMS = repro/internal/kernel.Forward \
 	repro/internal/ifair.(*objective).fairnessBackward \
 	repro/internal/ifair.(*objective).backwardRecord \
 	repro/internal/lfr.(*objective).backwardRange \
-	repro/internal/server.(*Batcher).runJob
+	repro/internal/server.(*Batcher).runJob \
+	repro/internal/server.(*statusRecorder).WriteHeader \
+	repro/internal/server.(*statusRecorder).Write \
+	repro/internal/optimize.LBFGS \
+	repro/internal/optimize.SGD
 layout:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \

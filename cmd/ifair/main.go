@@ -32,12 +32,13 @@
 // store; -save-profile builds its drift profile during the same single
 // ingest pass.
 //
-// With -checkpoint, training state is snapshotted atomically to the given
-// directory; if the process is killed (SIGINT/SIGTERM) or crashes, rerunning
-// the same command resumes where it left off and produces a model
-// bit-identical to an uninterrupted run. -resume additionally errors when
-// the directory's snapshot belongs to a different dataset, options or seed
-// instead of silently starting fresh.
+// With -checkpoint, every finished restart is snapshotted atomically to
+// the given directory; if the process is killed (SIGINT/SIGTERM) or
+// crashes, rerunning the same command replays the finished restarts,
+// re-runs the rest from their seeds and produces a model bit-identical to
+// an uninterrupted run. -resume additionally errors when the directory's
+// snapshot belongs to a different dataset, options or seed instead of
+// silently starting fresh.
 package main
 
 import (
@@ -101,7 +102,6 @@ func run() error {
 		profRows  = flag.Int("profile-rows", drift.DefaultReferenceRows, "reference rows sampled into the drift profile (with -save-profile)")
 		explain   = flag.Bool("explain", false, "print the learned attribute weights (largest first) to stderr")
 		ckptDir   = flag.String("checkpoint", "", "directory for crash-safe training snapshots (enables checkpointing)")
-		ckptEvery = flag.Int("checkpoint-every", 50, "snapshot at least every N optimizer iterations")
 		resume    = flag.Bool("resume", false, "require the checkpoint to match this run (error on mismatch instead of starting fresh)")
 		ingestDir = flag.String("ingest", "", "shard-store directory: stream -input through the robust ingest pipeline and train from the store")
 		shardRows = flag.Int("shard-rows", ingest.DefaultShardRows, "rows per shard (with -ingest)")
@@ -195,9 +195,8 @@ func run() error {
 		var mgr *checkpoint.Manager
 		if *ckptDir != "" {
 			mgr, err = checkpoint.Open(checkpoint.Config{
-				Dir:             *ckptDir,
-				EveryIterations: *ckptEvery,
-				Strict:          *resume,
+				Dir:    *ckptDir,
+				Strict: *resume,
 				Logf: func(format string, args ...any) {
 					fmt.Fprintf(os.Stderr, "checkpoint: "+format+"\n", args...)
 				},
@@ -223,8 +222,9 @@ func run() error {
 		}
 		if err != nil {
 			if mgr != nil && ctx.Err() != nil {
-				// Killed mid-training: flush a final snapshot so the next
-				// invocation resumes from the very last iterate observed.
+				// Killed mid-training: flush a final snapshot so a finished
+				// restart whose own snapshot write failed still reaches
+				// disk before the next invocation resumes.
 				if ferr := mgr.Flush(); ferr != nil {
 					fmt.Fprintf(os.Stderr, "checkpoint: final flush failed: %v\n", ferr)
 				} else {

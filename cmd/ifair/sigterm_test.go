@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
 	"math/rand"
@@ -63,10 +64,11 @@ func runCLI(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer) {
 }
 
 // TestSIGTERMCheckpointResume is the end-to-end crash-safety test with a
-// real process and a real signal: start training with -checkpoint, SIGTERM
-// it mid-run, rerun the identical command, and the resumed run's saved
-// model must be byte-identical to the model of a run that was never
-// interrupted.
+// real process and a real signal: start training with -checkpoint on one
+// restart worker, SIGTERM it once restart 0 has finished and restart 1
+// has started, rerun the identical command, and the resumed run must
+// replay restart 0 from the checkpoint and save a model byte-identical to
+// the model of a run that was never interrupted.
 func TestSIGTERMCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	input := filepath.Join(dir, "train.csv")
@@ -76,7 +78,7 @@ func TestSIGTERMCheckpointResume(t *testing.T) {
 		return []string{
 			"-input", input, "-protected", "3",
 			"-k", "3", "-restarts", "3", "-maxiter", "60", "-seed", "9",
-			"-checkpoint-every", "1",
+			"-restart-workers", "1",
 			"-save", modelPath, "-checkpoint", ckptDir,
 			"-out", filepath.Join(dir, "out.csv"),
 		}
@@ -93,8 +95,9 @@ func TestSIGTERMCheckpointResume(t *testing.T) {
 		t.Fatalf("reference model: %v", err)
 	}
 
-	// Interrupted run: -progress gives us a signal-worthy moment — the
-	// first iteration line means training is genuinely underway.
+	// Interrupted run: -progress gives us the signal-worthy moment. With
+	// one restart worker, "restart 1: started" is printed only after
+	// restart 0 finished and its snapshot was written.
 	ckptDir := filepath.Join(dir, "ckpt")
 	killedModel := filepath.Join(dir, "killed.json")
 	args := append(baseArgs(killedModel, ckptDir), "-progress")
@@ -107,26 +110,22 @@ func TestSIGTERMCheckpointResume(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sawIteration := make(chan struct{})
+	sawRestart1 := make(chan struct{})
 	go func() {
-		buf := make([]byte, 4096)
-		var seen bool
-		for {
-			n, err := progress.Read(buf)
-			if n > 0 && !seen && strings.Contains(string(buf[:n]), "iter") {
+		sc := bufio.NewScanner(progress)
+		seen := false
+		for sc.Scan() {
+			if !seen && sc.Text() == "restart 1: started" {
 				seen = true
-				close(sawIteration)
-			}
-			if err != nil {
-				return
+				close(sawRestart1)
 			}
 		}
 	}()
 	select {
-	case <-sawIteration:
+	case <-sawRestart1:
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
-		t.Fatal("never saw a training iteration before the timeout")
+		t.Fatal("never saw restart 1 start before the timeout")
 	}
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -159,6 +158,9 @@ func TestSIGTERMCheckpointResume(t *testing.T) {
 	resumed, err := os.ReadFile(resumedModel)
 	if err != nil {
 		t.Fatalf("resumed model: %v", err)
+	}
+	if !strings.Contains(stderr.String(), "restart 0: resumed from checkpoint") {
+		t.Fatalf("resumed run did not replay restart 0 from the checkpoint\nstderr:\n%s", stderr)
 	}
 	if !bytes.Equal(ref, resumed) {
 		t.Fatalf("resumed model differs from uninterrupted reference\nref:     %d bytes\nresumed: %d bytes", len(ref), len(resumed))

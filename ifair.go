@@ -107,8 +107,9 @@ type OptResult = optimize.Result
 // by fingerprint and ignored (or rejected under CheckpointConfig.Strict).
 type CheckpointManager = checkpoint.Manager
 
-// CheckpointConfig configures OpenCheckpoint; the zero value needs only
-// Dir.
+// CheckpointConfig configures OpenCheckpoint: Dir is required, and FS,
+// Strict and Logf have usable zero values. A snapshot is written each
+// time a restart finishes.
 type CheckpointConfig = checkpoint.Config
 
 // ErrCheckpointCorrupt marks snapshot files that fail decoding (truncated

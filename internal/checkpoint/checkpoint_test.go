@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
@@ -25,9 +24,6 @@ func sampleState() *checkpoint.State {
 				X: []float64{0, math.Copysign(0, -1), 1e-308, 0.1 + 0.2, math.MaxFloat64, -math.SmallestNonzeroFloat64}},
 			{Index: 2, Seed: 99, Failed: true, Error: "line search failed"},
 		},
-		InProgress: []checkpoint.Progress{
-			{Index: 1, Iteration: 5, Loss: 3.5, X: []float64{1, 2, 3}},
-		},
 	}
 }
 
@@ -41,6 +37,13 @@ func TestEncodeDecodeRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
+	assertStatesEqual(t, got, want)
+}
+
+// assertStatesEqual compares two states' headers and completed restarts
+// bit for bit.
+func assertStatesEqual(t *testing.T, got, want *checkpoint.State) {
+	t.Helper()
 	if got.Seed != want.Seed || got.Restarts != want.Restarts || got.Fingerprint != want.Fingerprint {
 		t.Fatalf("header mismatch: %+v vs %+v", got, want)
 	}
@@ -99,12 +102,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// openT opens a manager with test-friendly cadence.
+// openT opens a manager that logs through t.
 func openT(t *testing.T, dir string, strict bool) *checkpoint.Manager {
 	t.Helper()
-	m, err := checkpoint.Open(checkpoint.Config{
-		Dir: dir, EveryIterations: 1, Interval: time.Hour, Strict: strict, Logf: t.Logf,
-	})
+	m, err := checkpoint.Open(checkpoint.Config{Dir: dir, Strict: strict, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
@@ -120,7 +121,6 @@ func TestManagerPersistAndResume(t *testing.T) {
 	if resumed, err := m1.Begin(7, 3, "fp"); err != nil || resumed {
 		t.Fatalf("fresh Begin: resumed=%v err=%v", resumed, err)
 	}
-	m1.Observe(1, 0, 9.5, []float64{1, 2})
 	m1.FinishRestart(checkpoint.Restart{Index: 0, Seed: 7, Iterations: 4, Loss: 2.5, X: []float64{0.5, -0.5}})
 
 	m2 := openT(t, dir, false)
@@ -135,7 +135,7 @@ func TestManagerPersistAndResume(t *testing.T) {
 		t.Fatalf("Completed(0) = %+v, %v", rec, ok)
 	}
 	if _, ok := m2.Completed(1); ok {
-		t.Fatal("in-progress restart 1 reported as completed")
+		t.Fatal("unfinished restart 1 reported as completed")
 	}
 }
 
@@ -162,22 +162,6 @@ func TestManagerBeginMismatch(t *testing.T) {
 	// Strict with a matching identity resumes.
 	if resumed, err := m3.Begin(7, 3, "fp"); err != nil || !resumed {
 		t.Fatalf("strict matching Begin: resumed=%v err=%v", resumed, err)
-	}
-}
-
-func TestManagerReset(t *testing.T) {
-	dir := t.TempDir()
-	m1 := openT(t, dir, false)
-	m1.Begin(7, 2, "fp")
-	m1.FinishRestart(checkpoint.Restart{Index: 0, Seed: 7, Loss: 1, X: []float64{1}})
-
-	m2 := openT(t, dir, false)
-	m2.Reset()
-	if m2.Loaded() {
-		t.Fatal("Reset left the snapshot loaded")
-	}
-	if resumed, _ := m2.Begin(7, 2, "fp"); resumed {
-		t.Fatal("Begin resumed after Reset")
 	}
 }
 
@@ -252,9 +236,7 @@ func TestManagerWriteFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m, err := checkpoint.Open(checkpoint.Config{
-				Dir: dir, FS: tc.fs(), EveryIterations: 1, Interval: time.Hour, Logf: t.Logf,
-			})
+			m, err := checkpoint.Open(checkpoint.Config{Dir: dir, FS: tc.fs(), Logf: t.Logf})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
@@ -292,32 +274,30 @@ func TestManagerWriteFaults(t *testing.T) {
 	}
 }
 
-func TestManagerFlushCapturesInProgress(t *testing.T) {
+// TestManagerFlushRetriesFailedWrite pins the SIGTERM path's purpose: a
+// finished restart whose FinishRestart snapshot failed to write still
+// reaches disk through the final Flush.
+func TestManagerFlushRetriesFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	m, err := checkpoint.Open(checkpoint.Config{
-		Dir: dir, EveryIterations: 1000, Interval: time.Hour, Logf: t.Logf,
+		Dir: dir, FS: &faultinject.FS{WriteFault: faultinject.NewFuse(1)}, Logf: t.Logf,
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open: %v", err)
 	}
 	m.Begin(7, 2, "fp")
-	m.Observe(0, 3, 4.25, []float64{1, 2, 3})
-	if err := m.Flush(); err != nil { // the SIGTERM path
+	m.FinishRestart(checkpoint.Restart{Index: 0, Seed: 7, Loss: 1, X: []float64{1}})
+	if m.WriteErrors() != 1 {
+		t.Fatalf("WriteErrors = %d, want 1", m.WriteErrors())
+	}
+	if err := m.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	names, _ := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
-	if len(names) == 0 {
-		t.Fatal("Flush wrote no snapshot")
+	m2 := openT(t, dir, false)
+	if resumed, err := m2.Begin(7, 2, "fp"); err != nil || !resumed {
+		t.Fatalf("Begin: resumed=%v err=%v", resumed, err)
 	}
-	data, err := os.ReadFile(names[len(names)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := checkpoint.Decode(data)
-	if err != nil {
-		t.Fatalf("Decode flushed snapshot: %v", err)
-	}
-	if len(st.InProgress) != 1 || st.InProgress[0].Index != 0 || st.InProgress[0].Iteration != 3 {
-		t.Fatalf("InProgress = %+v", st.InProgress)
+	if _, ok := m2.Completed(0); !ok {
+		t.Fatal("Flush did not persist restart 0")
 	}
 }

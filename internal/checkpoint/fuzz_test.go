@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"errors"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -19,12 +20,16 @@ func FuzzCheckpointDecode(f *testing.F) {
 		Completed: []checkpoint.Restart{
 			{Index: 0, Seed: 7, Iterations: 3, Loss: 1.5, X: []float64{0.25, -1, math.SmallestNonzeroFloat64}},
 		},
-		InProgress: []checkpoint.Progress{{Index: 1, Iteration: 2, Loss: 9, X: []float64{1}}},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	legacy, err := os.ReadFile(legacyFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Add([]byte{})
 	f.Add([]byte("IFAIRCKPT1\n"))
 	f.Add(faultinject.Truncate(valid, len(valid)/2))

@@ -6,24 +6,16 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 )
 
-// Config configures a Manager. Dir is required; everything else has
-// defaults chosen for multi-minute training runs.
+// Config configures a Manager. Dir is required; everything else has a
+// usable zero value.
 type Config struct {
 	// Dir is the snapshot directory; it is created if missing.
 	Dir string
 	// FS is the filesystem implementation. Nil selects OSFS; tests inject
 	// internal/faultinject's failing FS here.
 	FS FS
-	// EveryIterations is the iteration cadence of automatic snapshots:
-	// one snapshot per this many observed optimizer iterations (summed
-	// across concurrent restarts). Default 50.
-	EveryIterations int
-	// Interval is the wall-clock cadence: an observation also flushes
-	// when this much time passed since the last snapshot. Default 15s.
-	Interval time.Duration
 	// Strict makes Begin fail when a loaded snapshot does not match the
 	// resuming run (instead of silently starting fresh). CLI -resume
 	// sets it so a changed seed/data/options surfaces as an error.
@@ -34,21 +26,18 @@ type Config struct {
 }
 
 // Manager owns one training run's snapshot directory: it loads the latest
-// good snapshot at Open, answers which restarts are already done, absorbs
-// per-iteration observations on a cadence, and durably records finished
-// restarts. All methods are safe for concurrent use by parallel restarts.
+// good snapshot at Open, answers which restarts are already done, and
+// durably records finished restarts. All methods are safe for concurrent
+// use by parallel restarts.
 type Manager struct {
 	cfg Config
 	fs  FS
 
 	mu          sync.Mutex
-	state       State            // resumable state (completed restarts)
-	progress    map[int]Progress // live in-flight iterates, by restart
-	loaded      bool             // a prior good snapshot was decoded at Open
-	corrupt     []string         // snapshot files skipped as corrupt at Open
-	seq         int              // last used snapshot sequence number
-	sinceFlush  int              // observations since the last snapshot
-	lastFlush   time.Time
+	state       State    // resumable state (completed restarts)
+	loaded      bool     // a prior good snapshot was decoded at Open
+	corrupt     []string // snapshot files skipped as corrupt at Open
+	seq         int      // last used snapshot sequence number
 	writeErrors int
 }
 
@@ -75,16 +64,10 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.FS == nil {
 		cfg.FS = OSFS{}
 	}
-	if cfg.EveryIterations <= 0 {
-		cfg.EveryIterations = 50
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 15 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	m := &Manager{cfg: cfg, fs: cfg.FS, progress: make(map[int]Progress), lastFlush: time.Now()}
+	m := &Manager{cfg: cfg, fs: cfg.FS}
 	if err := m.fs.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
 	}
@@ -154,17 +137,6 @@ func (m *Manager) WriteErrors() int {
 // Logf forwards to the configured logger.
 func (m *Manager) Logf(format string, args ...any) { m.cfg.Logf(format, args...) }
 
-// Reset discards any loaded snapshot state, so the next Begin starts the
-// run fresh regardless of what is on disk (the CLI's "-checkpoint without
-// -resume" mode). Files are not deleted; the next flush supersedes them.
-func (m *Manager) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.state = State{}
-	m.progress = make(map[int]Progress)
-	m.loaded = false
-}
-
 // Begin binds the manager to a training run. If a loaded snapshot matches
 // (seed, restarts, fingerprint), its completed restarts become resumable
 // and Begin reports resumed=true. On a mismatch the prior state is
@@ -176,8 +148,6 @@ func (m *Manager) Begin(seed int64, restarts int, fingerprint string) (resumed b
 	if m.loaded {
 		s := &m.state
 		if s.Seed == seed && s.Restarts == restarts && s.Fingerprint == fingerprint {
-			m.progress = make(map[int]Progress)
-			m.state.InProgress = nil
 			m.cfg.Logf("resuming: %d of %d restart(s) already complete", len(s.Completed), restarts)
 			return true, nil
 		}
@@ -189,7 +159,6 @@ func (m *Manager) Begin(seed int64, restarts int, fingerprint string) (resumed b
 		m.cfg.Logf("ignoring incompatible snapshot: %s", detail)
 	}
 	m.state = State{Seed: seed, Restarts: restarts, Fingerprint: fingerprint}
-	m.progress = make(map[int]Progress)
 	m.loaded = false
 	return false, nil
 }
@@ -214,31 +183,11 @@ func (m *Manager) CompletedCount() int {
 	return len(m.state.Completed)
 }
 
-// Observe records the latest iterate of a restart still in flight and
-// writes a snapshot when the iteration or wall-clock cadence is due. A
-// failed write degrades durability but never training: the error is
-// logged and counted, and the previous snapshot remains the fallback.
-func (m *Manager) Observe(restart, iteration int, loss float64, x []float64) {
-	m.mu.Lock()
-	p := m.progress[restart]
-	p.Index, p.Iteration, p.Loss = restart, iteration, loss
-	p.X = append(p.X[:0], x...)
-	m.progress[restart] = p
-	m.sinceFlush++
-	due := m.sinceFlush >= m.cfg.EveryIterations || time.Since(m.lastFlush) >= m.cfg.Interval
-	var err error
-	if due {
-		err = m.flushLocked()
-	}
-	m.mu.Unlock()
-	if err != nil {
-		m.cfg.Logf("snapshot write failed (training continues): %v", err)
-	}
-}
-
 // FinishRestart durably records a finished restart and writes a snapshot
-// immediately, so completed work survives any later crash. Like Observe,
-// a write failure is logged and counted but does not fail training.
+// immediately, so completed work survives any later crash. A failed
+// write degrades durability but never training: the error is logged and
+// counted, and the previous snapshot remains the fallback until the next
+// FinishRestart or Flush writes the record again.
 func (m *Manager) FinishRestart(rec Restart) {
 	m.mu.Lock()
 	if rec.Failed {
@@ -258,7 +207,6 @@ func (m *Manager) FinishRestart(rec Restart) {
 			return m.state.Completed[i].Index < m.state.Completed[j].Index
 		})
 	}
-	delete(m.progress, rec.Index)
 	err := m.flushLocked()
 	m.mu.Unlock()
 	if err != nil {
@@ -267,7 +215,8 @@ func (m *Manager) FinishRestart(rec Restart) {
 }
 
 // Flush writes a snapshot now — the final flush a SIGTERM handler issues
-// before exiting, so the freshest in-flight iterates reach disk.
+// before exiting, so a finished restart whose FinishRestart write failed
+// still reaches disk.
 func (m *Manager) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -279,16 +228,7 @@ func (m *Manager) Flush() error {
 // held. On any failure the temp file is removed best-effort and the
 // previous snapshot files are untouched.
 func (m *Manager) flushLocked() error {
-	snap := m.state
-	snap.InProgress = make([]Progress, 0, len(m.progress))
-	for _, p := range m.progress {
-		q := p
-		q.X = append([]float64(nil), p.X...)
-		snap.InProgress = append(snap.InProgress, q)
-	}
-	sort.Slice(snap.InProgress, func(i, j int) bool { return snap.InProgress[i].Index < snap.InProgress[j].Index })
-
-	data, err := Encode(&snap)
+	data, err := Encode(&m.state)
 	if err != nil {
 		m.writeErrors++
 		return err
@@ -300,8 +240,6 @@ func (m *Manager) flushLocked() error {
 		m.writeErrors++
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	m.sinceFlush = 0
-	m.lastFlush = time.Now()
 	m.pruneLocked()
 	return nil
 }

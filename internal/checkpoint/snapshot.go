@@ -2,13 +2,13 @@
 // checksummed snapshots of multi-restart optimisation state so a fit
 // killed by a crash, OOM or preemption resumes instead of starting over.
 //
-// A snapshot records which random restarts have finished (their final
-// parameters, loss and seed lineage) plus the best-so-far iterate of every
-// restart still in flight. Because every restart is a pure function of
-// (base seed, restart index) — see optimize.RestartSeed — a resumed fit
-// replays finished restarts from the snapshot verbatim and re-runs
-// unfinished ones from their derived seeds, so the resumed model is
-// bit-identical to the one an uninterrupted run would have produced.
+// A snapshot records which random restarts have finished: their final
+// parameters, loss and seed lineage. Because every restart is a pure
+// function of (base seed, restart index) — see optimize.RestartSeed — a
+// resumed fit replays finished restarts from the snapshot verbatim and
+// re-runs unfinished ones from their derived seeds, so the resumed model
+// is bit-identical to the one an uninterrupted run would have produced.
+// A restart still in flight therefore leaves nothing worth recording.
 //
 // The package also owns the on-disk rules of every durable file in this
 // module — training snapshots, ingest shards and manifests, synced model
@@ -50,13 +50,9 @@ type State struct {
 	// rejected rather than silently mixed into a different problem.
 	Fingerprint string `json:"fingerprint"`
 	// Completed holds one record per finished restart, sorted by index.
+	// Snapshots written by older builds may also carry an "in_progress"
+	// list of in-flight iterates; Decode ignores it.
 	Completed []Restart `json:"completed,omitempty"`
-	// InProgress holds the last observed iterate of restarts that were
-	// still training when the snapshot was taken, sorted by index. With a
-	// monotone-descent optimizer this is the best-so-far point; it exists
-	// for forensics and monitoring, not for resuming (unfinished restarts
-	// re-run from their seed so the result stays bit-identical).
-	InProgress []Progress `json:"in_progress,omitempty"`
 }
 
 // Restart is the durable outcome of one finished random restart.
@@ -78,14 +74,6 @@ type Restart struct {
 	// resume — deterministic training would fail them identically.
 	Failed bool   `json:"failed,omitempty"`
 	Error  string `json:"error,omitempty"`
-}
-
-// Progress is the last observed iterate of an unfinished restart.
-type Progress struct {
-	Index     int       `json:"index"`
-	Iteration int       `json:"iteration"`
-	Loss      float64   `json:"loss"`
-	X         []float64 `json:"x,omitempty"`
 }
 
 // corruptf wraps ErrCorrupt with detail.
@@ -147,11 +135,6 @@ func (s *State) validate() error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return corruptf("restart %d has non-finite parameters", r.Index)
 			}
-		}
-	}
-	for _, p := range s.InProgress {
-		if p.Index < 0 || (s.Restarts > 0 && p.Index >= s.Restarts) {
-			return corruptf("in-progress restart index %d out of range [0, %d)", p.Index, s.Restarts)
 		}
 	}
 	return nil

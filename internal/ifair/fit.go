@@ -78,7 +78,7 @@ func FitContext(ctx context.Context, x *mat.Dense, opts Options) (*Model, error)
 		}
 		ledger = &ckptLedger{mgr: ckpt, n: n, opts: &opts, models: models, iters: iters}
 	}
-	best, err := optimize.RestartsLedger(ctx, opts.Restarts, opts.RestartWorkers, ledger,
+	best, err := optimize.Restarts(ctx, opts.Restarts, opts.RestartWorkers, ledger,
 		func(ctx context.Context, r int) (float64, error) {
 			if trace != nil {
 				trace.RestartStart(r)
@@ -105,11 +105,6 @@ func FitContext(ctx context.Context, x *mat.Dense, opts Options) (*Model, error)
 			}
 			if opts.BatchSize > 0 {
 				settings.MaxIterations = opts.Epochs
-			}
-			if ckpt != nil {
-				settings.Snapshot = func(it optimize.Iteration, xcur []float64) {
-					ckpt.Observe(r, it.Iter, it.F, xcur)
-				}
 			}
 			var res optimize.Result
 			var err error

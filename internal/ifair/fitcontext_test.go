@@ -227,7 +227,7 @@ func TestFitContextTraceProtocol(t *testing.T) {
 }
 
 func TestFitContextBestOfPartialFailures(t *testing.T) {
-	// FitContext hands its restarts to optimize.RestartsLedger, whose
+	// FitContext hands its restarts to optimize.Restarts, whose
 	// policy — a failed restart is skipped and the best surviving one
 	// wins — TestRestartsErrorPolicy pins at the engine level. Options
 	// offer no way to make a single restart fail, so this test pins the

@@ -166,10 +166,10 @@ type Options struct {
 	Trace Trace
 	// Checkpoint, when non-nil, makes FitContext crash-safe: finished
 	// restarts are persisted to the manager's directory the moment they
-	// complete (with periodic in-flight snapshots in between), and a
-	// later FitContext with the same data, options and seed skips them,
-	// producing a model bit-identical to an uninterrupted run. A
-	// checkpoint recorded for different data, options or seed is
+	// complete, and a later FitContext with the same data, options and
+	// seed skips them, re-running only the restarts that had not
+	// finished, and produces a model bit-identical to an uninterrupted
+	// run. A checkpoint recorded for different data, options or seed is
 	// detected by fingerprint and ignored (or rejected, if the manager
 	// is strict). Snapshot write failures degrade durability only —
 	// training itself never fails because a disk did.

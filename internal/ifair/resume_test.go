@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
@@ -37,7 +36,7 @@ func resumeData(t *testing.T) *mat.Dense {
 func openManager(t *testing.T, dir string, fs checkpoint.FS) *checkpoint.Manager {
 	t.Helper()
 	m, err := checkpoint.Open(checkpoint.Config{
-		Dir: dir, FS: fs, EveryIterations: 1, Interval: time.Hour, Logf: t.Logf,
+		Dir: dir, FS: fs, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("checkpoint.Open(%s): %v", dir, err)

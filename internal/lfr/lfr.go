@@ -107,7 +107,7 @@ func FitContext(ctx context.Context, x *mat.Dense, y, protected []bool, opts Opt
 
 	models := make([]*Model, opts.Restarts)
 	trace := opts.Trace
-	best, err := optimize.Restarts(ctx, opts.Restarts, 1,
+	best, err := optimize.Restarts(ctx, opts.Restarts, 1, nil,
 		func(ctx context.Context, r int) (float64, error) {
 			if trace != nil {
 				trace.RestartStart(r)

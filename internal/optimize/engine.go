@@ -102,17 +102,13 @@ type RestartLedger interface {
 // errors are joined into one. Once ctx is cancelled, restarts that have
 // not started are skipped, and if any restart was cut short the run
 // reports ctx.Err() rather than a winner chosen from partial work.
-func Restarts(ctx context.Context, n, workers int, fn func(ctx context.Context, restart int) (loss float64, err error)) (best int, err error) {
-	return RestartsLedger(ctx, n, workers, nil, fn)
-}
-
-// RestartsLedger is Restarts with crash-safe persistence: restarts the
-// ledger already holds are skipped (their recorded loss competing for the
-// win exactly as a fresh result would), and every restart that finishes
-// here — successfully or with its own error — is recorded. Cancelled
-// restarts are not recorded, so a killed run resumes them from scratch.
-// A nil ledger degrades to plain Restarts.
-func RestartsLedger(ctx context.Context, n, workers int, ledger RestartLedger, fn func(ctx context.Context, restart int) (loss float64, err error)) (best int, err error) {
+//
+// A non-nil ledger makes the run crash-safe: restarts the ledger already
+// holds are skipped (their recorded loss competing for the win exactly as
+// a fresh result would), and every restart that finishes here —
+// successfully or with its own error — is recorded. Cancelled restarts
+// are not recorded, so a killed run resumes them from scratch.
+func Restarts(ctx context.Context, n, workers int, ledger RestartLedger, fn func(ctx context.Context, restart int) (loss float64, err error)) (best int, err error) {
 	if n <= 0 {
 		n = 1
 	}

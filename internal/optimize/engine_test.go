@@ -128,7 +128,7 @@ func TestRestartsWinnerIndependentOfWorkers(t *testing.T) {
 	// 0.3) exercise both the argmin and the lowest-index tie-break.
 	losses := []float64{0.9, 0.5, 0.3, 0.8, 0.4, 0.1, 0.6, 0.3}
 	for _, workers := range []int{0, 1, 2, 4, 16} {
-		best, err := Restarts(context.Background(), len(losses), workers, func(_ context.Context, r int) (float64, error) {
+		best, err := Restarts(context.Background(), len(losses), workers, nil, func(_ context.Context, r int) (float64, error) {
 			return losses[r], nil
 		})
 		if err != nil {
@@ -141,7 +141,7 @@ func TestRestartsWinnerIndependentOfWorkers(t *testing.T) {
 
 	tied := []float64{0.3, 0.3, 0.3}
 	for _, workers := range []int{1, 3} {
-		best, err := Restarts(context.Background(), len(tied), workers, func(_ context.Context, r int) (float64, error) {
+		best, err := Restarts(context.Background(), len(tied), workers, nil, func(_ context.Context, r int) (float64, error) {
 			return tied[r], nil
 		})
 		if err != nil {
@@ -157,7 +157,7 @@ func TestRestartsErrorPolicy(t *testing.T) {
 	boom := errors.New("boom")
 
 	// A failing restart is ignored when another succeeds.
-	best, err := Restarts(context.Background(), 3, 2, func(_ context.Context, r int) (float64, error) {
+	best, err := Restarts(context.Background(), 3, 2, nil, func(_ context.Context, r int) (float64, error) {
 		if r == 0 {
 			return 0, boom
 		}
@@ -174,7 +174,7 @@ func TestRestartsErrorPolicy(t *testing.T) {
 	}
 
 	// All restarts failing joins every per-restart error.
-	_, err = Restarts(context.Background(), 3, 2, func(_ context.Context, r int) (float64, error) {
+	_, err = Restarts(context.Background(), 3, 2, nil, func(_ context.Context, r int) (float64, error) {
 		if r == 1 {
 			return math.NaN(), nil
 		}
@@ -194,7 +194,7 @@ func TestRestartsErrorPolicy(t *testing.T) {
 
 	// −Inf would undercut every finite loss; it must not win either.
 	losses := []float64{5, math.Inf(-1), 3}
-	best, err = Restarts(context.Background(), 3, 2, func(_ context.Context, r int) (float64, error) {
+	best, err = Restarts(context.Background(), 3, 2, nil, func(_ context.Context, r int) (float64, error) {
 		return losses[r], nil
 	})
 	if err != nil || best != 2 {
@@ -202,7 +202,7 @@ func TestRestartsErrorPolicy(t *testing.T) {
 	}
 
 	// Only +Inf losses: no winner, the joined error instead.
-	best, err = Restarts(context.Background(), 2, 2, func(_ context.Context, r int) (float64, error) {
+	best, err = Restarts(context.Background(), 2, 2, nil, func(_ context.Context, r int) (float64, error) {
 		return math.Inf(1), nil
 	})
 	if err == nil || !containsStr(err.Error(), "non-finite final loss") {
@@ -223,7 +223,7 @@ func TestRestartsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	started := 0
-	_, err := Restarts(ctx, 8, 2, func(ctx context.Context, r int) (float64, error) {
+	_, err := Restarts(ctx, 8, 2, nil, func(ctx context.Context, r int) (float64, error) {
 		mu.Lock()
 		started++
 		mu.Unlock()
@@ -245,7 +245,7 @@ func TestRestartsCompletedBeforeCancelReturnsResult(t *testing.T) {
 	// cancelled, the computed winner is whole and must be returned.
 	ctx, cancel := context.WithCancel(context.Background())
 	losses := []float64{2, 1, 3}
-	best, err := Restarts(ctx, len(losses), 1, func(_ context.Context, r int) (float64, error) {
+	best, err := Restarts(ctx, len(losses), 1, nil, func(_ context.Context, r int) (float64, error) {
 		if r == len(losses)-1 {
 			defer cancel()
 		}

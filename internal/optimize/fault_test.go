@@ -204,36 +204,6 @@ func FuzzLBFGSNonFinite(f *testing.F) {
 	})
 }
 
-func TestSnapshotSinkSeesEveryAcceptedIteration(t *testing.T) {
-	var iters []int
-	var lastX []float64
-	settings := optimize.Settings{
-		MaxIterations: 40,
-		Snapshot: func(it optimize.Iteration, x []float64) {
-			iters = append(iters, it.Iter)
-			lastX = append(lastX[:0], x...) // must copy, not retain
-		},
-	}
-	res, err := optimize.LBFGS(sphere, []float64{4, -3}, settings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iters) != res.Iterations {
-		t.Fatalf("snapshot saw %d iterations, optimizer reports %d", len(iters), res.Iterations)
-	}
-	for i, it := range iters {
-		if it != i {
-			t.Fatalf("snapshot iteration sequence %v not contiguous", iters)
-		}
-	}
-	// The final snapshot is the final iterate.
-	for i := range lastX {
-		if lastX[i] != res.X[i] {
-			t.Fatalf("last snapshot %v != result %v", lastX, res.X)
-		}
-	}
-}
-
 // fakeLedger records every Lookup/Record for assertion.
 type fakeLedger struct {
 	mu       sync.Mutex
@@ -278,7 +248,7 @@ func TestRestartsLedgerSkipsRecordedAndRecordsFresh(t *testing.T) {
 
 		var mu sync.Mutex
 		ran := map[int]bool{}
-		best, err := optimize.RestartsLedger(context.Background(), 5, workers, ledger,
+		best, err := optimize.Restarts(context.Background(), 5, workers, ledger,
 			func(_ context.Context, r int) (float64, error) {
 				mu.Lock()
 				ran[r] = true
@@ -315,7 +285,7 @@ func TestRestartsLedgerSkipsRecordedAndRecordsFresh(t *testing.T) {
 func TestRestartsLedgerRecordsFreshFailure(t *testing.T) {
 	ledger := newFakeLedger()
 	boom := errors.New("boom")
-	best, err := optimize.RestartsLedger(context.Background(), 2, 1, ledger,
+	best, err := optimize.Restarts(context.Background(), 2, 1, ledger,
 		func(_ context.Context, r int) (float64, error) {
 			if r == 0 {
 				return math.NaN(), boom
@@ -333,7 +303,7 @@ func TestRestartsLedgerRecordsFreshFailure(t *testing.T) {
 func TestRestartsLedgerDoesNotRecordCancelled(t *testing.T) {
 	ledger := newFakeLedger()
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := optimize.RestartsLedger(ctx, 3, 1, ledger,
+	_, err := optimize.Restarts(ctx, 3, 1, ledger,
 		func(ctx context.Context, r int) (float64, error) {
 			if r == 1 {
 				cancel() // dies mid-restart

@@ -89,13 +89,6 @@ type Settings struct {
 	// (once per epoch) honour it, so cancellation and tracing work
 	// identically across optimizers.
 	Callback func(Iteration) (stop bool)
-	// Snapshot, when non-nil, is invoked after every accepted outer
-	// iteration — just before Callback — with the iteration's progress
-	// and the current iterate. It is the checkpoint sink: a crash-safe
-	// training run persists x from here. Implementations must not retain
-	// x beyond the call (the optimizer reuses the buffer); copy what you
-	// keep. Both LBFGS and SGD (once per epoch) honour it.
-	Snapshot func(it Iteration, x []float64)
 }
 
 func (s *Settings) fill() {
@@ -228,11 +221,6 @@ func LBFGS(obj Objective, x0 []float64, settings Settings) (Result, error) {
 		copy(grad, gNew)
 		f = fNew
 
-		if settings.Snapshot != nil {
-			settings.Snapshot(Iteration{
-				Iter: iter, F: f, GradNorm: infNorm(grad), Step: step, Evals: evals,
-			}, x)
-		}
 		if settings.Callback != nil {
 			stop := settings.Callback(Iteration{
 				Iter: iter, F: f, GradNorm: infNorm(grad), Step: step, Evals: evals,

@@ -32,9 +32,8 @@ type BatchObjective interface {
 
 // SGDSettings configures mini-batch stochastic gradient descent. The
 // embedded Settings fields are reinterpreted per epoch: MaxIterations is
-// the epoch budget, and Callback/Snapshot fire once per epoch (so
-// checkpointing and tracing work exactly as they do for the full-batch
-// optimizers). The small-improvement test compares successive epoch
+// the epoch budget, and Callback fires once per epoch (so cancellation
+// and tracing work exactly as they do for the full-batch optimizer). The small-improvement test compares successive epoch
 // losses. GradTol is ignored — a stochastic gradient never converges to
 // zero.
 type SGDSettings struct {
@@ -70,7 +69,7 @@ func (s *SGDSettings) fill() {
 // batch. Because each item appears in exactly one batch per epoch, the
 // summed batch losses of an epoch approximate the full objective along
 // the trajectory — that sum is the per-epoch Iteration.F reported to
-// Callback/Snapshot and tested for small improvement.
+// Callback and tested for small improvement.
 //
 // Divergence is hardened as in LBFGS: a non-finite batch loss or
 // gradient never updates the parameters — the iterate reverts to the
@@ -168,9 +167,6 @@ func SGD(obj BatchObjective, x0 []float64, settings SGDSettings) (Result, error)
 		}
 
 		it := Iteration{Iter: epoch, F: epochLoss, GradNorm: lastGradNorm, Step: lr, Evals: evals}
-		if settings.Snapshot != nil {
-			settings.Snapshot(it, x)
-		}
 		if settings.Callback != nil {
 			if settings.Callback(it) {
 				lastF = epochLoss

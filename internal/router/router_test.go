@@ -3,6 +3,7 @@ package router
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -120,27 +121,11 @@ func postTransform(t *testing.T, base, model string, rows string) (*http.Respons
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body []byte
-	body, err = readAll(resp)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp, body
-}
-
-func readAll(resp *http.Response) ([]byte, error) {
-	var buf []byte
-	tmp := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(tmp)
-		buf = append(buf, tmp[:n]...)
-		if err != nil {
-			if err.Error() == "EOF" {
-				return buf, nil
-			}
-			return buf, err
-		}
-	}
 }
 
 func TestRouterProxiesTransform(t *testing.T) {
@@ -168,7 +153,7 @@ func TestRouterProxiesReadEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := readAll(resp)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s status %d: %s", path, resp.StatusCode, body)
@@ -322,7 +307,7 @@ func TestRouterGetRoutesAroundSheddingReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := readAll(resp)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %d status %d: %s", i, resp.StatusCode, body)
@@ -418,7 +403,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := readAll(resp)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	out := string(body)
 	for _, want := range []string{

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,7 +129,7 @@ func (f *soakFleet) run(ctx context.Context, phase *atomic.Int64, ok, fail []ato
 					}
 					continue
 				}
-				data, _ := readAll(resp)
+				data, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {
 					ok[p].Add(1)

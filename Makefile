@@ -98,7 +98,9 @@ race:
 # in-memory CSV loader built on it (never panic, accepted rows are
 # full-width and finite, loaded datasets are consistent), and the serving
 # row decoder against encoding/json (same accept/reject decision, same
-# float64 bits on accept), and the kernel's row forward pass against a
+# float64 bits on accept), and the codec's JSON-number scanner against
+# json.Valid plus strconv.ParseFloat (same token end, same accept/reject,
+# same float64 bits), and the kernel's row forward pass against a
 # naive Defs. 3/7/8 reference (memberships a distribution, x̃ inside the
 # prototype range), and L-BFGS under injected NaN/±Inf evaluations (the
 # result stays finite, a sticky poison always ends as Diverged), and the
@@ -114,6 +116,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzForward -fuzztime=$(FUZZTIME) ./internal/kernel/
 	$(GO) test -run='^$$' -fuzz=FuzzLBFGSNonFinite -fuzztime=$(FUZZTIME) ./internal/optimize/
 	$(GO) test -run='^$$' -fuzz=FuzzKDTreeMatchesBruteForce -fuzztime=$(FUZZTIME) ./internal/knn/
@@ -134,19 +137,21 @@ bench-fit:
 		| $(GO) run ./cmd/benchjson -out BENCH_fit.json
 
 # Serving-path benchmarks (fused compute kernel, end-to-end HTTP
-# transform, micro-batcher coalescing), archived as JSON for
-# cross-commit comparison.
+# transform, micro-batcher coalescing, and the row codec's decode and
+# encode of one 64-row body), archived as JSON for cross-commit
+# comparison.
 bench-serve:
-	$(GO) test -run='^$$' -bench='ServerTransform|ServerHTTPTransform|MicroBatcher' -benchmem . \
+	$(GO) test -run='^$$' -bench='ServerTransform|ServerHTTPTransform|MicroBatcher|DecodeRows|EncodeRows' -benchmem \
+		. ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
 # Allocation-regression gate: a short run of the serving benchmarks (the
-# zero-alloc kernel and batcher paths plus the HTTP handler) compared
-# against the archived BENCH_serve.json baseline (benchjson -compare
-# exits 1 if allocs/op exceeds baseline + slack).
+# zero-alloc kernel, batcher and codec paths plus the HTTP handler)
+# compared against the archived BENCH_serve.json baseline (benchjson
+# -compare exits 1 if allocs/op exceeds baseline + slack).
 bench-compare:
-	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerHTTPTransform$$|MicroBatcher$$' \
-		-benchtime=30x -benchmem . \
+	$(GO) test -run='^$$' -bench='ServerTransform$$|ServerHTTPTransform$$|MicroBatcher$$|DecodeRows$$|EncodeRows$$' \
+		-benchtime=30x -benchmem . ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -compare BENCH_serve.json
 
 # Training-regression gate: one pass of the scale, ingest and kd-tree
@@ -182,6 +187,8 @@ LAYOUT_SYMS = repro/internal/kernel.Forward \
 	repro/internal/server.(*Batcher).runJob \
 	repro/internal/server.(*statusRecorder).WriteHeader \
 	repro/internal/server.(*statusRecorder).Write \
+	repro/internal/server.parseNumber \
+	repro/internal/server.eiselLemire64 \
 	repro/internal/optimize.LBFGS \
 	repro/internal/optimize.SGD
 layout:

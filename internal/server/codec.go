@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"unsafe"
 )
 
 // The transform and probabilities endpoints speak one fixed JSON shape:
@@ -166,14 +165,8 @@ func (rb *rowsBuf) parseCanonical() bool {
 		}
 		i = skipSpace(b, i+1)
 		for moreVals := !at(b, i, ']'); moreVals; {
-			j := scanNumber(b, i)
-			if j < 0 {
-				return false
-			}
-			// ParseFloat copies the token into any error it returns, so
-			// the unsafe view never escapes.
-			v, err := strconv.ParseFloat(unsafe.String(&b[i], j-i), 64)
-			if err != nil {
+			v, j, ok := parseNumber(b, i)
+			if !ok {
 				return false
 			}
 			rb.vals = append(rb.vals, v)
@@ -214,51 +207,6 @@ func at(b []byte, i int, c byte) bool { return i < len(b) && b[i] == c }
 // after i (JSON whitespace: space, tab, newline, carriage return).
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// scanNumber matches the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at b[i:] and returns
-// the index just past it, or -1 when b[i:] does not start with one.
-func scanNumber(b []byte, i int) int {
-	if at(b, i, '-') {
-		i++
-	}
-	switch {
-	case i >= len(b):
-		return -1
-	case b[i] == '0':
-		i++
-	case '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return -1
-	}
-	if at(b, i, '.') {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return -1
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return -1
-		}
-		i = j
-	}
-	return i
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
 	return i

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -144,8 +146,26 @@ func FuzzDecodeRows(f *testing.F) {
 
 // TestParseCanonicalAcceptsOnlyTheFixedShape pins which bodies take the
 // one-pass parser: the canonical shape with any JSON whitespace, and
-// nothing that needs encoding/json's judgement.
+// nothing that needs encoding/json's judgement. Numbers the fast
+// conversion gives up on stay in the one pass, with strconv's value.
 func TestParseCanonicalAcceptsOnlyTheFixedShape(t *testing.T) {
+	slow := []string{
+		"1.234567890123456789012345", // 25 significant digits
+		"1e-400",                     // exponent outside the table; rounds to 0
+		"9007199254740993",           // halfway between two float64s
+		"2.2250738585072011e-308",    // subnormal result
+		// Halfway, in 55 digits.
+		"1.00000000000000011102230246251565404236316680908203125",
+	}
+	// The three of them with at most 19 digits, as man×10^exp10.
+	for _, c := range []struct {
+		man   uint64
+		exp10 int
+	}{{1, -400}, {9007199254740993, 0}, {22250738585072011, -324}} {
+		if v, ok := toFloat64(c.man, c.exp10, false); ok {
+			t.Errorf("toFloat64(%d, %d) = %v, want it to give up", c.man, c.exp10, v)
+		}
+	}
 	for _, body := range []string{
 		`{"rows":[[1,2,3]]}`,
 		" {\r\n\t\"rows\" : [ [ 1 , -2.5e3 ] ,\n[0.1,1E-7] ] } \n",
@@ -156,6 +176,19 @@ func TestParseCanonicalAcceptsOnlyTheFixedShape(t *testing.T) {
 	} {
 		if rb := (&rowsBuf{body: []byte(body)}); !rb.parseCanonical() {
 			t.Errorf("%q: not parsed in one pass", body)
+		}
+	}
+	rb := &rowsBuf{body: []byte(`{"rows":[[` + strings.Join(slow, ",") + `]]}`)}
+	if !rb.parseCanonical() {
+		t.Fatalf("%q: not parsed in one pass", rb.body)
+	}
+	for i, tok := range slow {
+		want, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rb.vals[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: parsed %v, strconv.ParseFloat says %v", tok, got, want)
 		}
 	}
 	for _, body := range []string{
@@ -248,4 +281,58 @@ func TestAppendRowsRejectsNonFinite(t *testing.T) {
 			t.Fatalf("%v: message %q does not name row 1", v, he.msg)
 		}
 	}
+}
+
+// benchRows is the serve-batch request: 64 rows of 17 seeded standard
+// normals, as json.Marshal writes them.
+func benchRows(b *testing.B) (body []byte, vals []float64) {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = make([]float64, 17)
+		for j := range rows[i] {
+			rows[i][j] = rng.NormFloat64()
+			vals = append(vals, rows[i][j])
+		}
+	}
+	body, err := json.Marshal(rowsRequest{Rows: rows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body, vals
+}
+
+// BenchmarkDecodeRows is the codec's share of a serve-batch request on
+// the way in: parseCanonical over one 64×17 body into a warmed rowsBuf.
+// The gate archived in BENCH_serve.json: 0 allocs/op.
+func BenchmarkDecodeRows(b *testing.B) {
+	body, _ := benchRows(b)
+	rb := &rowsBuf{body: body}
+	if !rb.parseCanonical() {
+		b.Fatal("body not parsed in one pass")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb.parseCanonical()
+	}
+	b.ReportMetric(float64(rb.n())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkEncodeRows is the codec's share on the way out: appendRows
+// of 64×17 result values into a warmed rowsBuf's body. The gate
+// archived in BENCH_serve.json: 0 allocs/op.
+func BenchmarkEncodeRows(b *testing.B) {
+	_, vals := benchRows(b)
+	rb := &rowsBuf{out: vals}
+	rb.body, _ = appendRows(nil, "bench", 1, rowsKey, rb.out, 17)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rb.body, err = appendRows(rb.body[:0], "bench", 1, rowsKey, rb.out, 17); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(vals)/17)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
